@@ -1,11 +1,12 @@
 """Command-line pipeline: ingest -> stats -> train-tokenizer -> build-instances
--> pretrain -> finetune -> eval.
+-> pretrain -> finetune -> generate -> eval.
 
 Artifact-producing commands write a resolved-config snapshot next to their
-output.  When the output already exists with an identical snapshot the stage
-is skipped, so re-running a pipeline only redoes stages whose configuration
-changed.  All randomness flows from explicit seeds; rerunning a stage with
-the same configuration reproduces its artifacts byte for byte.
+output, holding the arguments and a sha256 of every input the stage reads.
+When the output already exists with an identical snapshot the stage is
+skipped, so re-running a pipeline only redoes stages whose configuration or
+inputs changed.  All randomness flows from explicit seeds; rerunning a stage
+with the same configuration reproduces its artifacts byte for byte.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -13,6 +14,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -63,6 +65,24 @@ def _write_snapshot(out: Path, config: dict) -> None:
     snap.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _digest(path: Path) -> str:
+    """sha256 of a file, or of every file under a directory with its relative name."""
+    h = hashlib.sha256()
+    if path.is_dir():
+        for f in sorted(p for p in path.rglob("*") if p.is_file()):
+            h.update(f.relative_to(path).as_posix().encode("utf-8") + b"\0")
+            h.update(hashlib.sha256(f.read_bytes()).digest())
+    else:
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def _input_digests(*inputs: tuple[str | None, str]) -> dict[str, str]:
+    """Digests of a stage's (path, description) inputs, keyed by path; a path
+    of None is an optional input that was not given."""
+    return {str(path): _digest(_require_file(path, what)) for path, what in inputs if path is not None}
+
+
 def _load_lexers(config_dir: str | None) -> dict[str, lx.LanguageLexer]:
     return lx.load_lexers(config_dir)
 
@@ -88,6 +108,7 @@ def _cmd_ingest(args) -> int:
         "lang_config": args.lang_config,
         "keep_comments": args.keep_comments,
         "out": str(out),
+        "inputs": _input_digests((args.input, "corpus file"), (args.lang_config, "language config")),
     }
     if _stage_up_to_date(out, config):
         print(f"ingest: up to date ({out})")
@@ -168,6 +189,7 @@ def _cmd_train_tokenizer(args) -> int:
         "min_freq": args.min_freq,
         "text_fields": args.text_fields,
         "out": str(out),
+        "inputs": _input_digests((args.input, "corpus file")),
     }
     if _stage_up_to_date(out, config):
         print(f"train-tokenizer: up to date ({out})")
@@ -195,6 +217,11 @@ def _cmd_build_instances(args) -> int:
         "max_src_len": args.max_src_len,
         "max_tgt_len": args.max_tgt_len,
         "out": str(out),
+        "inputs": _input_digests(
+            (args.input, "documents file"),
+            (args.tokenizer, "tokenizer directory"),
+            (args.lang_config, "language config"),
+        ),
     }
     if _stage_up_to_date(out, config):
         print(f"build-instances: up to date ({out})")
@@ -275,6 +302,11 @@ def _cmd_pretrain(args) -> int:
             "dropout": args.dropout,
         },
         "out": str(out),
+        "inputs": _input_digests(
+            (args.instances, "instances file"),
+            (args.tokenizer, "tokenizer directory"),
+            (args.init, "checkpoint"),
+        ),
     }
     if _stage_up_to_date(out, config):
         print(f"pretrain: up to date ({out})")
@@ -331,6 +363,18 @@ def _load_task_instances(path: str, tokenizer: bpe.SubwordTokenizer) -> list[obj
     return out
 
 
+def _mixture_inputs(mixture_path: Path) -> list[tuple[str | None, str]]:
+    """The dataset and validation files a mixture config lists."""
+    try:
+        return [
+            (entry.get(key), what)
+            for entry in json.loads(mixture_path.read_text(encoding="utf-8"))["tasks"]
+            for key, what in (("path", "task dataset"), ("validation", "validation dataset"))
+        ]
+    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
+        raise CommandError(f"malformed mixture config {mixture_path}: {exc}")
+
+
 def _cmd_finetune(args) -> int:
     mixture_path = _require_file(args.mixture, "mixture config")
     out = _resolve_out(args.out, "finetune")
@@ -347,6 +391,12 @@ def _cmd_finetune(args) -> int:
         "warmup_steps": args.warmup_steps,
         "seed": args.seed,
         "out": str(out),
+        "inputs": _input_digests(
+            (args.mixture, "mixture config"),
+            *_mixture_inputs(mixture_path),
+            (args.tokenizer, "tokenizer directory"),
+            (args.init, "checkpoint"),
+        ),
     }
     if _stage_up_to_date(out, config):
         print(f"finetune: up to date ({out})")
@@ -380,6 +430,44 @@ def _cmd_finetune(args) -> int:
         Seq2SeqModel(model.config, ckpt.params).save(out / f"checkpoint.{task}.npz")
         print(f"finetune: best {task} at step {ckpt.step} (val loss {ckpt.metric:.4f})")
     print(f"finetune: {args.steps} steps over {len(mix.tasks)} tasks ({out})")
+    _write_snapshot(out, config)
+    return 0
+
+
+def _cmd_generate(args) -> int:
+    out = _resolve_out(args.out, "hyp.txt")
+    config = {
+        "stage": "generate",
+        "checkpoint": args.checkpoint,
+        "tokenizer": args.tokenizer,
+        "input": args.input,
+        "control_code": args.control_code,
+        "max_len": args.max_len,
+        "beam": args.beam,
+        "out": str(out),
+        "inputs": _input_digests(
+            (args.checkpoint, "checkpoint"),
+            (args.tokenizer, "tokenizer directory"),
+            (args.input, "task dataset"),
+        ),
+    }
+    if _stage_up_to_date(out, config):
+        print(f"generate: up to date ({out})")
+        return 0
+    tok = bpe.SubwordTokenizer.load(args.tokenizer)
+    model = Seq2SeqModel.load(args.checkpoint)
+    spec = mixture_mod.TaskSpec("generate", 1, args.control_code)
+    lines = []
+    for n, inst in enumerate(_load_task_instances(args.input, tok), start=1):
+        try:
+            source = mixture_mod.apply_control_code(inst, spec, tok).source_ids
+            ids = tr.generate(model, source, args.max_len, beam=args.beam, eos_id=tok.sep_id)
+        except ValueError as exc:
+            raise CommandError(f"{args.input} record {n}: {exc}")
+        lines.append(" ".join(tok.decode(ids).split()))
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    print(f"generate: wrote {len(lines)} hypotheses to {out}")
     _write_snapshot(out, config)
     return 0
 
@@ -496,6 +584,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schedule_flags(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_finetune)
+
+    p = sub.add_parser("generate", help="decode one hypothesis line per dataset record")
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--tokenizer", required=True)
+    p.add_argument("--input", required=True, help="task dataset: instances or {source, target} pairs")
+    p.add_argument("--control-code", default="", dest="control_code")
+    p.add_argument("--max-len", type=int, default=128, dest="max_len")
+    p.add_argument("--beam", type=int, default=1)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("eval", help="score hypothesis files against references")
     p.add_argument("--task", required=True)

@@ -180,27 +180,33 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
+def _attend(q, k, v, mask):
+    """Softmax attention over split heads; mask is additive, broadcastable to
+    (batch, heads, q_len, k_len).  Returns (context, attention weights)."""
+    scores = q @ k.transpose(0, 1, 3, 2) * (1.0 / np.sqrt(q.shape[-1])) + mask
+    scores -= scores.max(axis=-1, keepdims=True)
+    exps = np.exp(scores)
+    attn = exps / exps.sum(axis=-1, keepdims=True)
+    return attn @ v, attn
+
+
 def _attn_fwd(params, prefix, q_in, kv_in, mask, num_heads):
     """mask is additive, broadcastable to (batch, heads, q_len, k_len)."""
     wq, wk, wv, wo = (params[f"{prefix}.{p}"] for p in ("wq", "wk", "wv", "wo"))
     q = _split_heads(q_in @ wq, num_heads)
     k = _split_heads(kv_in @ wk, num_heads)
     v = _split_heads(kv_in @ wv, num_heads)
-    scale = 1.0 / np.sqrt(q.shape[-1])
-    scores = q @ k.transpose(0, 1, 3, 2) * scale + mask
-    scores -= scores.max(axis=-1, keepdims=True)
-    exps = np.exp(scores)
-    attn = exps / exps.sum(axis=-1, keepdims=True)
-    ctx = attn @ v
+    ctx, attn = _attend(q, k, v, mask)
     merged = _merge_heads(ctx)
     out = merged @ wo
-    return out, (prefix, q_in, kv_in, q, k, v, attn, merged, scale, num_heads)
+    return out, (prefix, q_in, kv_in, q, k, v, attn, merged, num_heads)
 
 
 def _attn_bwd(dy, cache, params, grads):
-    prefix, q_in, kv_in, q, k, v, attn, merged, scale, num_heads = cache
+    prefix, q_in, kv_in, q, k, v, attn, merged, num_heads = cache
     wq, wk, wv, wo = (params[f"{prefix}.{p}"] for p in ("wq", "wk", "wv", "wo"))
     b, tq, d = q_in.shape
+    scale = 1.0 / np.sqrt(q.shape[-1])
     grads[f"{prefix}.wo"] += merged.reshape(-1, d).T @ dy.reshape(-1, d)
     dmerged = dy @ wo.T
     dctx = _split_heads(dmerged, num_heads)
@@ -363,6 +369,93 @@ def decoder_backward(model: Seq2SeqModel, dhidden: np.ndarray, cache, grads) -> 
 
 
 # --------------------------------------------------------------------------
+# incremental decoding
+# --------------------------------------------------------------------------
+
+
+@dataclass
+class DecodeState:
+    """Decoder caches for one source, advanced one position per ``decoder_step``.
+
+    Row r of every self-attention buffer holds the keys and values of the
+    r-th live hypothesis; the cross-attention keys and values are computed
+    once from the encoder output and broadcast over the rows.
+    """
+
+    cross_kv: list[tuple[np.ndarray, np.ndarray]]  # per layer, each (1, heads, S, d_head)
+    self_k: list[np.ndarray]                       # per layer, (rows, heads, max_len, d_head)
+    self_v: list[np.ndarray]
+    length: int = 0                                # positions filled so far
+
+    @classmethod
+    def for_source(cls, model: Seq2SeqModel, source_ids, max_len: int) -> "DecodeState":
+        """Run the encoder once and allocate caches for ``max_len`` steps of one row."""
+        cfg, params = model.config, model.params
+        src = np.asarray(source_ids, dtype=np.int64)
+        if not 0 < src.size <= cfg.max_src_len:
+            raise ValueError(f"source length {src.size} outside 1..{cfg.max_src_len}")
+        if not 0 < max_len <= cfg.max_tgt_len:
+            raise ValueError(f"decode length {max_len} outside 1..{cfg.max_tgt_len}")
+        _check_ids(src, cfg.vocab_size, "source")
+        enc_out, _ = encoder_forward(model, src[None, :], np.asarray([src.size]))
+        heads = cfg.num_heads
+        cross_kv = [
+            tuple(_split_heads(enc_out @ params[f"dec{i}.cross.{w}"], heads) for w in ("wk", "wv"))
+            for i in range(cfg.decoder_layers)
+        ]
+        shape = (1, heads, max_len, cfg.d_model // heads)
+        self_k = [np.empty(shape) for _ in range(cfg.decoder_layers)]
+        self_v = [np.empty(shape) for _ in range(cfg.decoder_layers)]
+        return cls(cross_kv, self_k, self_v)
+
+    def reorder(self, parents) -> None:
+        """Make new row r continue old row ``parents[r]``; the row count may change."""
+        idx = np.asarray(parents, dtype=np.intp)
+        t = self.length
+        for bufs in (self.self_k, self.self_v):
+            for i, buf in enumerate(bufs):
+                new = np.empty((idx.size, *buf.shape[1:]))
+                new[:, :, :t] = buf[idx, :, :t]
+                bufs[i] = new
+
+
+def decoder_step(model: Seq2SeqModel, state: DecodeState, tokens) -> np.ndarray:
+    """Feed one token per live row at the next position; returns (rows, vocab)
+    next-token logits and appends that position's keys and values to ``state``."""
+    cfg, params = model.config, model.params
+    rows, heads, max_len, _ = state.self_k[0].shape
+    t = state.length
+    if len(tokens) != rows:
+        raise ValueError(f"{len(tokens)} tokens for {rows} decode rows")
+    if t == max_len:
+        raise ValueError(f"decode state is full after {max_len} steps")
+    # rows stay 2-D (rows, d_model) outside attention: BLAS is several times
+    # faster on (rows, d) @ (d, n) than on a stack of (1, d) rows
+    x = params["embed.tok"][np.asarray(tokens, dtype=np.int64)] + params["embed.tgt_pos"][t]
+
+    def heads_of(y):
+        return _split_heads(y[:, None, :], heads)
+
+    for i, (k_buf, v_buf, (cross_k, cross_v)) in enumerate(zip(state.self_k, state.self_v, state.cross_kv)):
+        p = f"dec{i}.self"
+        h, _ = _ln_fwd(params, f"dec{i}.ln1", x)
+        k_buf[:, :, t : t + 1] = heads_of(h @ params[f"{p}.wk"])
+        v_buf[:, :, t : t + 1] = heads_of(h @ params[f"{p}.wv"])
+        ctx, _ = _attend(heads_of(h @ params[f"{p}.wq"]), k_buf[:, :, : t + 1], v_buf[:, :, : t + 1], 0.0)
+        x = x + _merge_heads(ctx)[:, 0] @ params[f"{p}.wo"]
+        p = f"dec{i}.cross"
+        h2, _ = _ln_fwd(params, f"dec{i}.ln2", x)
+        ctx, _ = _attend(heads_of(h2 @ params[f"{p}.wq"]), cross_k, cross_v, 0.0)
+        x = x + _merge_heads(ctx)[:, 0] @ params[f"{p}.wo"]
+        h3, _ = _ln_fwd(params, f"dec{i}.ln3", x)
+        f, _ = _ffn_fwd(params, f"dec{i}.ffn", h3)
+        x = x + f
+    hidden, _ = _ln_fwd(params, "dec.ln_f", x)
+    state.length = t + 1
+    return hidden @ params["lm.w"] + params["lm.b"]
+
+
+# --------------------------------------------------------------------------
 # batching
 # --------------------------------------------------------------------------
 
@@ -376,6 +469,15 @@ class Batch:
     tgt_in: np.ndarray    # (B, T) shift-right decoder input
     tag_labels: np.ndarray | None = None  # (B, S) float64 where defined
     tag_mask: np.ndarray | None = None    # (B, S) bool
+
+
+def _check_ids(ids: np.ndarray, vocab_size: int, what: str) -> None:
+    bad = np.flatnonzero((ids < 0) | (ids >= vocab_size))
+    if bad.size:
+        pos = int(bad[0])
+        raise ValueError(
+            f"{what} id outside vocabulary: {int(ids[pos])} at position {pos} (vocabulary size {vocab_size})"
+        )
 
 
 def make_batch(instances: list[TrainingInstance], config: ModelConfig) -> Batch:
@@ -394,9 +496,8 @@ def make_batch(instances: list[TrainingInstance], config: ModelConfig) -> Batch:
     tags = np.zeros((b, s)) if has_tags else None
     tag_mask = np.zeros((b, s), dtype=bool) if has_tags else None
     for j, inst in enumerate(instances):
-        ids = np.asarray(inst.source_ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= config.vocab_size):
-            raise ValueError("source id outside vocabulary")
+        _check_ids(np.asarray(inst.source_ids, dtype=np.int64), config.vocab_size, "source")
+        _check_ids(np.asarray(inst.target_ids, dtype=np.int64), config.vocab_size, "target")
         src[j, : len(inst.source_ids)] = inst.source_ids
         src_len[j] = len(inst.source_ids)
         tgt[j, : len(inst.target_ids)] = inst.target_ids

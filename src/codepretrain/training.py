@@ -24,9 +24,11 @@ from . import metrics as metrics_mod
 from .bpe import SubwordTokenizer
 from .mixture import TaskMixture, apply_control_code
 from .model import (
+    DecodeState,
     InstanceObjectiveError,
     Seq2SeqModel,
     decoder_forward,
+    decoder_step,
     encoder_forward,
     is_decoder_param,
     seq2seq_loss_and_grads,
@@ -299,13 +301,6 @@ def finetune_multitask(
 # --------------------------------------------------------------------------
 
 
-def _decoder_logits(model: Seq2SeqModel, enc_out, src_len, dec_in: list[int]) -> np.ndarray:
-    tgt = np.asarray([dec_in], dtype=np.int64)
-    tgt_len = np.asarray([len(dec_in)], dtype=np.int64)
-    hidden, _ = decoder_forward(model, tgt, tgt_len, enc_out, src_len)
-    return hidden[0, -1] @ model.params["lm.w"] + model.params["lm.b"]
-
-
 def generate(
     model: Seq2SeqModel,
     source_ids: Sequence[int],
@@ -315,55 +310,58 @@ def generate(
 ) -> list[int]:
     """Greedy (beam=1) or beam-search decoding, stopping at ``eos_id``.
 
-    The returned sequence excludes the end-of-sequence id.
+    The returned sequence excludes the end-of-sequence id.  Beam search
+    expands each live hypothesis by its ``beam`` most likely tokens, carries
+    finished hypotheses along, and keeps the ``beam`` best by a stable sort
+    on summed log-probability; all live hypotheses advance as one batch.
     """
     if max_len <= 0:
         return []
     max_len = min(max_len, model.config.max_tgt_len - 1)
-    src = np.asarray([source_ids], dtype=np.int64)
-    src_len = np.asarray([len(source_ids)], dtype=np.int64)
-    enc_out, _ = encoder_forward(model, src, src_len)
+    state = DecodeState.for_source(model, source_ids, max_len)
     start = model.config.pad_id
     if beam <= 1:
         out: list[int] = []
         while len(out) < max_len:
-            logits = _decoder_logits(model, enc_out, src_len, [start, *out])
-            nxt = int(np.argmax(logits))
+            logits = decoder_step(model, state, [out[-1] if out else start])
+            nxt = int(np.argmax(logits[0]))
             if eos_id is not None and nxt == eos_id:
                 break
             out.append(nxt)
         return out
-    # (sequence, logprob, finished)
-    hyps: list[tuple[list[int], float, bool]] = [([], 0.0, False)]
+    # (sequence, logprob, finished, state row of its parent); before each
+    # step the live hypotheses are moved into the state's rows in order
+    hyps: list[tuple[list[int], float, bool, int]] = [([], 0.0, False, 0)]
     for _ in range(max_len):
-        expanded: list[tuple[list[int], float, bool]] = []
-        for seq, score, finished in hyps:
+        live = [(seq, parent) for seq, _, finished, parent in hyps if not finished]
+        state.reorder([parent for _, parent in live])
+        logp = _log_softmax(decoder_step(model, state, [seq[-1] if seq else start for seq, _ in live]))
+        top = np.argsort(-logp, axis=-1)[:, :beam]
+        expanded: list[tuple[list[int], float, bool, int]] = []
+        row = 0
+        for seq, score, finished, _ in hyps:
             if finished:
-                expanded.append((seq, score, True))
+                expanded.append((seq, score, True, -1))
                 continue
-            logits = _decoder_logits(model, enc_out, src_len, [start, *seq])
-            logp = logits - logits.max()
-            logp = logp - np.log(np.exp(logp).sum())
-            top = np.argsort(-logp)[:beam]
-            for token_id in top:
+            for token_id in top[row]:
                 token_id = int(token_id)
+                new_score = score + float(logp[row, token_id])
                 if eos_id is not None and token_id == eos_id:
-                    expanded.append((seq, score + float(logp[token_id]), True))
+                    expanded.append((seq, new_score, True, -1))
                 else:
-                    expanded.append((seq + [token_id], score + float(logp[token_id]), False))
+                    expanded.append((seq + [token_id], new_score, False, row))
+            row += 1
         expanded.sort(key=lambda h: -h[1])
         hyps = expanded[:beam]
-        if all(finished for _, _, finished in hyps):
+        if all(finished for _, _, finished, _ in hyps):
             break
     return hyps[0][0]
 
 
 def first_step_distribution(model: Seq2SeqModel, source_ids: Sequence[int]) -> np.ndarray:
-    src = np.asarray([source_ids], dtype=np.int64)
-    src_len = np.asarray([len(source_ids)], dtype=np.int64)
-    enc_out, _ = encoder_forward(model, src, src_len)
-    logits = _decoder_logits(model, enc_out, src_len, [model.config.pad_id])
-    return np.exp(_log_softmax(logits))
+    state = DecodeState.for_source(model, source_ids, 1)
+    logits = decoder_step(model, state, [model.config.pad_id])
+    return np.exp(_log_softmax(logits[0]))
 
 
 def classify_unigram(

@@ -157,6 +157,55 @@ def test_stage_skipped_when_up_to_date(pipeline, capsys):
     assert "up to date" in capsys.readouterr().out
 
 
+def test_stage_reruns_when_input_content_changes(tmp_path, capsys):
+    corpus_file = tmp_path / "corpus.jsonl"
+    lines = corpus.bundled_corpus_path().read_text(encoding="utf-8").splitlines(keepends=True)
+    corpus_file.write_text("".join(lines[:50]), encoding="utf-8")
+    out = tmp_path / "docs.jsonl"
+    argv = ["ingest", "--input", str(corpus_file), "--out", str(out)]
+    assert dispatch(argv) == 0
+    assert len(list(corpus.read_documents(out))) == 50
+    corpus_file.write_text("".join(lines[:10]), encoding="utf-8")
+    capsys.readouterr()
+    assert dispatch(argv) == 0
+    assert "up to date" not in capsys.readouterr().out
+    assert len(list(corpus.read_documents(out))) == 10
+    assert dispatch(argv) == 0
+    assert "up to date" in capsys.readouterr().out
+
+
+def test_pretrain_generate_eval_end_to_end(pipeline, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert dispatch(
+        [
+            "pretrain", "--instances", str(pipeline["inst"]), "--tokenizer", str(pipeline["tok"]),
+            "--steps", "2", "--batch-size", "4", "--d-model", "32", "--num-heads", "2",
+            "--encoder-layers", "1", "--decoder-layers", "1", "--feedforward-dim", "64",
+            "--max-src-len", "160", "--max-tgt-len", "64", "--out", str(run),
+        ]
+    ) == 0
+    records = [r for r in corpus.ingest(pipeline["src"]) if r.docstring][:5]
+    data = tmp_path / "summarize.jsonl"
+    data.write_text(
+        "".join(json.dumps({"source": r.code[:200], "target": r.docstring}) + "\n" for r in records),
+        encoding="utf-8",
+    )
+    ref = tmp_path / "ref.txt"
+    ref.write_text("".join(" ".join(r.docstring.split()) + "\n" for r in records), encoding="utf-8")
+    hyp = tmp_path / "hyp.txt"
+    argv = [
+        "generate", "--checkpoint", str(run / "checkpoint.npz"), "--tokenizer", str(pipeline["tok"]),
+        "--input", str(data), "--control-code", "Summarize:", "--max-len", "6", "--beam", "3",
+        "--out", str(hyp),
+    ]
+    assert dispatch(argv) == 0
+    assert len(hyp.read_text(encoding="utf-8").splitlines()) == len(records)
+    assert dispatch(argv) == 0
+    assert "generate: up to date" in capsys.readouterr().out
+    assert dispatch(["eval", "--task", "summarize", "--hyp", str(hyp), "--ref", str(ref)]) == 0
+    assert json.loads(capsys.readouterr().out)["metric"] == "bleu4"
+
+
 def test_pretrain_writes_artifacts(pipeline):
     run = pipeline["root"] / "run"
     rc = dispatch(

@@ -208,6 +208,17 @@ def test_make_batch_rejects_bad_ids(tiny_config):
         make_batch([inst], tiny_config)
 
 
+@pytest.mark.parametrize("bad", [-1, 50])
+def test_make_batch_rejects_out_of_vocabulary_target(bad):
+    cfg = ModelConfig(vocab_size=50, d_model=16, num_heads=2, encoder_layers=1, decoder_layers=1,
+                      feedforward_dim=32, max_src_len=16, max_tgt_len=16)
+    inst = obj.TrainingInstance((1, 5, 2), (7, bad, 2), obj.MSP)
+    with pytest.raises(ValueError, match=f"target id outside vocabulary: {bad} at position 1"):
+        make_batch([inst], cfg)
+    with pytest.raises(ValueError, match="target id outside vocabulary"):
+        seq2seq_loss_and_grads(Seq2SeqModel(cfg), [inst])
+
+
 def test_make_batch_rejects_overlong(tiny_config):
     inst = obj.TrainingInstance(tuple([1] * (tiny_config.max_src_len + 1)), (1,), obj.MSP)
     with pytest.raises(ValueError):

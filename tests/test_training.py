@@ -7,7 +7,7 @@ from codepretrain import mixture as mx
 from codepretrain import objectives as obj
 from codepretrain import synth
 from codepretrain import training as tr
-from codepretrain.model import Seq2SeqModel
+from codepretrain.model import ModelConfig, Seq2SeqModel, decoder_forward, encoder_forward, forward_lm
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +120,97 @@ def test_beam_search_runs(tiny_config):
     out = tr.generate(model, [1, 7, 4, 2], max_len=6, beam=3, eos_id=2)
     assert isinstance(out, list)
     assert len(out) <= 6
+
+
+def _reference_generate(model, source_ids, max_len, beam=1, eos_id=None):
+    """The quadratic decoder generate() replaced: every step re-runs the full
+    decoder over the whole prefix, one call per beam hypothesis."""
+    if max_len <= 0:
+        return []
+    max_len = min(max_len, model.config.max_tgt_len - 1)
+    src = np.asarray([source_ids], dtype=np.int64)
+    src_len = np.asarray([len(source_ids)], dtype=np.int64)
+    enc_out, _ = encoder_forward(model, src, src_len)
+    start = model.config.pad_id
+
+    def logits_after(dec_in):
+        tgt = np.asarray([dec_in], dtype=np.int64)
+        hidden, _ = decoder_forward(model, tgt, np.asarray([len(dec_in)]), enc_out, src_len)
+        return hidden[0, -1] @ model.params["lm.w"] + model.params["lm.b"]
+
+    if beam <= 1:
+        out = []
+        while len(out) < max_len:
+            nxt = int(np.argmax(logits_after([start, *out])))
+            if eos_id is not None and nxt == eos_id:
+                break
+            out.append(nxt)
+        return out
+    hyps = [([], 0.0, False)]
+    for _ in range(max_len):
+        expanded = []
+        for seq, score, finished in hyps:
+            if finished:
+                expanded.append((seq, score, True))
+                continue
+            logits = logits_after([start, *seq])
+            logp = logits - logits.max()
+            logp = logp - np.log(np.exp(logp).sum())
+            for token_id in np.argsort(-logp)[:beam]:
+                token_id = int(token_id)
+                if eos_id is not None and token_id == eos_id:
+                    expanded.append((seq, score + float(logp[token_id]), True))
+                else:
+                    expanded.append((seq + [token_id], score + float(logp[token_id]), False))
+        expanded.sort(key=lambda h: -h[1])
+        hyps = expanded[:beam]
+        if all(finished for _, _, finished in hyps):
+            break
+    return hyps[0][0]
+
+
+def _assert_decodes_like_reference(model, sources):
+    """Lengths 1/7/40, beams 1/3/4, without an end id and with the reference's
+    sixth greedy token as one, so that hypotheses finish mid-search."""
+    for src in sources:
+        eos_ids = (None, _reference_generate(model, src, 6)[5])
+        for length in (1, 7, 40):
+            for beam in (1, 3, 4):
+                for eos in eos_ids:
+                    want = _reference_generate(model, src, length, beam=beam, eos_id=eos)
+                    got = tr.generate(model, src, length, beam=beam, eos_id=eos)
+                    assert got == want, (len(src), length, beam, eos)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_generate_matches_full_prefix_reference(tiny_config, seed):
+    rng = np.random.default_rng(seed)
+    sources = [[1, 7, 4, 2], list(rng.integers(3, tiny_config.vocab_size, size=30))]
+    _assert_decodes_like_reference(Seq2SeqModel(tiny_config, seed=seed), sources)
+
+
+def test_generate_matches_reference_at_large_vocab():
+    cfg = ModelConfig(vocab_size=2500, d_model=128, num_heads=4, max_src_len=200, max_tgt_len=64)
+    rng = np.random.default_rng(3)
+    sources = [list(rng.integers(1, cfg.vocab_size, size=n)) for n in (12, 150)]
+    _assert_decodes_like_reference(Seq2SeqModel(cfg, seed=3), sources)
+
+
+def test_first_step_distribution_matches_teacher_forcing(tiny_config):
+    model = Seq2SeqModel(tiny_config, seed=4)
+    src = [1, 9, 8, 7, 2]
+    dist = tr.first_step_distribution(model, src)
+    np.testing.assert_allclose(dist, forward_lm(model, src, [5])[0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [-1, 50])
+def test_generate_rejects_out_of_vocabulary_source(bad):
+    model = Seq2SeqModel(ModelConfig(vocab_size=50, d_model=16, num_heads=2, encoder_layers=1,
+                                     decoder_layers=1, feedforward_dim=32, max_src_len=16, max_tgt_len=16))
+    with pytest.raises(ValueError, match=f"source id outside vocabulary: {bad} at position 2"):
+        tr.generate(model, [1, 5, bad, 2], max_len=4)
+    with pytest.raises(ValueError, match="source id outside vocabulary"):
+        tr.first_step_distribution(model, [bad])
 
 
 def test_classify_unigram_single_label(tiny_config):
