@@ -49,14 +49,18 @@ def _snapshot_path(out: Path) -> Path:
 
 
 def _stage_up_to_date(out: Path, config: dict) -> bool:
+    """Whether ``out`` was made under ``config``.  If not, the old snapshot is
+    deleted before the stage writes anything, so a run killed mid-write
+    leaves no snapshot vouching for its half-written output."""
     snap = _snapshot_path(out)
-    if not out.exists() or not snap.exists():
-        return False
-    try:
-        stored = json.loads(snap.read_text(encoding="utf-8"))
-    except json.JSONDecodeError:
-        return False
-    return stored == config
+    if out.exists() and snap.exists():
+        try:
+            if json.loads(snap.read_text(encoding="utf-8")) == config:
+                return True
+        except json.JSONDecodeError:
+            pass
+    snap.unlink(missing_ok=True)
+    return False
 
 
 def _write_snapshot(out: Path, config: dict) -> None:
@@ -402,9 +406,12 @@ def _cmd_finetune(args) -> int:
         print(f"finetune: up to date ({out})")
         return 0
     tok = bpe.SubwordTokenizer.load(_require_file(args.tokenizer, "tokenizer directory"))
-    mix = mixture_mod.TaskMixture.from_config(mixture_path)
-    if args.alpha is not None:
-        mix = mixture_mod.TaskMixture(tasks=mix.tasks, alpha=args.alpha)
+    try:
+        mix = mixture_mod.TaskMixture.from_config(mixture_path)
+        if args.alpha is not None:
+            mix = mixture_mod.TaskMixture(tasks=mix.tasks, alpha=args.alpha)
+    except ValueError as exc:
+        raise CommandError(str(exc))
     model = Seq2SeqModel.load(_require_file(args.init, "checkpoint"))
     datasets = {spec.name: _load_task_instances(spec.path, tok) for spec in mix.tasks}
     with open(mixture_path, encoding="utf-8") as f:
@@ -420,9 +427,12 @@ def _cmd_finetune(args) -> int:
         warmup_steps=args.warmup_steps,
         seed=args.seed,
     )
-    log, best = tr.finetune_multitask(
-        model, mix, datasets, tok, schedule, validation=validation or None
-    )
+    try:
+        log, best = tr.finetune_multitask(
+            model, mix, datasets, tok, schedule, validation=validation or None
+        )
+    except ValueError as exc:
+        raise CommandError(str(exc))
     out.mkdir(parents=True, exist_ok=True)
     model.save(out / "checkpoint.npz")
     tr.write_metrics_log(log, out / "metrics.jsonl")

@@ -600,15 +600,20 @@ def tagging_loss_and_grads(
     return float(loss), count, grads
 
 
+def loss_and_grads(model: Seq2SeqModel, instances: list[TrainingInstance], objective: str,
+                   drop_rng=None, compute_grads: bool = True):
+    """The loss of ``objective``: the tagging head for IT, teacher-forced token
+    cross entropy for every other objective.  Returns (loss_sum, count, grads or None)."""
+    loss_fn = tagging_loss_and_grads if objective == IT else seq2seq_loss_and_grads
+    return loss_fn(model, instances, drop_rng=drop_rng, compute_grads=compute_grads)
+
+
 def _single_loss(model, instance, objective, reduction):
     if instance.objective != objective:
         raise InstanceObjectiveError(
             f"expected a {objective} instance, got {instance.objective}"
         )
-    if objective == IT:
-        loss, count, _ = tagging_loss_and_grads(model, [instance], compute_grads=False)
-    else:
-        loss, count, _ = seq2seq_loss_and_grads(model, [instance], compute_grads=False)
+    loss, count, _ = loss_and_grads(model, [instance], objective, compute_grads=False)
     if reduction == "mean":
         return loss / max(count, 1)
     return loss

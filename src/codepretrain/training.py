@@ -1,5 +1,6 @@
-"""Training loops, decoding, task heads, and the gradient-check harness.
+"""The training loop, decoding, task heads, and the gradient-check harness.
 
+Every phase runs one loop and differs only in how a step draws its batch.
 Pre-training runs in two phases: a denoising phase that draws one of the
 three denoising objectives per step with equal probability, and a dual phase
 over the paired NL<->code generation instances.  All randomness flows from
@@ -22,7 +23,7 @@ log = logging.getLogger(__name__)
 
 from . import metrics as metrics_mod
 from .bpe import SubwordTokenizer
-from .mixture import TaskMixture, apply_control_code
+from .mixture import TaskMixture, apply_control_code, sample_task
 from .model import (
     DecodeState,
     InstanceObjectiveError,
@@ -31,15 +32,13 @@ from .model import (
     decoder_step,
     encoder_forward,
     is_decoder_param,
-    seq2seq_loss_and_grads,
-    tagging_loss_and_grads,
+    loss_and_grads,
     _log_softmax,
 )
 from .objectives import (
     DENOISING_TASKS,
     DUAL_NL2PL,
     DUAL_PL2NL,
-    IT,
     TrainingInstance,
     parse_sentinel_segments,
     pick_denoising_task,
@@ -95,9 +94,6 @@ class Adam:
         lr = self.learning_rate(self.t)
         clip_gradients(grads, self.schedule.clip_norm)
         for k, g in grads.items():
-            if k not in self.m:  # heads added after optimizer construction
-                self.m[k] = np.zeros_like(g)
-                self.v[k] = np.zeros_like(g)
             self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
             self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
             mhat = self.m[k] / (1 - self.beta1**self.t)
@@ -113,11 +109,6 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
         for g in grads.values():
             g *= scale
     return total
-
-def _loss_for(model: Seq2SeqModel, batch: list[TrainingInstance], objective: str, drop_rng):
-    if objective == IT:
-        return tagging_loss_and_grads(model, batch, drop_rng=drop_rng)
-    return seq2seq_loss_and_grads(model, batch, drop_rng=drop_rng)
 
 
 def _draw_batch(pool: list[TrainingInstance], size: int, rng: np.random.Generator):
@@ -146,6 +137,29 @@ def _filter_to_caps(
     return kept
 
 
+def _train(
+    model: Seq2SeqModel,
+    schedule: TrainSchedule,
+    draw: Callable[[np.random.Generator], tuple[str, list[TrainingInstance]]],
+    after_step: Callable[[int], None] | None = None,
+) -> list[StepRecord]:
+    """The training loop of every phase.  ``draw(rng)`` gives each step's log
+    label and batch; the loss follows the batch's objective.  Dropout, when
+    the model config asks for it, draws from its own generator."""
+    rng = np.random.default_rng(schedule.seed)
+    drop_rng = np.random.default_rng(schedule.seed + 1) if model.config.dropout > 0 else None
+    opt = Adam(model.params, schedule)
+    records: list[StepRecord] = []
+    for step in range(1, schedule.steps + 1):
+        label, batch = draw(rng)
+        loss, count, grads = loss_and_grads(model, batch, batch[0].objective, drop_rng)
+        opt.step(model.params, grads)
+        records.append(StepRecord(step, label, loss / max(count, 1)))
+        if after_step is not None:
+            after_step(step)
+    return records
+
+
 def pretrain(
     model: Seq2SeqModel,
     instances: Sequence[TrainingInstance],
@@ -159,9 +173,9 @@ def pretrain(
     paired generation instances and alternates directions at random.
     """
     if phase == "denoise":
-        allowed = DENOISING_TASKS
+        allowed, pick = DENOISING_TASKS, pick_denoising_task
     elif phase == "dual":
-        allowed = DUAL_TASKS
+        allowed, pick = DUAL_TASKS, lambda rng: DUAL_TASKS[rng.integers(2)]
     else:
         raise ValueError(f"unknown phase {phase!r}")
     pools: dict[str, list[TrainingInstance]] = {obj: [] for obj in allowed}
@@ -177,22 +191,13 @@ def pretrain(
     if not available and schedule.steps > 0:
         raise ValueError("no training instances")
 
-    rng = np.random.default_rng(schedule.seed)
-    drop_rng = np.random.default_rng(schedule.seed + 1) if model.config.dropout > 0 else None
-    opt = Adam(model.params, schedule)
-    log: list[StepRecord] = []
-    for step in range(1, schedule.steps + 1):
-        if phase == "denoise":
-            objective = pick_denoising_task(rng)
-        else:
-            objective = DUAL_TASKS[rng.integers(2)]
+    def draw(rng):
+        objective = pick(rng)
         if not pools[objective]:
             objective = available[int(rng.integers(len(available)))]
-        batch = _draw_batch(pools[objective], schedule.batch_size, rng)
-        loss, count, grads = _loss_for(model, batch, objective, drop_rng)
-        opt.step(model.params, grads)
-        log.append(StepRecord(step, objective, loss / max(count, 1)))
-    return log
+        return objective, _draw_batch(pools[objective], schedule.batch_size, rng)
+
+    return _train(model, schedule, draw)
 
 
 def finetune_seq2seq(
@@ -200,39 +205,21 @@ def finetune_seq2seq(
     instances: Sequence[TrainingInstance],
     schedule: TrainSchedule,
 ) -> list[StepRecord]:
-    """Plain teacher-forced fine-tuning on any generation-style instances."""
+    """Fine-tune on one pool of instances.  The loss follows their objective:
+    teacher-forced generation, or the encoder and tagging head for IT."""
     pool = _filter_to_caps(list(instances), model)
     if not pool and schedule.steps > 0:
         raise ValueError("no training instances fit the model's length caps")
-    rng = np.random.default_rng(schedule.seed)
-    opt = Adam(model.params, schedule)
-    log: list[StepRecord] = []
-    for step in range(1, schedule.steps + 1):
+
+    def draw(rng):
         batch = _draw_batch(pool, schedule.batch_size, rng)
-        loss, count, grads = seq2seq_loss_and_grads(model, batch)
-        opt.step(model.params, grads)
-        log.append(StepRecord(step, batch[0].objective, loss / max(count, 1)))
-    return log
+        return batch[0].objective, batch
+
+    return _train(model, schedule, draw)
 
 
-def finetune_tagging(
-    model: Seq2SeqModel,
-    instances: Sequence[TrainingInstance],
-    schedule: TrainSchedule,
-) -> list[StepRecord]:
-    """Fine-tune the encoder and tagging head on labeled instances."""
-    pool = _filter_to_caps(list(instances), model)
-    if not pool and schedule.steps > 0:
-        raise ValueError("no training instances fit the model's length caps")
-    rng = np.random.default_rng(schedule.seed)
-    opt = Adam(model.params, schedule)
-    log: list[StepRecord] = []
-    for step in range(1, schedule.steps + 1):
-        batch = _draw_batch(pool, schedule.batch_size, rng)
-        loss, count, grads = tagging_loss_and_grads(model, batch)
-        opt.step(model.params, grads)
-        log.append(StepRecord(step, IT, loss / max(count, 1)))
-    return log
+# IT instances select the tagging loss, so tagging fine-tuning is the same loop.
+finetune_tagging = finetune_seq2seq
 
 
 @dataclass
@@ -241,6 +228,17 @@ class TaskCheckpoint:
     step: int
     metric: float
     params: dict[str, np.ndarray]
+
+
+def _mean_loss(model: Seq2SeqModel, instances: list[TrainingInstance], chunk: int) -> float:
+    """Mean loss per scored position, ``chunk`` instances per forward pass."""
+    loss, count = 0.0, 0
+    for i in range(0, len(instances), chunk):
+        part = instances[i : i + chunk]
+        part_loss, part_count, _ = loss_and_grads(model, part, part[0].objective, compute_grads=False)
+        loss += part_loss
+        count += part_count
+    return loss / max(count, 1)
 
 
 def finetune_multitask(
@@ -254,46 +252,38 @@ def finetune_multitask(
 ) -> tuple[list[StepRecord], dict[str, TaskCheckpoint]]:
     """Balanced multi-task fine-tuning with one best checkpoint per task.
 
-    Control codes are prepended once per dataset up front.  When validation
-    sets are given, per-task validation loss is tracked and the best
+    Control codes are prepended and the length caps applied once per dataset
+    and validation set up front.  When validation sets are given, per-task
+    validation loss is tracked in batches of the schedule's size and the best
     parameter snapshot per task is returned.
     """
+    def prepare(spec, instances):
+        return _filter_to_caps([apply_control_code(i, spec, tokenizer) for i in instances], model)
+
     prepared: dict[str, list[TrainingInstance]] = {}
+    held_out: dict[str, list[TrainingInstance]] = {}
     for spec in mixture.tasks:
-        pool = [apply_control_code(inst, spec, tokenizer) for inst in datasets[spec.name]]
-        prepared[spec.name] = _filter_to_caps(pool, model)
+        prepared[spec.name] = prepare(spec, datasets[spec.name])
         if not prepared[spec.name] and schedule.steps > 0:
             raise ValueError(f"no instances of task {spec.name!r} fit the model's length caps")
-
-    rng = np.random.default_rng(schedule.seed)
-    opt = Adam(model.params, schedule)
-    log: list[StepRecord] = []
+        val = prepare(spec, (validation or {}).get(spec.name) or [])
+        if val:
+            held_out[spec.name] = val
     best: dict[str, TaskCheckpoint] = {}
 
-    def _validate(step: int):
-        for spec in mixture.tasks:
-            val = (validation or {}).get(spec.name)
-            if not val:
-                continue
-            prepped = [apply_control_code(inst, spec, tokenizer) for inst in val]
-            loss, count, _ = seq2seq_loss_and_grads(model, prepped, compute_grads=False)
-            mean = loss / max(count, 1)
-            if spec.name not in best or mean < best[spec.name].metric:
-                best[spec.name] = TaskCheckpoint(
-                    spec.name, step, mean, {k: v.copy() for k, v in model.params.items()}
-                )
-
-    from .mixture import sample_task
-
-    for step in range(1, schedule.steps + 1):
+    def draw(rng):
         task = sample_task(mixture, rng)
-        batch = _draw_batch(prepared[task], schedule.batch_size, rng)
-        loss, count, grads = seq2seq_loss_and_grads(model, batch)
-        opt.step(model.params, grads)
-        log.append(StepRecord(step, task, loss / max(count, 1)))
-        if validation and (step % eval_every == 0 or step == schedule.steps):
-            _validate(step)
-    return log, best
+        return task, _draw_batch(prepared[task], schedule.batch_size, rng)
+
+    def validate(step: int):
+        if step % eval_every and step != schedule.steps:
+            return
+        for task, val in held_out.items():
+            mean = _mean_loss(model, val, schedule.batch_size)
+            if task not in best or mean < best[task].metric:
+                best[task] = TaskCheckpoint(task, step, mean, {k: v.copy() for k, v in model.params.items()})
+
+    return _train(model, schedule, draw, validate if held_out else None), best
 
 
 # --------------------------------------------------------------------------
@@ -415,10 +405,7 @@ def grad_check(
 ) -> float:
     """Max relative error between analytic gradients and central differences
     over a random coordinate subset of every parameter array."""
-    if instance.objective == IT:
-        _, _, grads = tagging_loss_and_grads(model, [instance])
-    else:
-        _, _, grads = seq2seq_loss_and_grads(model, [instance])
+    _, _, grads = loss_and_grads(model, [instance], instance.objective)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for name, p in model.params.items():
@@ -442,10 +429,7 @@ def grad_check(
 
 def decoder_grad_norm(model: Seq2SeqModel, instance: TrainingInstance) -> float:
     """Largest absolute analytic gradient on any decoder-side parameter."""
-    if instance.objective == IT:
-        _, _, grads = tagging_loss_and_grads(model, [instance])
-    else:
-        _, _, grads = seq2seq_loss_and_grads(model, [instance])
+    _, _, grads = loss_and_grads(model, [instance], instance.objective)
     vals = [np.abs(g).max() for k, g in grads.items() if is_decoder_param(k)]
     return float(max(vals)) if vals else 0.0
 

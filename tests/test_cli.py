@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from codepretrain import corpus
+from codepretrain import bpe, corpus
 from codepretrain.cli import dispatch
+from codepretrain.model import ModelConfig, Seq2SeqModel
 
 GOLDEN_STATS_LINES = [
     # Frozen from the first audited run over the bundled corpus; the rates were
@@ -174,6 +175,28 @@ def test_stage_reruns_when_input_content_changes(tmp_path, capsys):
     assert "up to date" in capsys.readouterr().out
 
 
+def test_stage_reruns_after_run_killed_mid_write(tmp_path, capsys, monkeypatch):
+    corpus_file = tmp_path / "corpus.jsonl"
+    lines = corpus.bundled_corpus_path().read_text(encoding="utf-8").splitlines(keepends=True)
+    corpus_file.write_text("".join(lines[:50]), encoding="utf-8")
+    out = tmp_path / "docs.jsonl"
+    argv = ["ingest", "--input", str(corpus_file), "--out", str(out)]
+    assert dispatch(argv) == 0
+
+    def killed(docs, path):
+        open(path, "w", encoding="utf-8").close()
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as m:
+        m.setattr(corpus, "write_documents", killed)
+        with pytest.raises(KeyboardInterrupt):
+            dispatch(argv + ["--keep-comments"])
+    capsys.readouterr()
+    assert dispatch(argv) == 0
+    assert "up to date" not in capsys.readouterr().out
+    assert len(list(corpus.read_documents(out))) == 50
+
+
 def test_pretrain_generate_eval_end_to_end(pipeline, tmp_path, capsys):
     run = tmp_path / "run"
     assert dispatch(
@@ -270,6 +293,34 @@ def test_finetune_multitask_cli(pipeline):
     assert rc == 0
     assert (out / "checkpoint.npz").exists()
     assert (out / "checkpoint.summarize.npz").exists()
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([{"source": "int x = 1 ; " * 20, "target": "declare"}], "fit the model's length caps"),
+        ([], "task sizes must be positive"),
+    ],
+)
+def test_finetune_bad_task_is_clean_error(pipeline, tmp_path, capsys, rows, message):
+    vocab = bpe.SubwordTokenizer.load(pipeline["tok"]).vocab_size
+    cfg = ModelConfig(vocab_size=vocab, d_model=16, num_heads=2, encoder_layers=1, decoder_layers=1,
+                      feedforward_dim=32, max_src_len=16, max_tgt_len=16)
+    Seq2SeqModel(cfg).save(tmp_path / "init.npz")
+    task_data = tmp_path / "task.jsonl"
+    task_data.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    mixture = tmp_path / "mixture.json"
+    mixture.write_text(json.dumps({"tasks": [{"name": "t", "path": str(task_data)}]}), encoding="utf-8")
+    rc = dispatch(
+        [
+            "finetune", "--mixture", str(mixture), "--tokenizer", str(pipeline["tok"]),
+            "--init", str(tmp_path / "init.npz"), "--steps", "2", "--out", str(tmp_path / "ft"),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "ft").exists()
 
 
 def test_full_pipeline_smoke_within_budget(tmp_path):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from codepretrain import mixture as mx
+from codepretrain import model as mdl
 from codepretrain import objectives as obj
 from codepretrain import synth
 from codepretrain import training as tr
@@ -333,3 +336,234 @@ def test_finetune_multitask_tracks_best_checkpoints(tokenizer, tiny_config):
     for ckpt in best.values():
         assert ckpt.metric >= 0.0
         assert set(ckpt.params) == set(model.params)
+
+
+# --------------------------------------------------------------------------
+# the four training loops that the one loop replaced, kept as its oracle
+# --------------------------------------------------------------------------
+
+
+def _reference_loss_for(model, batch, objective, drop_rng):
+    if objective == obj.IT:
+        return mdl.tagging_loss_and_grads(model, batch, drop_rng=drop_rng)
+    return mdl.seq2seq_loss_and_grads(model, batch, drop_rng=drop_rng)
+
+
+def _reference_pretrain(model, instances, schedule, phase="denoise"):
+    allowed = obj.DENOISING_TASKS if phase == "denoise" else tr.DUAL_TASKS
+    pools = {o: [] for o in allowed}
+    for inst in instances:
+        pools[inst.objective].append(inst)
+    for o in allowed:
+        pools[o] = tr._filter_to_caps(pools[o], model)
+    available = [o for o in allowed if pools[o]]
+    rng = np.random.default_rng(schedule.seed)
+    drop_rng = np.random.default_rng(schedule.seed + 1) if model.config.dropout > 0 else None
+    opt = tr.Adam(model.params, schedule)
+    records = []
+    for step in range(1, schedule.steps + 1):
+        if phase == "denoise":
+            objective = obj.pick_denoising_task(rng)
+        else:
+            objective = tr.DUAL_TASKS[rng.integers(2)]
+        if not pools[objective]:
+            objective = available[int(rng.integers(len(available)))]
+        batch = tr._draw_batch(pools[objective], schedule.batch_size, rng)
+        loss, count, grads = _reference_loss_for(model, batch, objective, drop_rng)
+        opt.step(model.params, grads)
+        records.append(tr.StepRecord(step, objective, loss / max(count, 1)))
+    return records
+
+
+def _reference_finetune_seq2seq(model, instances, schedule):
+    pool = tr._filter_to_caps(list(instances), model)
+    rng = np.random.default_rng(schedule.seed)
+    opt = tr.Adam(model.params, schedule)
+    records = []
+    for step in range(1, schedule.steps + 1):
+        batch = tr._draw_batch(pool, schedule.batch_size, rng)
+        loss, count, grads = mdl.seq2seq_loss_and_grads(model, batch)
+        opt.step(model.params, grads)
+        records.append(tr.StepRecord(step, batch[0].objective, loss / max(count, 1)))
+    return records
+
+
+def _reference_finetune_tagging(model, instances, schedule):
+    pool = tr._filter_to_caps(list(instances), model)
+    rng = np.random.default_rng(schedule.seed)
+    opt = tr.Adam(model.params, schedule)
+    records = []
+    for step in range(1, schedule.steps + 1):
+        batch = tr._draw_batch(pool, schedule.batch_size, rng)
+        loss, count, grads = mdl.tagging_loss_and_grads(model, batch)
+        opt.step(model.params, grads)
+        records.append(tr.StepRecord(step, obj.IT, loss / max(count, 1)))
+    return records
+
+
+def _reference_finetune_multitask(model, mixture, datasets, tokenizer, schedule, validation, eval_every):
+    prepared = {}
+    for spec in mixture.tasks:
+        pool = [mx.apply_control_code(inst, spec, tokenizer) for inst in datasets[spec.name]]
+        prepared[spec.name] = tr._filter_to_caps(pool, model)
+    rng = np.random.default_rng(schedule.seed)
+    opt = tr.Adam(model.params, schedule)
+    records = []
+    best = {}
+
+    def validate(step):
+        for spec in mixture.tasks:
+            val = validation.get(spec.name)
+            if not val:
+                continue
+            prepped = [mx.apply_control_code(inst, spec, tokenizer) for inst in val]
+            loss, count, _ = mdl.seq2seq_loss_and_grads(model, prepped, compute_grads=False)
+            mean = loss / max(count, 1)
+            if spec.name not in best or mean < best[spec.name].metric:
+                best[spec.name] = tr.TaskCheckpoint(
+                    spec.name, step, mean, {k: v.copy() for k, v in model.params.items()}
+                )
+
+    for step in range(1, schedule.steps + 1):
+        task = mx.sample_task(mixture, rng)
+        batch = tr._draw_batch(prepared[task], schedule.batch_size, rng)
+        loss, count, grads = mdl.seq2seq_loss_and_grads(model, batch)
+        opt.step(model.params, grads)
+        records.append(tr.StepRecord(step, task, loss / max(count, 1)))
+        if validation and (step % eval_every == 0 or step == schedule.steps):
+            validate(step)
+    return records, best
+
+
+def _finetune_pairs(tokenizer, word, n):
+    out = []
+    for i in range(n):
+        src = (tokenizer.cls_id, *tokenizer.encode(f"{word} {i}", use_specials=False), tokenizer.sep_id)
+        tgt = (*tokenizer.encode(word, use_specials=False), tokenizer.sep_id)
+        out.append(obj.TrainingInstance(src, tgt, obj.FINETUNE))
+    return out
+
+
+def _two_task_mixture():
+    return mx.TaskMixture(
+        tasks=(mx.TaskSpec("alpha", 12, control_code="Do alpha:"), mx.TaskSpec("beta", 4, control_code="Do beta:")),
+        alpha=0.7,
+    )
+
+
+def _assert_same_run(got_log, got_model, want_log, want_model):
+    assert [r.to_dict() for r in got_log] == [r.to_dict() for r in want_log]
+    assert set(got_model.params) == set(want_model.params)
+    for k in want_model.params:
+        assert np.array_equal(got_model.params[k], want_model.params[k]), k
+
+
+@pytest.fixture(scope="module")
+def oracle_pools(bundled_docs, tokenizer, denoise_pool):
+    bimodal = [obj.clip_document(d, 12, 20) for d in bundled_docs if d.is_bimodal][:20]
+    tagging = [obj.build_it(obj.clip_document(d, 12, 20), tokenizer) for d in bundled_docs[:20]]
+    return {
+        "denoise": list(denoise_pool),
+        "span-only": [i for i in denoise_pool if i.objective == obj.MSP],
+        "dual": obj.build_dual_instances(bimodal, tokenizer),
+        "tagging": tagging,
+        "finetune": _finetune_pairs(tokenizer, "alpha", 10),
+    }
+
+
+@pytest.mark.parametrize(
+    "pool, phase, dropout",
+    [
+        ("denoise", "denoise", 0.0),
+        ("denoise", "denoise", 0.1),
+        ("span-only", "denoise", 0.0),
+        ("dual", "dual", 0.0),
+        ("dual", "dual", 0.1),
+    ],
+)
+def test_pretrain_matches_reference_loop(tiny_config, oracle_pools, pool, phase, dropout):
+    cfg = dataclasses.replace(tiny_config, dropout=dropout)
+    sched = tr.TrainSchedule(steps=8, batch_size=4, peak_lr=1e-3, warmup_steps=2, seed=3)
+    want_model, got_model = Seq2SeqModel(cfg, seed=1), Seq2SeqModel(cfg, seed=1)
+    want = _reference_pretrain(want_model, oracle_pools[pool], sched, phase)
+    got = tr.pretrain(got_model, oracle_pools[pool], sched, phase)
+    _assert_same_run(got, got_model, want, want_model)
+
+
+@pytest.mark.parametrize(
+    "pool, new, reference",
+    [
+        ("finetune", tr.finetune_seq2seq, _reference_finetune_seq2seq),
+        ("dual", tr.finetune_seq2seq, _reference_finetune_seq2seq),
+        ("tagging", tr.finetune_tagging, _reference_finetune_tagging),
+    ],
+)
+def test_single_pool_finetune_matches_reference_loop(tiny_config, oracle_pools, pool, new, reference):
+    sched = tr.TrainSchedule(steps=8, batch_size=4, peak_lr=2e-3, seed=2)
+    want_model, got_model = Seq2SeqModel(tiny_config, seed=6), Seq2SeqModel(tiny_config, seed=6)
+    want = reference(want_model, oracle_pools[pool], sched)
+    got = new(got_model, oracle_pools[pool], sched)
+    _assert_same_run(got, got_model, want, want_model)
+
+
+def test_multitask_matches_reference_loop(tokenizer, tiny_config):
+    datasets = {"alpha": _finetune_pairs(tokenizer, "alpha", 12), "beta": _finetune_pairs(tokenizer, "beta", 4)}
+    # validation sets larger than a batch, so the chunked scoring spans several chunks
+    validation = {"alpha": datasets["alpha"][:7], "beta": datasets["beta"] + datasets["alpha"][:3]}
+    sched = tr.TrainSchedule(steps=12, batch_size=3, peak_lr=2e-3, seed=4)
+    want_model, got_model = Seq2SeqModel(tiny_config, seed=5), Seq2SeqModel(tiny_config, seed=5)
+    want, want_best = _reference_finetune_multitask(
+        want_model, _two_task_mixture(), datasets, tokenizer, sched, validation, eval_every=5
+    )
+    got, got_best = tr.finetune_multitask(
+        got_model, _two_task_mixture(), datasets, tokenizer, sched, validation=validation, eval_every=5
+    )
+    _assert_same_run(got, got_model, want, want_model)
+    assert set(got_best) == set(want_best) == {"alpha", "beta"}
+    for task, ckpt in want_best.items():
+        assert got_best[task].step == ckpt.step
+        assert got_best[task].metric == pytest.approx(ckpt.metric, rel=1e-12, abs=0)
+        for k, v in ckpt.params.items():
+            assert np.array_equal(got_best[task].params[k], v)
+
+
+def _finetune_run(name, cfg, tokenizer):
+    model = Seq2SeqModel(cfg, seed=3)
+    sched = tr.TrainSchedule(steps=6, batch_size=4, peak_lr=2e-3, seed=1)
+    if name == "seq2seq":
+        log = tr.finetune_seq2seq(model, _finetune_pairs(tokenizer, "alpha", 10), sched)
+    else:
+        datasets = {"alpha": _finetune_pairs(tokenizer, "alpha", 12), "beta": _finetune_pairs(tokenizer, "beta", 4)}
+        log, _ = tr.finetune_multitask(model, _two_task_mixture(), datasets, tokenizer, sched)
+    return [r.to_dict() for r in log], model.params
+
+
+@pytest.mark.parametrize("name", ["seq2seq", "multitask"])
+def test_finetune_honours_dropout(tokenizer, tiny_config, name):
+    plain, _ = _finetune_run(name, tiny_config, tokenizer)
+    dropped_cfg = dataclasses.replace(tiny_config, dropout=0.5)
+    first, first_params = _finetune_run(name, dropped_cfg, tokenizer)
+    second, second_params = _finetune_run(name, dropped_cfg, tokenizer)
+    assert [r["loss"] for r in first] != [r["loss"] for r in plain]
+    assert first == second
+    for k in first_params:
+        assert np.array_equal(first_params[k], second_params[k])
+
+
+def test_multitask_validation_drops_overlong_records(tokenizer, tiny_config, caplog):
+    import logging
+
+    datasets = {"alpha": _finetune_pairs(tokenizer, "alpha", 12), "beta": _finetune_pairs(tokenizer, "beta", 4)}
+    overlong = obj.TrainingInstance(
+        (tokenizer.cls_id, *[5] * (tiny_config.max_src_len + 40), tokenizer.sep_id), (5, 2), obj.FINETUNE
+    )
+    validation = {"alpha": datasets["alpha"][:2] + [overlong], "beta": datasets["beta"][:2]}
+    model = Seq2SeqModel(tiny_config, seed=5)
+    with caplog.at_level(logging.WARNING):
+        log, best = tr.finetune_multitask(
+            model, _two_task_mixture(), datasets, tokenizer, tr.TrainSchedule(steps=4, batch_size=2, seed=0),
+            validation=validation, eval_every=2,
+        )
+    assert len(log) == 4
+    assert any("dropping 1 of 3 instances exceeding model caps" in r.message for r in caplog.records)
+    assert set(best) == {"alpha", "beta"}
