@@ -36,7 +36,6 @@ from .objectives import (
 )
 from .training import (
     TrainSchedule,
-    classify_last_state,
     classify_unigram,
     embed_last_state,
     evaluate_mask_instances,
@@ -73,7 +72,6 @@ __all__ = [
     "build_it",
     "build_mip",
     "build_msp",
-    "classify_last_state",
     "classify_unigram",
     "compression_ratio",
     "compute_stats",

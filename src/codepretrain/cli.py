@@ -1,12 +1,16 @@
 """Command-line pipeline: ingest -> stats -> train-tokenizer -> build-instances
 -> pretrain -> finetune -> generate -> eval.
 
-Artifact-producing commands write a resolved-config snapshot next to their
-output, holding the arguments and a sha256 of every input the stage reads.
-When the output already exists with an identical snapshot the stage is
-skipped, so re-running a pipeline only redoes stages whose configuration or
-inputs changed.  All randomness flows from explicit seeds; rerunning a stage
-with the same configuration reproduces its artifacts byte for byte.
+Each artifact-producing command is a ``Stage`` that declares its default
+output name and its input files once.  ``dispatch`` runs every stage the same
+way: it resolves the output, digests the inputs and writes a snapshot next to
+the output that records every flag of the stage and a sha256 of every input
+the stage reads.  When the output already exists with an identical snapshot
+the stage is skipped, so re-running a pipeline only redoes stages whose flags
+or inputs changed.  The snapshot layout changed when it began to record every
+flag, so a run directory made before that redoes each stage once.  All
+randomness flows from explicit seeds; rerunning a stage with the same
+configuration reproduces its artifacts byte for byte.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -18,7 +22,9 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import bpe, corpus, metrics as metrics_mod, mixture as mixture_mod
 from . import lexer as lx
@@ -31,6 +37,20 @@ RUN_DIR_ENV = "CODEPRETRAIN_RUN_DIR"
 
 class CommandError(Exception):
     """Categorized failure reported to stderr with exit status 1."""
+
+
+@dataclass(frozen=True)
+class Stage:
+    """An artifact-producing command.  ``run(args, out)`` does the work;
+    ``default_out`` is the output name used without ``--out``, formatted with
+    the parsed flags; ``inputs`` are (flag, description) pairs naming the
+    files the stage reads, and ``more_inputs`` lists further (path,
+    description) pairs found inside those files."""
+
+    run: Callable[[argparse.Namespace, Path], None]
+    default_out: str
+    inputs: tuple[tuple[str, str], ...]
+    more_inputs: Callable[[argparse.Namespace], list[tuple[str | None, str]]] | None = None
 
 
 def _resolve_out(args_out: str | None, default_name: str) -> Path:
@@ -64,9 +84,11 @@ def _stage_up_to_date(out: Path, config: dict) -> bool:
 
 
 def _write_snapshot(out: Path, config: dict) -> None:
+    """Write to a temporary name, then rename, so a snapshot is never half written."""
     snap = _snapshot_path(out)
-    snap.parent.mkdir(parents=True, exist_ok=True)
-    snap.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    tmp = snap.with_name(snap.name + ".tmp")
+    tmp.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    os.replace(tmp, snap)
 
 
 def _digest(path: Path) -> str:
@@ -81,16 +103,6 @@ def _digest(path: Path) -> str:
     return h.hexdigest()
 
 
-def _input_digests(*inputs: tuple[str | None, str]) -> dict[str, str]:
-    """Digests of a stage's (path, description) inputs, keyed by path; a path
-    of None is an optional input that was not given."""
-    return {str(path): _digest(_require_file(path, what)) for path, what in inputs if path is not None}
-
-
-def _load_lexers(config_dir: str | None) -> dict[str, lx.LanguageLexer]:
-    return lx.load_lexers(config_dir)
-
-
 def _require_file(path: str, what: str) -> Path:
     p = Path(path)
     if not p.exists():
@@ -98,36 +110,40 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
+def _run_stage(args: argparse.Namespace) -> int:
+    """Skip the stage when its snapshot matches; otherwise run it and write
+    the snapshot after it succeeds."""
+    stage: Stage = args.func
+    flags = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    out = _resolve_out(args.out, stage.default_out.format(**flags))
+    files = [(getattr(args, flag), what) for flag, what in stage.inputs]
+    if stage.more_inputs is not None:
+        files += stage.more_inputs(args)
+    inputs = {str(path): _digest(_require_file(path, what)) for path, what in files if path is not None}
+    config = {**flags, "stage": args.command, "out": str(out), "inputs": inputs}
+    if _stage_up_to_date(out, config):
+        print(f"{args.command}: up to date ({out})")
+        return 0
+    out.parent.mkdir(parents=True, exist_ok=True)
+    stage.run(args, out)
+    _write_snapshot(out, config)
+    return 0
+
+
 # --------------------------------------------------------------------------
 # commands
 # --------------------------------------------------------------------------
 
 
-def _cmd_ingest(args) -> int:
-    src = _require_file(args.input, "corpus file")
-    out = _resolve_out(args.out, "documents.jsonl")
-    config = {
-        "stage": "ingest",
-        "input": str(src),
-        "lang_config": args.lang_config,
-        "keep_comments": args.keep_comments,
-        "out": str(out),
-        "inputs": _input_digests((args.input, "corpus file"), (args.lang_config, "language config")),
-    }
-    if _stage_up_to_date(out, config):
-        print(f"ingest: up to date ({out})")
-        return 0
-    lexers = _load_lexers(args.lang_config)
+def _cmd_ingest(args, out: Path) -> None:
+    lexers = lx.load_lexers(args.lang_config)
     errors: list[corpus.IngestError] = []
-    records = corpus.ingest(src, errors=errors)
+    records = corpus.ingest(Path(args.input), errors=errors)
     docs = corpus.normalize_corpus(records, lexers, strip_comments=not args.keep_comments)
-    out.parent.mkdir(parents=True, exist_ok=True)
     count = corpus.write_documents(docs, out)
     for err in errors:
         print(f"line {err.line_number}: {err.message}", file=sys.stderr)
     print(f"ingest: wrote {count} documents to {out} ({len(errors)} malformed lines)")
-    _write_snapshot(out, config)
-    return 0
 
 
 def _read_any_documents(path: Path, lang_config: str | None):
@@ -143,7 +159,7 @@ def _read_any_documents(path: Path, lang_config: str | None):
     row = json.loads(first)
     if "code_tokens" in row:
         return list(corpus.read_documents(path))
-    lexers = _load_lexers(lang_config)
+    lexers = lx.load_lexers(lang_config)
     return list(corpus.normalize_corpus(corpus.ingest(path), lexers))
 
 
@@ -161,7 +177,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_lex(args) -> int:
     src = _require_file(args.input, "input file")
-    lexers = _load_lexers(args.lang_config)
+    lexers = lx.load_lexers(args.lang_config)
     try:
         lexer = lx.get_lexer(args.lang, lexers)
     except lx.UnsupportedLanguageError:
@@ -182,56 +198,19 @@ def _iter_corpus_texts(path: Path, fields: tuple[str, ...]):
             yield rec.docstring
 
 
-def _cmd_train_tokenizer(args) -> int:
-    src = _require_file(args.input, "corpus file")
-    out = _resolve_out(args.out, "tokenizer")
+def _cmd_train_tokenizer(args, out: Path) -> None:
     fields = tuple(args.text_fields.split(","))
-    config = {
-        "stage": "train-tokenizer",
-        "input": str(src),
-        "vocab_size": args.vocab_size,
-        "min_freq": args.min_freq,
-        "text_fields": args.text_fields,
-        "out": str(out),
-        "inputs": _input_digests((args.input, "corpus file")),
-    }
-    if _stage_up_to_date(out, config):
-        print(f"train-tokenizer: up to date ({out})")
-        return 0
     try:
-        tok = bpe.train(_iter_corpus_texts(src, fields), args.vocab_size, args.min_freq)
+        tok = bpe.train(_iter_corpus_texts(Path(args.input), fields), args.vocab_size, args.min_freq)
     except bpe.TrainingDataError as exc:
         raise CommandError(str(exc))
     tok.save(out)
     print(f"train-tokenizer: vocab size {tok.vocab_size} ({len(tok.merges)} merges) -> {out}")
-    _write_snapshot(out, config)
-    return 0
 
 
-def _cmd_build_instances(args) -> int:
-    src = _require_file(args.input, "documents file")
-    out = _resolve_out(args.out, f"instances-{args.phase}.jsonl")
-    config = {
-        "stage": "build-instances",
-        "input": str(src),
-        "tokenizer": args.tokenizer,
-        "phase": args.phase,
-        "seed": args.seed,
-        "rate": args.rate,
-        "max_src_len": args.max_src_len,
-        "max_tgt_len": args.max_tgt_len,
-        "out": str(out),
-        "inputs": _input_digests(
-            (args.input, "documents file"),
-            (args.tokenizer, "tokenizer directory"),
-            (args.lang_config, "language config"),
-        ),
-    }
-    if _stage_up_to_date(out, config):
-        print(f"build-instances: up to date ({out})")
-        return 0
-    tok = bpe.SubwordTokenizer.load(_require_file(args.tokenizer, "tokenizer directory"))
-    docs = _read_any_documents(src, args.lang_config)
+def _cmd_build_instances(args, out: Path) -> None:
+    tok = bpe.SubwordTokenizer.load(args.tokenizer)
+    docs = _read_any_documents(Path(args.input), args.lang_config)
     if args.phase == "denoise":
         instances = obj.build_denoising_instances(
             docs, tok, rate=args.rate, seed=args.seed,
@@ -241,11 +220,8 @@ def _cmd_build_instances(args) -> int:
         instances = obj.build_dual_instances(
             docs, tok, max_src_len=args.max_src_len, max_tgt_len=args.max_tgt_len
         )
-    out.parent.mkdir(parents=True, exist_ok=True)
     count = obj.write_instances(instances, out)
     print(f"build-instances: wrote {count} {args.phase} instances to {out}")
-    _write_snapshot(out, config)
-    return 0
 
 
 def _model_config_from_args(args, vocab_size: int) -> ModelConfig:
@@ -273,6 +249,16 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dropout", type=float, default=0.0)
 
 
+def _schedule_from_args(args) -> tr.TrainSchedule:
+    return tr.TrainSchedule(
+        steps=args.steps,
+        batch_size=args.batch_size,
+        peak_lr=args.lr,
+        warmup_steps=args.warmup_steps,
+        seed=args.seed,
+    )
+
+
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--batch-size", type=int, default=8, dest="batch_size")
@@ -281,55 +267,15 @@ def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
-def _cmd_pretrain(args) -> int:
-    inst_path = _require_file(args.instances, "instances file")
-    out = _resolve_out(args.out, f"pretrain-{args.phase}")
-    config = {
-        "stage": "pretrain",
-        "instances": str(inst_path),
-        "tokenizer": args.tokenizer,
-        "phase": args.phase,
-        "init": args.init,
-        "steps": args.steps,
-        "batch_size": args.batch_size,
-        "lr": args.lr,
-        "warmup_steps": args.warmup_steps,
-        "seed": args.seed,
-        "model": {
-            "d_model": args.d_model,
-            "num_heads": args.num_heads,
-            "encoder_layers": args.encoder_layers,
-            "decoder_layers": args.decoder_layers,
-            "feedforward_dim": args.feedforward_dim,
-            "max_src_len": args.max_src_len,
-            "max_tgt_len": args.max_tgt_len,
-            "dropout": args.dropout,
-        },
-        "out": str(out),
-        "inputs": _input_digests(
-            (args.instances, "instances file"),
-            (args.tokenizer, "tokenizer directory"),
-            (args.init, "checkpoint"),
-        ),
-    }
-    if _stage_up_to_date(out, config):
-        print(f"pretrain: up to date ({out})")
-        return 0
-    tok = bpe.SubwordTokenizer.load(_require_file(args.tokenizer, "tokenizer directory"))
-    instances = list(obj.read_instances(inst_path))
+def _cmd_pretrain(args, out: Path) -> None:
+    tok = bpe.SubwordTokenizer.load(args.tokenizer)
+    instances = list(obj.read_instances(Path(args.instances)))
     if args.init:
-        model = Seq2SeqModel.load(_require_file(args.init, "checkpoint"))
+        model = Seq2SeqModel.load(args.init)
     else:
         model = Seq2SeqModel(_model_config_from_args(args, tok.vocab_size), seed=args.seed)
-    schedule = tr.TrainSchedule(
-        steps=args.steps,
-        batch_size=args.batch_size,
-        peak_lr=args.lr,
-        warmup_steps=args.warmup_steps,
-        seed=args.seed,
-    )
     try:
-        log = tr.pretrain(model, instances, schedule, phase=args.phase)
+        log = tr.pretrain(model, instances, _schedule_from_args(args), phase=args.phase)
     except (ValueError, tr.InstanceObjectiveError) as exc:
         raise CommandError(str(exc))
     out.mkdir(parents=True, exist_ok=True)
@@ -341,95 +287,65 @@ def _cmd_pretrain(args) -> int:
         print(f"pretrain: {args.steps} steps, loss {first:.4f} -> {last:.4f} ({out})")
     else:
         print(f"pretrain: 0 steps, parameters unchanged ({out})")
-    _write_snapshot(out, config)
-    return 0
 
 
 def _load_task_instances(path: str, tokenizer: bpe.SubwordTokenizer) -> list[obj.TrainingInstance]:
     """A task dataset is either pre-built instances or {source, target} text pairs."""
-    p = _require_file(path, "task dataset")
     out: list[obj.TrainingInstance] = []
-    with open(p, encoding="utf-8") as f:
-        for line in f:
+    with open(path, encoding="utf-8") as f:
+        for n, line in enumerate(f, start=1):
             if not line.strip():
                 continue
-            row = json.loads(line)
-            if "source_ids" in row:
-                out.append(obj.TrainingInstance.from_dict(row))
-            else:
-                source = (
-                    tokenizer.cls_id,
-                    *tokenizer.encode(row["source"], use_specials=False),
-                    tokenizer.sep_id,
-                )
-                target = (*tokenizer.encode(row["target"], use_specials=False), tokenizer.sep_id)
-                out.append(obj.TrainingInstance(source, target, obj.FINETUNE))
+            try:
+                row = json.loads(line)
+                if "source_ids" in row:
+                    out.append(obj.TrainingInstance.from_dict(row))
+                    continue
+                source, target = row["source"], row["target"]
+            except json.JSONDecodeError as exc:
+                raise CommandError(f"{path} line {n}: not JSON: {exc}")
+            except KeyError as exc:
+                raise CommandError(f"{path} line {n}: missing key {exc}")
+            except (TypeError, ValueError) as exc:
+                raise CommandError(f"{path} line {n}: {exc}")
+            out.append(obj.TrainingInstance(
+                (tokenizer.cls_id, *tokenizer.encode(source, use_specials=False), tokenizer.sep_id),
+                (*tokenizer.encode(target, use_specials=False), tokenizer.sep_id),
+                obj.FINETUNE,
+            ))
     return out
 
 
-def _mixture_inputs(mixture_path: Path) -> list[tuple[str | None, str]]:
-    """The dataset and validation files a mixture config lists."""
+def _mixture(args) -> mixture_mod.TaskMixture:
     try:
-        return [
-            (entry.get(key), what)
-            for entry in json.loads(mixture_path.read_text(encoding="utf-8"))["tasks"]
-            for key, what in (("path", "task dataset"), ("validation", "validation dataset"))
-        ]
-    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
-        raise CommandError(f"malformed mixture config {mixture_path}: {exc}")
-
-
-def _cmd_finetune(args) -> int:
-    mixture_path = _require_file(args.mixture, "mixture config")
-    out = _resolve_out(args.out, "finetune")
-    config = {
-        "stage": "finetune",
-        "mixture": str(mixture_path),
-        "tokenizer": args.tokenizer,
-        "init": args.init,
-        "alpha": args.alpha,
-        "multi_task": args.multi_task,
-        "steps": args.steps,
-        "batch_size": args.batch_size,
-        "lr": args.lr,
-        "warmup_steps": args.warmup_steps,
-        "seed": args.seed,
-        "out": str(out),
-        "inputs": _input_digests(
-            (args.mixture, "mixture config"),
-            *_mixture_inputs(mixture_path),
-            (args.tokenizer, "tokenizer directory"),
-            (args.init, "checkpoint"),
-        ),
-    }
-    if _stage_up_to_date(out, config):
-        print(f"finetune: up to date ({out})")
-        return 0
-    tok = bpe.SubwordTokenizer.load(_require_file(args.tokenizer, "tokenizer directory"))
-    try:
-        mix = mixture_mod.TaskMixture.from_config(mixture_path)
+        mix = mixture_mod.TaskMixture.from_config(args.mixture)
         if args.alpha is not None:
             mix = mixture_mod.TaskMixture(tasks=mix.tasks, alpha=args.alpha)
     except ValueError as exc:
         raise CommandError(str(exc))
-    model = Seq2SeqModel.load(_require_file(args.init, "checkpoint"))
+    return mix
+
+
+def _mixture_files(args) -> list[tuple[str | None, str]]:
+    """The dataset and validation files the mixture config lists."""
+    return [
+        (path, what)
+        for spec in _mixture(args).tasks
+        for path, what in ((spec.path, "task dataset"), (spec.validation, "validation dataset"))
+    ]
+
+
+def _cmd_finetune(args, out: Path) -> None:
+    tok = bpe.SubwordTokenizer.load(args.tokenizer)
+    mix = _mixture(args)
+    model = Seq2SeqModel.load(args.init)
     datasets = {spec.name: _load_task_instances(spec.path, tok) for spec in mix.tasks}
-    with open(mixture_path, encoding="utf-8") as f:
-        raw_cfg = json.load(f)
-    validation = {}
-    for entry in raw_cfg["tasks"]:
-        if entry.get("validation"):
-            validation[entry["name"]] = _load_task_instances(entry["validation"], tok)
-    schedule = tr.TrainSchedule(
-        steps=args.steps,
-        batch_size=args.batch_size,
-        peak_lr=args.lr,
-        warmup_steps=args.warmup_steps,
-        seed=args.seed,
-    )
+    validation = {
+        spec.name: _load_task_instances(spec.validation, tok) for spec in mix.tasks if spec.validation
+    }
     try:
         log, best = tr.finetune_multitask(
-            model, mix, datasets, tok, schedule, validation=validation or None
+            model, mix, datasets, tok, _schedule_from_args(args), validation=validation or None
         )
     except ValueError as exc:
         raise CommandError(str(exc))
@@ -440,30 +356,9 @@ def _cmd_finetune(args) -> int:
         Seq2SeqModel(model.config, ckpt.params).save(out / f"checkpoint.{task}.npz")
         print(f"finetune: best {task} at step {ckpt.step} (val loss {ckpt.metric:.4f})")
     print(f"finetune: {args.steps} steps over {len(mix.tasks)} tasks ({out})")
-    _write_snapshot(out, config)
-    return 0
 
 
-def _cmd_generate(args) -> int:
-    out = _resolve_out(args.out, "hyp.txt")
-    config = {
-        "stage": "generate",
-        "checkpoint": args.checkpoint,
-        "tokenizer": args.tokenizer,
-        "input": args.input,
-        "control_code": args.control_code,
-        "max_len": args.max_len,
-        "beam": args.beam,
-        "out": str(out),
-        "inputs": _input_digests(
-            (args.checkpoint, "checkpoint"),
-            (args.tokenizer, "tokenizer directory"),
-            (args.input, "task dataset"),
-        ),
-    }
-    if _stage_up_to_date(out, config):
-        print(f"generate: up to date ({out})")
-        return 0
+def _cmd_generate(args, out: Path) -> None:
     tok = bpe.SubwordTokenizer.load(args.tokenizer)
     model = Seq2SeqModel.load(args.checkpoint)
     spec = mixture_mod.TaskSpec("generate", 1, args.control_code)
@@ -475,11 +370,8 @@ def _cmd_generate(args) -> int:
         except ValueError as exc:
             raise CommandError(f"{args.input} record {n}: {exc}")
         lines.append(" ".join(tok.decode(ids).split()))
-    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     print(f"generate: wrote {len(lines)} hypotheses to {out}")
-    _write_snapshot(out, config)
-    return 0
 
 
 def _read_lines(path: str) -> list[str]:
@@ -542,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lang-config", default=None, dest="lang_config")
     p.add_argument("--keep-comments", action="store_true", dest="keep_comments")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_ingest)
+    p.set_defaults(func=Stage(_cmd_ingest, "documents.jsonl",
+                             (("input", "corpus file"), ("lang_config", "language config"))))
 
     p = sub.add_parser("stats", help="per-language document counts and identifier rates")
     p.add_argument("--input", required=True)
@@ -561,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-freq", type=int, default=3, dest="min_freq")
     p.add_argument("--text-fields", default="code,docstring", dest="text_fields")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_train_tokenizer)
+    p.set_defaults(func=Stage(_cmd_train_tokenizer, "tokenizer", (("input", "corpus file"),)))
 
     p = sub.add_parser("build-instances", help="materialize training instances")
     p.add_argument("--input", required=True)
@@ -573,7 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-src-len", type=int, default=512, dest="max_src_len")
     p.add_argument("--max-tgt-len", type=int, default=256, dest="max_tgt_len")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_build_instances)
+    p.set_defaults(func=Stage(_cmd_build_instances, "instances-{phase}.jsonl", (
+        ("input", "documents file"), ("tokenizer", "tokenizer directory"), ("lang_config", "language config"),
+    )))
 
     p = sub.add_parser("pretrain", help="train the sequence-to-sequence model")
     p.add_argument("--instances", required=True)
@@ -583,17 +478,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schedule_flags(p)
     _add_model_flags(p)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_pretrain)
+    p.set_defaults(func=Stage(_cmd_pretrain, "pretrain-{phase}", (
+        ("instances", "instances file"), ("tokenizer", "tokenizer directory"), ("init", "checkpoint"),
+    )))
 
     p = sub.add_parser("finetune", help="multi-task fine-tuning with balanced sampling")
-    p.add_argument("--multi-task", action="store_true", dest="multi_task")
+    p.add_argument(
+        "--multi-task", action="store_true", dest="multi_task",
+        help="accepted for compatibility; fine-tuning always samples the task mixture",
+    )
     p.add_argument("--mixture", required=True)
     p.add_argument("--tokenizer", required=True)
     p.add_argument("--init", required=True)
     p.add_argument("--alpha", type=float, default=None)
     _add_schedule_flags(p)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_finetune)
+    p.set_defaults(func=Stage(_cmd_finetune, "finetune", (
+        ("mixture", "mixture config"), ("tokenizer", "tokenizer directory"), ("init", "checkpoint"),
+    ), more_inputs=_mixture_files))
 
     p = sub.add_parser("generate", help="decode one hypothesis line per dataset record")
     p.add_argument("--checkpoint", required=True)
@@ -603,7 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=128, dest="max_len")
     p.add_argument("--beam", type=int, default=1)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_generate)
+    p.set_defaults(func=Stage(_cmd_generate, "hyp.txt", (
+        ("checkpoint", "checkpoint"), ("tokenizer", "tokenizer directory"), ("input", "task dataset"),
+    )))
 
     p = sub.add_parser("eval", help="score hypothesis files against references")
     p.add_argument("--task", required=True)
@@ -621,6 +525,8 @@ def dispatch(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if isinstance(args.func, Stage):
+            return _run_stage(args)
         return args.func(args)
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,6 +46,7 @@ class TaskSpec:
     size: int
     control_code: str = ""
     path: str | None = None
+    validation: str | None = None
 
 
 @dataclass(frozen=True)
@@ -75,27 +76,43 @@ class TaskMixture:
 
     @classmethod
     def from_config(cls, path: str | Path) -> "TaskMixture":
-        """Mixture config: {"alpha": float, "tasks": [{name, path, control_code, size?}]}.
+        """Mixture config: {"alpha": float, "tasks": [{name, path, control_code?,
+        validation?, size?}]}.
 
-        When ``size`` is omitted it is counted from the dataset file.
+        When ``size`` is omitted it is counted from the dataset file.  A config
+        that is not JSON, lacks ``tasks`` or has a task without ``name`` or
+        ``path`` raises ``ValueError`` naming the file and the cause.
         """
         with open(path, encoding="utf-8") as f:
-            cfg = json.load(f)
+            try:
+                cfg = json.load(f)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"malformed mixture config {path}: {exc}") from exc
+        try:
+            entries = [(entry, entry["name"], entry["path"]) for entry in cfg["tasks"]]
+            alpha = cfg.get("alpha", DEFAULT_ALPHA)
+        except KeyError as exc:
+            raise ValueError(f"malformed mixture config {path}: missing key {exc}") from exc
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed mixture config {path}: {exc}") from exc
         tasks = []
-        for entry in cfg["tasks"]:
+        for entry, name, data in entries:
             size = entry.get("size")
             if size is None:
-                with open(entry["path"], encoding="utf-8") as df:
+                if not Path(data).exists():
+                    raise ValueError(f"task dataset not found: {data}")
+                with open(data, encoding="utf-8") as df:
                     size = sum(1 for line in df if line.strip())
             tasks.append(
                 TaskSpec(
-                    name=entry["name"],
+                    name=name,
                     size=size,
                     control_code=entry.get("control_code", ""),
-                    path=entry.get("path"),
+                    path=data,
+                    validation=entry.get("validation") or None,
                 )
             )
-        return cls(tasks=tuple(tasks), alpha=cfg.get("alpha", DEFAULT_ALPHA))
+        return cls(tasks=tuple(tasks), alpha=alpha)
 
 
 def sample_task(mixture: TaskMixture, rng: np.random.Generator) -> str:

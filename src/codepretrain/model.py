@@ -7,8 +7,7 @@ heads sit on top:
 - a vocabulary projection over decoder states for span/identifier denoising
   and plain sequence-to-sequence training (teacher forced, causal mask);
 - a scalar sigmoid projection over encoder states for identifier tagging,
-  which by construction touches only encoder-side parameters;
-- an optional class projection over the last decoder hidden state.
+  which by construction touches only encoder-side parameters.
 
 Forward passes cache activations so the explicit backward passes can be
 checked against central finite differences.
@@ -120,11 +119,6 @@ class Seq2SeqModel:
 
     def clone(self) -> "Seq2SeqModel":
         return Seq2SeqModel(self.config, {k: v.copy() for k, v in self.params.items()})
-
-    def add_classifier_head(self, num_classes: int, seed: int = 0) -> None:
-        rng = np.random.default_rng(seed)
-        self.params["cls.w"] = rng.normal(0.0, 0.02, size=(self.config.d_model, num_classes))
-        self.params["cls.b"] = np.zeros(num_classes)
 
     def zeros_like_params(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.params.items()}

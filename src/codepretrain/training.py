@@ -377,14 +377,6 @@ def embed_last_state(model: Seq2SeqModel, source_ids: Sequence[int]) -> np.ndarr
     return hidden[0, -1]
 
 
-def classify_last_state(model: Seq2SeqModel, source_ids: Sequence[int]) -> int:
-    """Argmax over the classifier head applied to the sequence embedding."""
-    if "cls.w" not in model.params:
-        raise ValueError("model has no classifier head; call add_classifier_head first")
-    h = embed_last_state(model, source_ids)
-    return int(np.argmax(h @ model.params["cls.w"] + model.params["cls.b"]))
-
-
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b) + 1e-12))
 

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 
 import pytest
 
 from codepretrain import bpe, corpus
-from codepretrain.cli import dispatch
+from codepretrain.cli import Stage, build_parser, dispatch
 from codepretrain.model import ModelConfig, Seq2SeqModel
 
 GOLDEN_STATS_LINES = [
@@ -295,6 +296,22 @@ def test_finetune_multitask_cli(pipeline):
     assert (out / "checkpoint.summarize.npz").exists()
 
 
+def _tiny_checkpoint(tok_dir, path):
+    vocab = bpe.SubwordTokenizer.load(tok_dir).vocab_size
+    cfg = ModelConfig(vocab_size=vocab, d_model=16, num_heads=2, encoder_layers=1, decoder_layers=1,
+                      feedforward_dim=32, max_src_len=16, max_tgt_len=16)
+    Seq2SeqModel(cfg).save(path)
+    return path
+
+
+def _finetune_argv(pipeline, tmp_path, mixture):
+    return [
+        "finetune", "--mixture", str(mixture), "--tokenizer", str(pipeline["tok"]),
+        "--init", str(_tiny_checkpoint(pipeline["tok"], tmp_path / "init.npz")), "--steps", "2",
+        "--out", str(tmp_path / "ft"),
+    ]
+
+
 @pytest.mark.parametrize(
     "rows, message",
     [
@@ -303,24 +320,95 @@ def test_finetune_multitask_cli(pipeline):
     ],
 )
 def test_finetune_bad_task_is_clean_error(pipeline, tmp_path, capsys, rows, message):
-    vocab = bpe.SubwordTokenizer.load(pipeline["tok"]).vocab_size
-    cfg = ModelConfig(vocab_size=vocab, d_model=16, num_heads=2, encoder_layers=1, decoder_layers=1,
-                      feedforward_dim=32, max_src_len=16, max_tgt_len=16)
-    Seq2SeqModel(cfg).save(tmp_path / "init.npz")
     task_data = tmp_path / "task.jsonl"
     task_data.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
     mixture = tmp_path / "mixture.json"
     mixture.write_text(json.dumps({"tasks": [{"name": "t", "path": str(task_data)}]}), encoding="utf-8")
-    rc = dispatch(
-        [
-            "finetune", "--mixture", str(mixture), "--tokenizer", str(pipeline["tok"]),
-            "--init", str(tmp_path / "init.npz"), "--steps", "2", "--out", str(tmp_path / "ft"),
-        ]
-    )
+    rc = dispatch(_finetune_argv(pipeline, tmp_path, mixture))
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "ft").exists()
+
+
+@pytest.mark.parametrize("command", ["finetune", "generate"])
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [('{"bad json', "not JSON"), (json.dumps({"target": "declare"}), "missing key 'source'")],
+)
+def test_malformed_task_dataset_is_clean_error(pipeline, tmp_path, capsys, command, bad_line, message):
+    task_data = tmp_path / "task.jsonl"
+    task_data.write_text(json.dumps({"source": "int x ;", "target": "declare"}) + "\n" + bad_line + "\n",
+                         encoding="utf-8")
+    if command == "finetune":
+        mixture = tmp_path / "mixture.json"
+        mixture.write_text(json.dumps({"tasks": [{"name": "t", "path": str(task_data)}]}), encoding="utf-8")
+        argv = _finetune_argv(pipeline, tmp_path, mixture)
+    else:
+        argv = [
+            "generate", "--checkpoint", str(_tiny_checkpoint(pipeline["tok"], tmp_path / "init.npz")),
+            "--tokenizer", str(pipeline["tok"]), "--input", str(task_data), "--out", str(tmp_path / "hyp.txt"),
+        ]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {task_data} line 2: ") and message in err
+
+
+def test_mixture_task_without_name_is_clean_error(pipeline, tmp_path, capsys):
+    task_data = tmp_path / "task.jsonl"
+    task_data.write_text(json.dumps({"source": "int x ;", "target": "declare"}) + "\n", encoding="utf-8")
+    mixture = tmp_path / "mixture.json"
+    mixture.write_text(json.dumps({"tasks": [{"path": str(task_data)}]}), encoding="utf-8")
+    assert dispatch(_finetune_argv(pipeline, tmp_path, mixture)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed mixture config {mixture}: ") and "'name'" in err
+
+
+def test_snapshot_records_every_flag(pipeline, tmp_path):
+    """Every flag of an artifact stage reaches its snapshot, so changing any
+    flag re-runs the stage."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    stages = {name: p for name, p in sub.choices.items() if isinstance(p.get_default("func"), Stage)}
+    assert set(stages) == {"ingest", "train-tokenizer", "build-instances", "pretrain", "finetune", "generate"}
+
+    task_data = tmp_path / "task.jsonl"
+    task_data.write_text(json.dumps({"source": "int x ;", "target": "declare"}) + "\n", encoding="utf-8")
+    mixture = tmp_path / "mixture.json"
+    mixture.write_text(json.dumps({"tasks": [{"name": "t", "path": str(task_data)}]}), encoding="utf-8")
+    run = tmp_path / "run"
+    assert dispatch(
+        [
+            "pretrain", "--instances", str(pipeline["inst"]), "--tokenizer", str(pipeline["tok"]),
+            "--steps", "1", "--batch-size", "2", "--d-model", "16", "--num-heads", "2",
+            "--encoder-layers", "1", "--decoder-layers", "1", "--feedforward-dim", "32",
+            "--max-src-len", "160", "--max-tgt-len", "64", "--out", str(run),
+        ]
+    ) == 0
+    assert dispatch(
+        [
+            "finetune", "--mixture", str(mixture), "--tokenizer", str(pipeline["tok"]),
+            "--init", str(run / "checkpoint.npz"), "--steps", "1", "--out", str(tmp_path / "ft"),
+        ]
+    ) == 0
+    assert dispatch(
+        [
+            "generate", "--checkpoint", str(run / "checkpoint.npz"), "--tokenizer", str(pipeline["tok"]),
+            "--input", str(task_data), "--max-len", "2", "--out", str(tmp_path / "hyp.txt"),
+        ]
+    ) == 0
+    snapshots = {
+        "ingest": pipeline["docs"].with_name(pipeline["docs"].name + ".config.json"),
+        "train-tokenizer": pipeline["tok"] / "config.json",
+        "build-instances": pipeline["inst"].with_name(pipeline["inst"].name + ".config.json"),
+        "pretrain": run / "config.json",
+        "finetune": tmp_path / "ft" / "config.json",
+        "generate": tmp_path / "hyp.txt.config.json",
+    }
+    for name, parser in stages.items():
+        snap = json.loads(snapshots[name].read_text(encoding="utf-8"))
+        dests = {a.dest for a in parser._actions if a.dest != "help"}
+        assert dests - set(snap) == set(), name
+        assert snap["stage"] == name
 
 
 def test_full_pipeline_smoke_within_budget(tmp_path):

@@ -161,3 +161,19 @@ def test_mixture_from_config(tmp_path, tokenizer):
     assert mixture.task_named("b").size == 100  # explicit override
     assert abs(sum(mixture.probs) - 1.0) < 1e-12
     assert mixture.rates == pytest.approx([7 / 107, 100 / 107])
+
+
+@pytest.mark.parametrize(
+    "text, cause",
+    [
+        ('{"tasks": [', "Expecting value"),
+        ('{"alpha": 0.5}', "missing key 'tasks'"),
+        ('{"tasks": [{"name": "a"}]}', "missing key 'path'"),
+        ('{"tasks": [{"path": "a.jsonl", "size": 3}]}', "missing key 'name'"),
+    ],
+)
+def test_mixture_from_config_rejects_malformed_config(tmp_path, text, cause):
+    cfg_path = tmp_path / "mixture.json"
+    cfg_path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"malformed mixture config {cfg_path}: .*{cause}"):
+        mx.TaskMixture.from_config(cfg_path)

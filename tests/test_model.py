@@ -196,7 +196,7 @@ def test_it_decoder_gradients_vanish(model, it_instance):
 
 def test_param_partition_covers_everything(model):
     for name in model.params:
-        if name.startswith(("tag.", "cls.")):
+        if name.startswith("tag."):
             continue
         assert is_encoder_param(name) or is_decoder_param(name), name
     assert not any(is_encoder_param(n) and is_decoder_param(n) for n in model.params)

@@ -231,14 +231,6 @@ def test_embed_dimension_and_self_similarity(tiny_config):
     assert tr.cosine_similarity(e1, e2) == pytest.approx(1.0)
 
 
-def test_classifier_head_required(tiny_config):
-    model = Seq2SeqModel(tiny_config, seed=0)
-    with pytest.raises(ValueError):
-        tr.classify_last_state(model, [1, 2])
-    model.add_classifier_head(3, seed=0)
-    assert tr.classify_last_state(model, [1, 2]) in (0, 1, 2)
-
-
 def test_unigram_classifier_separable_set(tokenizer, tiny_config):
     # 20 synthetic examples, label decided by a marker token in the source
     zero_id = tokenizer.encode("0", use_specials=False)
