@@ -24,7 +24,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import bpe, corpus, metrics as metrics_mod, mixture as mixture_mod
 from . import lexer as lx
@@ -146,21 +146,31 @@ def _cmd_ingest(args, out: Path) -> None:
     print(f"ingest: wrote {count} documents to {out} ({len(errors)} malformed lines)")
 
 
-def _read_any_documents(path: Path, lang_config: str | None):
-    """Accept either normalized documents or a raw corpus file."""
+def _jsonl_rows(path: str | Path) -> Iterator[tuple[int, object]]:
+    """(line number, parsed row) for each non-empty line of a JSONL file."""
     with open(path, encoding="utf-8") as f:
-        first = ""
-        for line in f:
+        for n, line in enumerate(f, start=1):
             if line.strip():
-                first = line
-                break
-    if not first:
-        return []
-    row = json.loads(first)
-    if "code_tokens" in row:
-        return list(corpus.read_documents(path))
-    lexers = lx.load_lexers(lang_config)
-    return list(corpus.normalize_corpus(corpus.ingest(path), lexers))
+                try:
+                    yield n, json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CommandError(f"{path} line {n}: not JSON: {exc}")
+
+
+def _read_any_documents(path: Path, lang_config: str | None):
+    """Accept either normalized documents or a raw corpus file, told apart by
+    the first row; a raw corpus skips malformed lines as ``ingest`` does."""
+    docs = []
+    for n, row in _jsonl_rows(path):
+        if not docs and not (isinstance(row, dict) and "code_tokens" in row):
+            return list(corpus.normalize_corpus(corpus.ingest(path), lx.load_lexers(lang_config)))
+        try:
+            docs.append(corpus.CodeDocument.from_dict(row))
+        except KeyError as exc:
+            raise CommandError(f"{path} line {n}: missing key {exc}")
+        except (TypeError, ValueError) as exc:
+            raise CommandError(f"{path} line {n}: {exc}")
+    return docs
 
 
 def _cmd_stats(args) -> int:
@@ -292,27 +302,21 @@ def _cmd_pretrain(args, out: Path) -> None:
 def _load_task_instances(path: str, tokenizer: bpe.SubwordTokenizer) -> list[obj.TrainingInstance]:
     """A task dataset is either pre-built instances or {source, target} text pairs."""
     out: list[obj.TrainingInstance] = []
-    with open(path, encoding="utf-8") as f:
-        for n, line in enumerate(f, start=1):
-            if not line.strip():
+    for n, row in _jsonl_rows(path):
+        try:
+            if "source_ids" in row:
+                out.append(obj.TrainingInstance.from_dict(row))
                 continue
-            try:
-                row = json.loads(line)
-                if "source_ids" in row:
-                    out.append(obj.TrainingInstance.from_dict(row))
-                    continue
-                source, target = row["source"], row["target"]
-            except json.JSONDecodeError as exc:
-                raise CommandError(f"{path} line {n}: not JSON: {exc}")
-            except KeyError as exc:
-                raise CommandError(f"{path} line {n}: missing key {exc}")
-            except (TypeError, ValueError) as exc:
-                raise CommandError(f"{path} line {n}: {exc}")
-            out.append(obj.TrainingInstance(
-                (tokenizer.cls_id, *tokenizer.encode(source, use_specials=False), tokenizer.sep_id),
-                (*tokenizer.encode(target, use_specials=False), tokenizer.sep_id),
-                obj.FINETUNE,
-            ))
+            source, target = row["source"], row["target"]
+        except KeyError as exc:
+            raise CommandError(f"{path} line {n}: missing key {exc}")
+        except (TypeError, ValueError) as exc:
+            raise CommandError(f"{path} line {n}: {exc}")
+        out.append(obj.TrainingInstance(
+            (tokenizer.cls_id, *tokenizer.encode(source, use_specials=False), tokenizer.sep_id),
+            (*tokenizer.encode(target, use_specials=False), tokenizer.sep_id),
+            obj.FINETUNE,
+        ))
     return out
 
 

@@ -201,14 +201,33 @@ def sample_spans(
     return SpanPlan(spans=tuple(spans), corruption_rate=rate, seed=seed)
 
 
-def _doc_words(doc: CodeDocument) -> tuple[list[str], int]:
-    """All whole words of the document and the NL/code boundary index."""
-    words = list(doc.nl_tokens) + list(doc.code_tokens)
-    return words, len(doc.nl_tokens)
+WordIds = list[list[int]]  # one list of subword ids per whole word
 
 
-def _encode_words(words: Iterable[str], tokenizer: SubwordTokenizer) -> list[list[int]]:
-    return [tokenizer.encode(w, use_specials=False) for w in words]
+def _encode_words(
+    words: Iterable[str], tokenizer: SubwordTokenizer, budget: float = math.inf
+) -> WordIds:
+    """Subword ids of each word in the longest whole-word prefix of ``words``
+    whose total fits ``budget``.  This is the only place a word becomes ids,
+    and no word after the first one that overflows is encoded.
+
+    The private builders below take a document's NL and code words encoded
+    here, possibly clipped; zipping them with ``doc.code_tokens`` and
+    ``doc.identifier_labels`` truncates those to the clipped length.
+    """
+    out: WordIds = []
+    used = 0
+    for w in words:
+        ids = tokenizer.encode(w, use_specials=False)
+        used += len(ids)
+        if used > budget:
+            break
+        out.append(ids)
+    return out
+
+
+def _flat(word_ids: WordIds) -> list[int]:
+    return [i for ids in word_ids for i in ids]
 
 
 def _split_at_boundary(
@@ -227,69 +246,47 @@ def _split_at_boundary(
     return out
 
 
-def build_msp(
-    doc: CodeDocument, tokenizer: SubwordTokenizer, plan: SpanPlan
-) -> TrainingInstance:
-    """Span-corruption instance: masked source plus sentinel-delimited target."""
-    words, boundary = _doc_words(doc)
+def _msp(nl: WordIds, code: WordIds, tokenizer: SubwordTokenizer, plan: SpanPlan) -> TrainingInstance:
+    word_ids = nl + code
     for start, length in plan.spans:
-        if start < 0 or start + length > len(words):
-            raise ValueError(f"span {(start, length)} exceeds document of {len(words)} words")
-    spans = _split_at_boundary(plan.spans, boundary)
+        if start < 0 or start + length > len(word_ids):
+            raise ValueError(f"span {(start, length)} exceeds document of {len(word_ids)} words")
+    spans = _split_at_boundary(plan.spans, len(nl))
     if len(spans) > NUM_MASK_TOKENS:
         raise SentinelExhaustedError(f"{len(spans)} spans exceed {NUM_MASK_TOKENS} sentinels")
 
-    word_ids = _encode_words(words, tokenizer)
-    span_start = {start: (i, length) for i, (start, length) in enumerate(spans)}
-
+    sentinel_at = {start: tokenizer.mask_id(i) for i, (start, _) in enumerate(spans)}
+    masked = {pos for start, length in spans for pos in range(start, start + length)}
     source: list[int] = [tokenizer.cls_id]
     target: list[int] = []
-
-    def _emit_segment(lo: int, hi: int):
-        pos = lo
-        while pos < hi:
-            if pos in span_start:
-                index, length = span_start[pos]
-                source.append(tokenizer.mask_id(index))
-                target.append(tokenizer.mask_id(index))
-                for w in range(pos, pos + length):
-                    target.extend(word_ids[w])
-                pos += length
-            else:
-                source.extend(word_ids[pos])
-                pos += 1
-
-    _emit_segment(0, boundary)
-    source.append(tokenizer.sep_id)
-    _emit_segment(boundary, len(words))
-    source.append(tokenizer.sep_id)
+    for lo, segment in ((0, nl), (len(nl), code)):
+        for pos, ids in enumerate(segment, start=lo):
+            if pos in sentinel_at:
+                source.append(sentinel_at[pos])
+                target.append(sentinel_at[pos])
+            (target if pos in masked else source).extend(ids)
+        source.append(tokenizer.sep_id)
     if spans:
         target.append(tokenizer.sep_id)
     return TrainingInstance(tuple(source), tuple(target), MSP)
 
 
-def build_it(doc: CodeDocument, tokenizer: SubwordTokenizer) -> TrainingInstance:
-    """Uncorrupted sequence plus per-subword identifier labels for the code segment."""
-    source: list[int] = [tokenizer.cls_id]
-    for w in doc.nl_tokens:
-        source.extend(tokenizer.encode(w, use_specials=False))
-    source.append(tokenizer.sep_id)
+def _it(doc: CodeDocument, nl: WordIds, code: WordIds, tokenizer: SubwordTokenizer) -> TrainingInstance:
+    source = [tokenizer.cls_id, *_flat(nl), tokenizer.sep_id]
     tag_labels: list[int] = []
-    for token, label in zip(doc.code_tokens, doc.identifier_labels):
-        ids = tokenizer.encode(token, use_specials=False)
+    for ids, label in zip(code, doc.identifier_labels):
         source.extend(ids)
         tag_labels.extend([label] * len(ids))
     source.append(tokenizer.sep_id)
     return TrainingInstance(tuple(source), (), IT, tag_labels=tuple(tag_labels))
 
 
-def build_mip(doc: CodeDocument, tokenizer: SubwordTokenizer) -> TrainingInstance:
-    """Identifier-obfuscation instance: each distinct identifier gets one
-    sentinel shared by all of its occurrences."""
-    distinct: dict[str, int] = {}
-    for token, label in zip(doc.code_tokens, doc.identifier_labels):
+def _mip(doc: CodeDocument, nl: WordIds, code: WordIds, tokenizer: SubwordTokenizer) -> TrainingInstance:
+    words = list(zip(doc.code_tokens, doc.identifier_labels, code))
+    distinct: dict[str, tuple[int, list[int]]] = {}  # identifier -> (sentinel index, ids)
+    for token, label, ids in words:
         if label == 1 and token not in distinct:
-            distinct[token] = len(distinct)
+            distinct[token] = (len(distinct), ids)
     if not distinct:
         raise NoIdentifiersError("document has no identifier tokens")
     if len(distinct) > NUM_MASK_TOKENS:
@@ -297,23 +294,52 @@ def build_mip(doc: CodeDocument, tokenizer: SubwordTokenizer) -> TrainingInstanc
             f"{len(distinct)} distinct identifiers exceed {NUM_MASK_TOKENS} sentinels"
         )
 
-    source: list[int] = [tokenizer.cls_id]
-    for w in doc.nl_tokens:
-        source.extend(tokenizer.encode(w, use_specials=False))
-    source.append(tokenizer.sep_id)
-    for token, label in zip(doc.code_tokens, doc.identifier_labels):
+    source = [tokenizer.cls_id, *_flat(nl), tokenizer.sep_id]
+    for token, label, ids in words:
         if label == 1:
-            source.append(tokenizer.mask_id(distinct[token]))
+            source.append(tokenizer.mask_id(distinct[token][0]))
         else:
-            source.extend(tokenizer.encode(token, use_specials=False))
+            source.extend(ids)
     source.append(tokenizer.sep_id)
 
     target: list[int] = []
-    for token, index in distinct.items():
+    for index, ids in distinct.values():
         target.append(tokenizer.mask_id(index))
-        target.extend(tokenizer.encode(token, use_specials=False))
+        target.extend(ids)
     target.append(tokenizer.sep_id)
     return TrainingInstance(tuple(source), tuple(target), MIP)
+
+
+def _dual_pair(
+    doc: CodeDocument, nl: WordIds, code: WordIds, tokenizer: SubwordTokenizer
+) -> tuple[TrainingInstance, TrainingInstance]:
+    nl_ids, pl_ids = _flat(nl), _flat(code)
+    nl_tag, pl_tag = tokenizer.language_id(NL_LANGUAGE_TAG), tokenizer.language_id(doc.language)
+    cls, sep = tokenizer.cls_id, tokenizer.sep_id
+    return (
+        TrainingInstance((cls, nl_tag, *nl_ids, sep), (*pl_ids, sep), DUAL_NL2PL),
+        TrainingInstance((cls, pl_tag, *pl_ids, sep), (*nl_ids, sep), DUAL_PL2NL),
+    )
+
+
+def _encode_doc(doc: CodeDocument, tokenizer: SubwordTokenizer) -> tuple[WordIds, WordIds]:
+    return _encode_words(doc.nl_tokens, tokenizer), _encode_words(doc.code_tokens, tokenizer)
+
+
+def build_msp(doc: CodeDocument, tokenizer: SubwordTokenizer, plan: SpanPlan) -> TrainingInstance:
+    """Span-corruption instance: masked source plus sentinel-delimited target."""
+    return _msp(*_encode_doc(doc, tokenizer), tokenizer, plan)
+
+
+def build_it(doc: CodeDocument, tokenizer: SubwordTokenizer) -> TrainingInstance:
+    """Uncorrupted sequence plus per-subword identifier labels for the code segment."""
+    return _it(doc, *_encode_doc(doc, tokenizer), tokenizer)
+
+
+def build_mip(doc: CodeDocument, tokenizer: SubwordTokenizer) -> TrainingInstance:
+    """Identifier-obfuscation instance: each distinct identifier gets one
+    sentinel shared by all of its occurrences."""
+    return _mip(doc, *_encode_doc(doc, tokenizer), tokenizer)
 
 
 def build_dual_pair(
@@ -322,22 +348,7 @@ def build_dual_pair(
     """NL-to-code and code-to-NL instances with language-id source prefixes."""
     if not doc.is_bimodal:
         raise UnimodalDocumentError("dual generation requires a bimodal document")
-    nl_ids: list[int] = []
-    for w in doc.nl_tokens:
-        nl_ids.extend(tokenizer.encode(w, use_specials=False))
-    pl_ids: list[int] = []
-    for t in doc.code_tokens:
-        pl_ids.extend(tokenizer.encode(t, use_specials=False))
-    nl_tag = tokenizer.language_id(NL_LANGUAGE_TAG)
-    pl_tag = tokenizer.language_id(doc.language)
-    sep = tokenizer.sep_id
-    nl2pl = TrainingInstance(
-        (tokenizer.cls_id, nl_tag, *nl_ids, sep), (*pl_ids, sep), DUAL_NL2PL
-    )
-    pl2nl = TrainingInstance(
-        (tokenizer.cls_id, pl_tag, *pl_ids, sep), (*nl_ids, sep), DUAL_PL2NL
-    )
-    return nl2pl, pl2nl
+    return _dual_pair(doc, *_encode_doc(doc, tokenizer), tokenizer)
 
 
 def pick_denoising_task(rng: np.random.Generator) -> str:
@@ -391,18 +402,6 @@ def clip_document(doc: CodeDocument, max_nl: int, max_code: int) -> CodeDocument
     )
 
 
-def _words_within_budget(words: Iterable[str], tokenizer: SubwordTokenizer, budget: int) -> int:
-    """Largest word-prefix length whose total subword count fits ``budget``."""
-    kept = 0
-    used = 0
-    for w in words:
-        used += len(tokenizer.encode(w, use_specials=False))
-        if used > budget:
-            break
-        kept += 1
-    return kept
-
-
 def clip_document_to_subwords(
     doc: CodeDocument,
     tokenizer: SubwordTokenizer,
@@ -410,15 +409,10 @@ def clip_document_to_subwords(
     max_code_subwords: int,
 ) -> CodeDocument:
     """Drop trailing whole words until each segment fits its subword budget."""
-    keep_nl = _words_within_budget(doc.nl_tokens, tokenizer, max_nl_subwords)
-    keep_code = _words_within_budget(doc.code_tokens, tokenizer, max_code_subwords)
-    if keep_nl == len(doc.nl_tokens) and keep_code == len(doc.code_tokens):
-        return doc
-    return CodeDocument(
-        nl_tokens=doc.nl_tokens[:keep_nl],
-        code_tokens=doc.code_tokens[:keep_code],
-        language=doc.language,
-        identifier_labels=doc.identifier_labels[:keep_code],
+    return clip_document(
+        doc,
+        len(_encode_words(doc.nl_tokens, tokenizer, max_nl_subwords)),
+        len(_encode_words(doc.code_tokens, tokenizer, max_code_subwords)),
     )
 
 
@@ -447,14 +441,13 @@ def build_denoising_instances(
     payload = max_src_len - 3
     instances: list[TrainingInstance] = []
     for i, doc in enumerate(docs):
-        doc = clip_document_to_subwords(doc, tokenizer, payload // 2, payload)
-        nl_used = sum(len(tokenizer.encode(w, use_specials=False)) for w in doc.nl_tokens)
-        doc = clip_document_to_subwords(doc, tokenizer, payload // 2, payload - nl_used)
+        nl = _encode_words(doc.nl_tokens, tokenizer, payload // 2)
+        code = _encode_words(doc.code_tokens, tokenizer, payload - sum(map(len, nl)))
         rng = document_rng(seed, i)
         task = pick_denoising_task(rng)
         if task == MIP:
             try:
-                inst = build_mip(doc, tokenizer)
+                inst = _mip(doc, nl, code, tokenizer)
                 if len(inst.target_ids) <= max_tgt_len:
                     instances.append(inst)
                     continue
@@ -462,11 +455,10 @@ def build_denoising_instances(
             except NoIdentifiersError:
                 task = MSP
         if task == IT:
-            instances.append(build_it(doc, tokenizer))
+            instances.append(_it(doc, nl, code, tokenizer))
         else:
-            words, _ = _doc_words(doc)
-            plan = sample_spans(len(words), rate, rng, min_budget=1)
-            instances.append(build_msp(doc, tokenizer, plan))
+            plan = sample_spans(len(nl) + len(code), rate, rng, min_budget=1)
+            instances.append(_msp(nl, code, tokenizer, plan))
     return instances
 
 
@@ -476,18 +468,18 @@ def build_dual_instances(
     max_src_len: int = 512,
     max_tgt_len: int = 256,
 ) -> list[TrainingInstance]:
-    """Two instances per bimodal document; unimodal documents are skipped.
-
-    Each segment appears once as a source payload and once as a target, so
-    both segments are clipped to the smaller of the two budgets.
+    """Two instances per bimodal document.  Each segment appears once as a
+    source payload and once as a target, so both segments are clipped to the
+    smaller of the two budgets; documents left with no NL word (unimodal
+    ones, or ones whose first NL word alone overflows) are skipped.
     """
     budget = min(max_src_len - 3, max_tgt_len - 1)
     instances: list[TrainingInstance] = []
     for doc in docs:
-        if not doc.is_bimodal:
-            continue
-        doc = clip_document_to_subwords(doc, tokenizer, budget, budget)
-        instances.extend(build_dual_pair(doc, tokenizer))
+        nl = _encode_words(doc.nl_tokens, tokenizer, budget)
+        if nl:
+            code = _encode_words(doc.code_tokens, tokenizer, budget)
+            instances.extend(_dual_pair(doc, nl, code, tokenizer))
     return instances
 
 

@@ -145,6 +145,41 @@ def test_build_instances_reproducible(pipeline, tmp_path):
     assert _sha(a) == _sha(pipeline["inst"])
 
 
+@pytest.mark.parametrize("command", ["stats", "build-instances"])
+@pytest.mark.parametrize(
+    "bad_line_number, bad_line, message",
+    [
+        (1, '{"bad json', "not JSON"),
+        (3, '{"bad json', "not JSON"),
+        (3, json.dumps({"code_tokens": ["x"], "language": "mini", "identifier_labels": [0]}),
+         "missing key 'nl_tokens'"),
+    ],
+    ids=["line1-not-json", "line3-not-json", "line3-not-a-document"],
+)
+def test_malformed_documents_file_is_clean_error(
+    pipeline, tmp_path, capsys, command, bad_line_number, bad_line, message
+):
+    lines = pipeline["docs"].read_text(encoding="utf-8").splitlines()[:4]
+    lines[bad_line_number - 1] = bad_line
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = [command, "--input", str(docs)]
+    if command == "build-instances":
+        argv += ["--tokenizer", str(pipeline["tok"]), "--out", str(tmp_path / "inst.jsonl")]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {docs} line {bad_line_number}: {message}")
+
+
+def test_dual_instances_at_tight_target_cap(pipeline, tmp_path, capsys):
+    out = tmp_path / "dual.jsonl"
+    argv = ["build-instances", "--input", str(pipeline["docs"]), "--tokenizer", str(pipeline["tok"]),
+            "--phase", "dual", "--max-tgt-len", "1", "--out", str(out)]
+    assert dispatch(argv) == 0
+    assert "wrote 0 dual instances" in capsys.readouterr().out
+    assert out.read_text(encoding="utf-8") == ""
+
+
 def test_stage_skipped_when_up_to_date(pipeline, capsys):
     rc = dispatch(
         [
@@ -258,13 +293,12 @@ def test_pretrain_writes_artifacts(pipeline):
     assert all({"step", "objective", "loss"} <= set(r) for r in records)
 
 
-def test_finetune_multitask_cli(pipeline):
-    root = pipeline["root"]
-    task_data = root / "taskdata.jsonl"
+def test_finetune_multitask_cli(pipeline, tmp_path):
+    task_data = tmp_path / "taskdata.jsonl"
     with open(task_data, "w", encoding="utf-8") as f:
         for i in range(6):
             f.write(json.dumps({"source": f"int x{i} ;", "target": "declare"}) + "\n")
-    mixture = root / "mixture.json"
+    mixture = tmp_path / "mixture.json"
     mixture.write_text(
         json.dumps(
             {
@@ -277,14 +311,14 @@ def test_finetune_multitask_cli(pipeline):
         ),
         encoding="utf-8",
     )
-    out = root / "ft"
+    out = tmp_path / "ft"
     rc = dispatch(
         [
             "finetune",
             "--multi-task",
             "--mixture", str(mixture),
             "--tokenizer", str(pipeline["tok"]),
-            "--init", str(root / "run" / "checkpoint.npz"),
+            "--init", str(_tiny_checkpoint(pipeline["tok"], tmp_path / "init.npz", max_len=64)),
             "--alpha", "0.7",
             "--steps", "4",
             "--batch-size", "2",
@@ -296,10 +330,10 @@ def test_finetune_multitask_cli(pipeline):
     assert (out / "checkpoint.summarize.npz").exists()
 
 
-def _tiny_checkpoint(tok_dir, path):
+def _tiny_checkpoint(tok_dir, path, max_len=16):
     vocab = bpe.SubwordTokenizer.load(tok_dir).vocab_size
     cfg = ModelConfig(vocab_size=vocab, d_model=16, num_heads=2, encoder_layers=1, decoder_layers=1,
-                      feedforward_dim=32, max_src_len=16, max_tgt_len=16)
+                      feedforward_dim=32, max_src_len=max_len, max_tgt_len=max_len)
     Seq2SeqModel(cfg).save(path)
     return path
 

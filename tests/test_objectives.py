@@ -386,3 +386,229 @@ def test_built_instances_respect_length_caps(bundled_docs, tokenizer):
     for inst in denoise + dual:
         assert len(inst.source_ids) <= max_src
         assert len(inst.target_ids) <= max_tgt
+
+
+# -- oracle: the builders as they were before encoding moved into one pass --
+#
+# Each word was encoded separately for clipping, for the NL recount and again
+# inside every builder.  These copies are the reference the single-pass
+# builders must match instance for instance.
+
+
+def _ref_encode(tokenizer, word):
+    return tokenizer.encode(word, use_specials=False)
+
+
+def _ref_build_msp(doc, tokenizer, plan):
+    words = list(doc.nl_tokens) + list(doc.code_tokens)
+    boundary = len(doc.nl_tokens)
+    spans = obj._split_at_boundary(plan.spans, boundary)
+    word_ids = [_ref_encode(tokenizer, w) for w in words]
+    span_start = {start: (i, length) for i, (start, length) in enumerate(spans)}
+    source, target = [tokenizer.cls_id], []
+
+    def emit(lo, hi):
+        pos = lo
+        while pos < hi:
+            if pos in span_start:
+                index, length = span_start[pos]
+                source.append(tokenizer.mask_id(index))
+                target.append(tokenizer.mask_id(index))
+                for w in range(pos, pos + length):
+                    target.extend(word_ids[w])
+                pos += length
+            else:
+                source.extend(word_ids[pos])
+                pos += 1
+
+    emit(0, boundary)
+    source.append(tokenizer.sep_id)
+    emit(boundary, len(words))
+    source.append(tokenizer.sep_id)
+    if spans:
+        target.append(tokenizer.sep_id)
+    return obj.TrainingInstance(tuple(source), tuple(target), obj.MSP)
+
+
+def _ref_build_it(doc, tokenizer):
+    source = [tokenizer.cls_id]
+    for w in doc.nl_tokens:
+        source.extend(_ref_encode(tokenizer, w))
+    source.append(tokenizer.sep_id)
+    tags = []
+    for token, label in zip(doc.code_tokens, doc.identifier_labels):
+        ids = _ref_encode(tokenizer, token)
+        source.extend(ids)
+        tags.extend([label] * len(ids))
+    source.append(tokenizer.sep_id)
+    return obj.TrainingInstance(tuple(source), (), obj.IT, tag_labels=tuple(tags))
+
+
+def _ref_build_mip(doc, tokenizer):
+    distinct = {}
+    for token, label in zip(doc.code_tokens, doc.identifier_labels):
+        if label == 1 and token not in distinct:
+            distinct[token] = len(distinct)
+    if not distinct:
+        raise obj.NoIdentifiersError("document has no identifier tokens")
+    source = [tokenizer.cls_id]
+    for w in doc.nl_tokens:
+        source.extend(_ref_encode(tokenizer, w))
+    source.append(tokenizer.sep_id)
+    for token, label in zip(doc.code_tokens, doc.identifier_labels):
+        if label == 1:
+            source.append(tokenizer.mask_id(distinct[token]))
+        else:
+            source.extend(_ref_encode(tokenizer, token))
+    source.append(tokenizer.sep_id)
+    target = []
+    for token, index in distinct.items():
+        target.append(tokenizer.mask_id(index))
+        target.extend(_ref_encode(tokenizer, token))
+    target.append(tokenizer.sep_id)
+    return obj.TrainingInstance(tuple(source), tuple(target), obj.MIP)
+
+
+def _ref_build_dual_pair(doc, tokenizer):
+    if not doc.is_bimodal:
+        raise obj.UnimodalDocumentError("dual generation requires a bimodal document")
+    nl_ids = [i for w in doc.nl_tokens for i in _ref_encode(tokenizer, w)]
+    pl_ids = [i for t in doc.code_tokens for i in _ref_encode(tokenizer, t)]
+    nl_tag = tokenizer.language_id(obj.NL_LANGUAGE_TAG)
+    pl_tag = tokenizer.language_id(doc.language)
+    cls, sep = tokenizer.cls_id, tokenizer.sep_id
+    return (
+        obj.TrainingInstance((cls, nl_tag, *nl_ids, sep), (*pl_ids, sep), obj.DUAL_NL2PL),
+        obj.TrainingInstance((cls, pl_tag, *pl_ids, sep), (*nl_ids, sep), obj.DUAL_PL2NL),
+    )
+
+
+def _ref_words_within_budget(words, tokenizer, budget):
+    kept = used = 0
+    for w in words:
+        used += len(_ref_encode(tokenizer, w))
+        if used > budget:
+            break
+        kept += 1
+    return kept
+
+
+def _ref_clip_document_to_subwords(doc, tokenizer, max_nl, max_code):
+    keep_nl = _ref_words_within_budget(doc.nl_tokens, tokenizer, max_nl)
+    keep_code = _ref_words_within_budget(doc.code_tokens, tokenizer, max_code)
+    if keep_nl == len(doc.nl_tokens) and keep_code == len(doc.code_tokens):
+        return doc
+    return CodeDocument(doc.nl_tokens[:keep_nl], doc.code_tokens[:keep_code], doc.language,
+                        doc.identifier_labels[:keep_code])
+
+
+def _ref_build_denoising_instances(docs, tokenizer, rate, seed, max_src_len, max_tgt_len):
+    payload = max_src_len - 3
+    instances = []
+    for i, doc in enumerate(docs):
+        doc = _ref_clip_document_to_subwords(doc, tokenizer, payload // 2, payload)
+        nl_used = sum(len(_ref_encode(tokenizer, w)) for w in doc.nl_tokens)
+        doc = _ref_clip_document_to_subwords(doc, tokenizer, payload // 2, payload - nl_used)
+        rng = obj.document_rng(seed, i)
+        task = obj.pick_denoising_task(rng)
+        if task == obj.MIP:
+            try:
+                inst = _ref_build_mip(doc, tokenizer)
+                if len(inst.target_ids) <= max_tgt_len:
+                    instances.append(inst)
+                    continue
+                task = obj.MSP
+            except obj.NoIdentifiersError:
+                task = obj.MSP
+        if task == obj.IT:
+            instances.append(_ref_build_it(doc, tokenizer))
+        else:
+            words = len(doc.nl_tokens) + len(doc.code_tokens)
+            plan = obj.sample_spans(words, rate, rng, min_budget=1)
+            instances.append(_ref_build_msp(doc, tokenizer, plan))
+    return instances
+
+
+def _ref_build_dual_instances(docs, tokenizer, max_src_len, max_tgt_len):
+    budget = min(max_src_len - 3, max_tgt_len - 1)
+    instances = []
+    for doc in docs:
+        if not doc.is_bimodal:
+            continue
+        doc = _ref_clip_document_to_subwords(doc, tokenizer, budget, budget)
+        instances.extend(_ref_build_dual_pair(doc, tokenizer))
+    return instances
+
+
+def _oracle_corpora(bundled_docs, lexers):
+    """The bundled documents, short synthetic ones, and long ones made by
+    joining eight synthetic documents of one language."""
+    rng = np.random.default_rng(21)
+    langs = ("mini", "java", "python", "go")
+    short = [synth.random_document(rng, lexers, langs[i % 4]) for i in range(120)]
+    long = []
+    for k in range(24):
+        parts = [synth.random_document(rng, lexers, langs[k % 4]) for _ in range(8)]
+        long.append(CodeDocument(
+            tuple(w for p in parts for w in p.nl_tokens),
+            tuple(t for p in parts for t in p.code_tokens),
+            langs[k % 4],
+            tuple(y for p in parts for y in p.identifier_labels),
+        ))
+    return {"bundled": bundled_docs, "short": short, "long": long}
+
+
+@pytest.mark.parametrize("max_src, max_tgt", [(512, 256), (64, 32), (40, 20)])
+def test_batch_builders_match_reference(bundled_docs, lexers, tokenizer, max_src, max_tgt):
+    for name, docs in _oracle_corpora(bundled_docs, lexers).items():
+        for seed in range(3):
+            got = obj.build_denoising_instances(docs, tokenizer, 0.15, seed, max_src, max_tgt)
+            want = _ref_build_denoising_instances(docs, tokenizer, 0.15, seed, max_src, max_tgt)
+            assert got == want, (name, seed)
+        got = obj.build_dual_instances(docs, tokenizer, max_src, max_tgt)
+        assert got == _ref_build_dual_instances(docs, tokenizer, max_src, max_tgt), name
+
+
+def test_public_builders_match_reference(bundled_docs, tokenizer):
+    for i, doc in enumerate(bundled_docs):
+        plan = obj.sample_spans(len(doc.nl_tokens) + len(doc.code_tokens), 0.3, seed=i)
+        assert obj.build_msp(doc, tokenizer, plan) == _ref_build_msp(doc, tokenizer, plan)
+        assert obj.build_it(doc, tokenizer) == _ref_build_it(doc, tokenizer)
+        if any(doc.identifier_labels):
+            assert obj.build_mip(doc, tokenizer) == _ref_build_mip(doc, tokenizer)
+        if doc.is_bimodal:
+            assert obj.build_dual_pair(doc, tokenizer) == _ref_build_dual_pair(doc, tokenizer)
+        clipped = obj.clip_document_to_subwords(doc, tokenizer, 6, 20)
+        assert clipped == _ref_clip_document_to_subwords(doc, tokenizer, 6, 20)
+
+
+@pytest.mark.parametrize("max_src, max_tgt", [(512, 256), (40, 20)])
+def test_batch_builders_encode_each_word_at_most_once(
+    bundled_docs, tokenizer, monkeypatch, max_src, max_tgt
+):
+    calls = 0
+    encode = tokenizer.encode
+
+    def counting_encode(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(tokenizer, "encode", counting_encode)
+    words = sum(len(d.nl_tokens) + len(d.code_tokens) for d in bundled_docs)
+    obj.build_denoising_instances(bundled_docs, tokenizer, seed=0, max_src_len=max_src,
+                                  max_tgt_len=max_tgt)
+    assert 0 < calls <= words
+    calls = 0
+    obj.build_dual_instances(bundled_docs, tokenizer, max_src_len=max_src, max_tgt_len=max_tgt)
+    assert 0 < calls <= words
+
+
+def test_dual_instances_skip_documents_clipped_to_no_nl(bundled_docs, tokenizer):
+    # a one-id target budget leaves no room for any NL word
+    assert obj.build_dual_instances(bundled_docs, tokenizer, max_tgt_len=1) == []
+    assert len(tokenizer.encode("x" * 200, use_specials=False)) > 19  # the budget at max_tgt_len 20
+    long_word = _doc(["int", "a", ";"], [0, 1, 0], nl=("x" * 200, "it"), language="java")
+    short = _doc(["int", "a", ";"], [0, 1, 0], nl=("store", "it"), language="java")
+    instances = obj.build_dual_instances([long_word, short], tokenizer, max_tgt_len=20)
+    assert instances == list(obj.build_dual_pair(short, tokenizer))
