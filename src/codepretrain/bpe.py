@@ -99,6 +99,22 @@ def pretokenize(text: str) -> list[str]:
     return [_to_printable(m.group(0).encode("utf-8")) for m in _PRETOKEN_RE.finditer(text)]
 
 
+def _merge_pair(symbols: list[str], pair: tuple[str, str]) -> list[str]:
+    """``symbols`` with every occurrence of ``pair`` merged, left to right."""
+    first, second = pair
+    merged = first + second
+    out: list[str] = []
+    i = 0
+    while i < len(symbols):
+        if i + 1 < len(symbols) and symbols[i] == first and symbols[i + 1] == second:
+            out.append(merged)
+            i += 2
+        else:
+            out.append(symbols[i])
+            i += 1
+    return out
+
+
 @dataclass(frozen=True)
 class CompressionReport:
     mean_ratio: float
@@ -193,31 +209,11 @@ class SubwordTokenizer:
             return cached
         symbols = list(word)
         while len(symbols) > 1:
-            best_rank = None
-            best_idx = -1
-            for i in range(len(symbols) - 1):
-                rank = self._ranks.get((symbols[i], symbols[i + 1]))
-                if rank is not None and (best_rank is None or rank < best_rank):
-                    best_rank = rank
-                    best_idx = i
+            ranks = [self._ranks.get(pair) for pair in zip(symbols, symbols[1:])]
+            best_rank = min((r for r in ranks if r is not None), default=None)
             if best_rank is None:
                 break
-            merged = symbols[best_idx] + symbols[best_idx + 1]
-            # Merge every occurrence of this pair left to right.
-            out: list[str] = []
-            i = 0
-            while i < len(symbols):
-                if (
-                    i + 1 < len(symbols)
-                    and symbols[i] == self._merges[best_rank][0]
-                    and symbols[i + 1] == self._merges[best_rank][1]
-                ):
-                    out.append(merged)
-                    i += 2
-                else:
-                    out.append(symbols[i])
-                    i += 1
-            symbols = out
+            symbols = _merge_pair(symbols, self._merges[best_rank])
         result = tuple(symbols)
         self._cache[word] = result
         return result
@@ -369,7 +365,6 @@ def train(
         if best is None:
             break
         merges.append(best)
-        merged = best[0] + best[1]
         for word in list(pair_words.get(best, ())):
             freq = word_freq[word]
             symbols = segments[word]
@@ -382,15 +377,7 @@ def train(
                     ws.discard(word)
                     if not ws:
                         del pair_words[pair]
-            out: list[str] = []
-            i = 0
-            while i < len(symbols):
-                if i + 1 < len(symbols) and symbols[i] == best[0] and symbols[i + 1] == best[1]:
-                    out.append(merged)
-                    i += 2
-                else:
-                    out.append(symbols[i])
-                    i += 1
+            out = _merge_pair(symbols, best)
             segments[word] = out
             for pair in zip(out, out[1:]):
                 pair_counts[pair] += freq

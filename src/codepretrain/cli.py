@@ -22,6 +22,7 @@ import hashlib
 import json
 import os
 import sys
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
@@ -108,6 +109,15 @@ def _require_file(path: str, what: str) -> Path:
     if not p.exists():
         raise CommandError(f"{what} not found: {path}")
     return p
+
+
+def _load(what: str, load: Callable, path: str):
+    """``load(path)``; a file it cannot read ends the command with an error
+    naming the path and the cause."""
+    try:
+        return load(path)
+    except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise CommandError(f"cannot read {what} {path}: {exc}")
 
 
 def _run_stage(args: argparse.Namespace) -> int:
@@ -219,7 +229,7 @@ def _cmd_train_tokenizer(args, out: Path) -> None:
 
 
 def _cmd_build_instances(args, out: Path) -> None:
-    tok = bpe.SubwordTokenizer.load(args.tokenizer)
+    tok = _load("tokenizer", bpe.SubwordTokenizer.load, args.tokenizer)
     docs = _read_any_documents(Path(args.input), args.lang_config)
     if args.phase == "denoise":
         instances = obj.build_denoising_instances(
@@ -278,10 +288,10 @@ def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_pretrain(args, out: Path) -> None:
-    tok = bpe.SubwordTokenizer.load(args.tokenizer)
+    tok = _load("tokenizer", bpe.SubwordTokenizer.load, args.tokenizer)
     instances = list(obj.read_instances(Path(args.instances)))
     if args.init:
-        model = Seq2SeqModel.load(args.init)
+        model = _load("checkpoint", Seq2SeqModel.load, args.init)
     else:
         model = Seq2SeqModel(_model_config_from_args(args, tok.vocab_size), seed=args.seed)
     try:
@@ -340,9 +350,9 @@ def _mixture_files(args) -> list[tuple[str | None, str]]:
 
 
 def _cmd_finetune(args, out: Path) -> None:
-    tok = bpe.SubwordTokenizer.load(args.tokenizer)
+    tok = _load("tokenizer", bpe.SubwordTokenizer.load, args.tokenizer)
     mix = _mixture(args)
-    model = Seq2SeqModel.load(args.init)
+    model = _load("checkpoint", Seq2SeqModel.load, args.init)
     datasets = {spec.name: _load_task_instances(spec.path, tok) for spec in mix.tasks}
     validation = {
         spec.name: _load_task_instances(spec.validation, tok) for spec in mix.tasks if spec.validation
@@ -363,8 +373,8 @@ def _cmd_finetune(args, out: Path) -> None:
 
 
 def _cmd_generate(args, out: Path) -> None:
-    tok = bpe.SubwordTokenizer.load(args.tokenizer)
-    model = Seq2SeqModel.load(args.checkpoint)
+    tok = _load("tokenizer", bpe.SubwordTokenizer.load, args.tokenizer)
+    model = _load("checkpoint", Seq2SeqModel.load, args.checkpoint)
     spec = mixture_mod.TaskSpec("generate", 1, args.control_code)
     lines = []
     for n, inst in enumerate(_load_task_instances(args.input, tok), start=1):

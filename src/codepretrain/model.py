@@ -10,7 +10,9 @@ heads sit on top:
   which by construction touches only encoder-side parameters.
 
 Forward passes cache activations so the explicit backward passes can be
-checked against central finite differences.
+checked against central finite differences.  One decoder stack serves both
+teacher-forced training (all positions at once) and KV-cached decoding (one
+position per step).
 """
 
 from __future__ import annotations
@@ -146,10 +148,11 @@ class Seq2SeqModel:
 
 def _ln_fwd(params, prefix, x):
     g, b = params[f"{prefix}.g"], params[f"{prefix}.b"]
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
+    # the arithmetic of x.mean and x.var, without their Python-level wrappers
+    d = x.shape[-1]
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + LN_EPS)
+    xhat = xc * inv
     return g * xhat + b, (prefix, xhat, inv, g)
 
 
@@ -184,16 +187,25 @@ def _attend(q, k, v, mask):
     return attn @ v, attn
 
 
-def _attn_fwd(params, prefix, q_in, kv_in, mask, num_heads):
-    """mask is additive, broadcastable to (batch, heads, q_len, k_len)."""
-    wq, wk, wv, wo = (params[f"{prefix}.{p}"] for p in ("wq", "wk", "wv", "wo"))
-    q = _split_heads(q_in @ wq, num_heads)
-    k = _split_heads(kv_in @ wk, num_heads)
-    v = _split_heads(kv_in @ wv, num_heads)
+def _linear(x, w):
+    """``x @ w`` over the last axis as one 2-D product: BLAS is several times
+    faster on (rows, d) @ (d, n) than on a stack of (1, d) rows."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[-1:])
+
+
+def _project_kv(params, prefix, kv_in, num_heads):
+    """The keys and values of ``kv_in`` for attention ``prefix``, split into heads."""
+    return tuple(_split_heads(_linear(kv_in, params[f"{prefix}.{w}"]), num_heads) for w in ("wk", "wv"))
+
+
+def _attn_fwd(params, prefix, q_in, kv_in, mask, num_heads, kv=None):
+    """mask is additive, broadcastable to (batch, heads, q_len, k_len); ``kv``
+    is the already projected (keys, values) pair of ``kv_in``, if there is one."""
+    k, v = _project_kv(params, prefix, kv_in, num_heads) if kv is None else kv
+    q = _split_heads(_linear(q_in, params[f"{prefix}.wq"]), num_heads)
     ctx, attn = _attend(q, k, v, mask)
     merged = _merge_heads(ctx)
-    out = merged @ wo
-    return out, (prefix, q_in, kv_in, q, k, v, attn, merged, num_heads)
+    return _linear(merged, params[f"{prefix}.wo"]), (prefix, q_in, kv_in, q, k, v, attn, merged, num_heads)
 
 
 def _attn_bwd(dy, cache, params, grads):
@@ -222,9 +234,9 @@ def _attn_bwd(dy, cache, params, grads):
 
 def _ffn_fwd(params, prefix, x):
     w1, b1, w2, b2 = (params[f"{prefix}.{p}"] for p in ("w1", "b1", "w2", "b2"))
-    pre = x @ w1 + b1
+    pre = _linear(x, w1) + b1
     act = np.maximum(pre, 0.0)
-    return act @ w2 + b2, (prefix, x, pre, act)
+    return _linear(act, w2) + b2, (prefix, x, pre, act)
 
 
 def _ffn_bwd(dy, cache, params, grads):
@@ -307,35 +319,97 @@ def encoder_backward(model: Seq2SeqModel, dout: np.ndarray, cache, grads) -> Non
     grads["embed.src_pos"][: src.shape[1]] += dx.sum(axis=0)
 
 
-def decoder_forward(
-    model: Seq2SeqModel,
-    tgt_in: np.ndarray,
-    tgt_len: np.ndarray,
-    enc_out: np.ndarray,
-    src_len: np.ndarray,
-    drop_rng=None,
-):
+@dataclass
+class DecodeState:
+    """Decoder caches over a batch of encoder outputs, which ``_decoder_layers``
+    fills.  Self-attention row r is the r-th target sequence or live hypothesis;
+    one source's cross-attention row is broadcast over its hypotheses."""
+
+    enc_out: np.ndarray                            # (batch, S, d_model)
+    cross_mask: np.ndarray                         # (batch, 1, 1, S), additive
+    cross_kv: list[tuple[np.ndarray, np.ndarray]]  # per layer, each (batch, heads, S, d_head)
+    self_k: list[np.ndarray]                       # per layer, (rows, heads, max_len, d_head)
+    self_v: list[np.ndarray]
+    length: int = 0                                # positions filled so far
+
+    @classmethod
+    def from_encoder(cls, model: Seq2SeqModel, enc_out: np.ndarray, src_len: np.ndarray,
+                     max_len: int) -> "DecodeState":
+        """Project the cross-attention keys and values of ``enc_out`` and
+        allocate ``max_len`` self-attention positions for each of its rows."""
+        cfg, params = model.config, model.params
+        heads = cfg.num_heads
+        cross_kv = [_project_kv(params, f"dec{i}.cross", enc_out, heads) for i in range(cfg.decoder_layers)]
+        shape = (enc_out.shape[0], heads, max_len, cfg.d_model // heads)
+        return cls(enc_out, _key_mask(src_len, enc_out.shape[1]), cross_kv,
+                   [np.empty(shape) for _ in cross_kv], [np.empty(shape) for _ in cross_kv])
+
+    @classmethod
+    def for_source(cls, model: Seq2SeqModel, source_ids, max_len: int) -> "DecodeState":
+        """Run the encoder once and allocate caches for ``max_len`` steps of one row."""
+        cfg = model.config
+        src = np.asarray(source_ids, dtype=np.int64)
+        if not 0 < src.size <= cfg.max_src_len:
+            raise ValueError(f"source length {src.size} outside 1..{cfg.max_src_len}")
+        if not 0 < max_len <= cfg.max_tgt_len:
+            raise ValueError(f"decode length {max_len} outside 1..{cfg.max_tgt_len}")
+        _check_ids(src, cfg.vocab_size, "source")
+        src_len = np.asarray([src.size])
+        enc_out, _ = encoder_forward(model, src[None, :], src_len)
+        return cls.from_encoder(model, enc_out, src_len, max_len)
+
+    def reorder(self, parents) -> None:
+        """Make new row r continue old row ``parents[r]``; the row count may change."""
+        idx = np.asarray(parents, dtype=np.intp)
+        t = self.length
+        for bufs in (self.self_k, self.self_v):
+            for i, buf in enumerate(bufs):
+                new = np.empty((idx.size, *buf.shape[1:]))
+                new[:, :, :t] = buf[idx, :, :t]
+                bufs[i] = new
+
+
+def _decoder_layers(model: Seq2SeqModel, state: DecodeState, ids: np.ndarray, self_mask,
+                    drop_rng=None, caches: list | None = None):
+    """The decoder stack over ``ids`` (rows, n): the tokens at the ``n``
+    positions that follow the ``state.length`` already in ``state``.  Appends
+    their self-attention keys and values to ``state`` and, when ``caches`` is
+    a list, each layer's backward cache to it.  Returns the final-norm hidden
+    states (rows, n, d_model) and that norm's cache."""
     cfg, params = model.config, model.params
-    b, t = tgt_in.shape
-    x = params["embed.tok"][tgt_in] + params["embed.tgt_pos"][:t]
-    self_mask = _causal_mask(t) + _key_mask(tgt_len, t)
-    cross_mask = _key_mask(src_len, enc_out.shape[1])
-    caches = []
-    for i in range(cfg.decoder_layers):
+    t, n = state.length, ids.shape[1]
+    x = params["embed.tok"][ids] + params["embed.tgt_pos"][t : t + n]
+    for i, (k_buf, v_buf, cross_kv) in enumerate(zip(state.self_k, state.self_v, state.cross_kv)):
         h, c_ln1 = _ln_fwd(params, f"dec{i}.ln1", x)
-        a, c_self = _attn_fwd(params, f"dec{i}.self", h, h, self_mask, cfg.num_heads)
+        k_buf[:, :, t : t + n], v_buf[:, :, t : t + n] = _project_kv(params, f"dec{i}.self", h, cfg.num_heads)
+        self_kv = (k_buf[:, :, : t + n], v_buf[:, :, : t + n])
+        a, c_self = _attn_fwd(params, f"dec{i}.self", h, h, self_mask, cfg.num_heads, self_kv)
         a, k1 = _dropout_fwd(a, cfg.dropout, drop_rng)
         x = x + a
         h2, c_ln2 = _ln_fwd(params, f"dec{i}.ln2", x)
-        c_out, c_cross = _attn_fwd(params, f"dec{i}.cross", h2, enc_out, cross_mask, cfg.num_heads)
+        c_out, c_cross = _attn_fwd(params, f"dec{i}.cross", h2, state.enc_out, state.cross_mask,
+                                   cfg.num_heads, cross_kv)
         c_out, k2 = _dropout_fwd(c_out, cfg.dropout, drop_rng)
         x = x + c_out
         h3, c_ln3 = _ln_fwd(params, f"dec{i}.ln3", x)
         f, c_ffn = _ffn_fwd(params, f"dec{i}.ffn", h3)
         f, k3 = _dropout_fwd(f, cfg.dropout, drop_rng)
         x = x + f
-        caches.append((c_ln1, c_self, k1, c_ln2, c_cross, k2, c_ln3, c_ffn, k3))
-    hidden, c_lnf = _ln_fwd(params, "dec.ln_f", x)
+        if caches is not None:
+            caches.append((c_ln1, c_self, k1, c_ln2, c_cross, k2, c_ln3, c_ffn, k3))
+    state.length = t + n
+    return _ln_fwd(params, "dec.ln_f", x)
+
+
+def decoder_forward(model: Seq2SeqModel, tgt_in: np.ndarray, tgt_len: np.ndarray, enc_out: np.ndarray,
+                    src_len: np.ndarray, drop_rng=None):
+    """Teacher-forced decoder over all T positions of ``tgt_in``; returns the
+    final hidden states and the cache ``decoder_backward`` consumes."""
+    t = tgt_in.shape[1]
+    state = DecodeState.from_encoder(model, enc_out, src_len, t)
+    caches: list = []
+    self_mask = _causal_mask(t) + _key_mask(tgt_len, t)
+    hidden, c_lnf = _decoder_layers(model, state, tgt_in, self_mask, drop_rng, caches)
     return hidden, (tgt_in, caches, c_lnf)
 
 
@@ -362,91 +436,16 @@ def decoder_backward(model: Seq2SeqModel, dhidden: np.ndarray, cache, grads) -> 
     return denc
 
 
-# --------------------------------------------------------------------------
-# incremental decoding
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class DecodeState:
-    """Decoder caches for one source, advanced one position per ``decoder_step``.
-
-    Row r of every self-attention buffer holds the keys and values of the
-    r-th live hypothesis; the cross-attention keys and values are computed
-    once from the encoder output and broadcast over the rows.
-    """
-
-    cross_kv: list[tuple[np.ndarray, np.ndarray]]  # per layer, each (1, heads, S, d_head)
-    self_k: list[np.ndarray]                       # per layer, (rows, heads, max_len, d_head)
-    self_v: list[np.ndarray]
-    length: int = 0                                # positions filled so far
-
-    @classmethod
-    def for_source(cls, model: Seq2SeqModel, source_ids, max_len: int) -> "DecodeState":
-        """Run the encoder once and allocate caches for ``max_len`` steps of one row."""
-        cfg, params = model.config, model.params
-        src = np.asarray(source_ids, dtype=np.int64)
-        if not 0 < src.size <= cfg.max_src_len:
-            raise ValueError(f"source length {src.size} outside 1..{cfg.max_src_len}")
-        if not 0 < max_len <= cfg.max_tgt_len:
-            raise ValueError(f"decode length {max_len} outside 1..{cfg.max_tgt_len}")
-        _check_ids(src, cfg.vocab_size, "source")
-        enc_out, _ = encoder_forward(model, src[None, :], np.asarray([src.size]))
-        heads = cfg.num_heads
-        cross_kv = [
-            tuple(_split_heads(enc_out @ params[f"dec{i}.cross.{w}"], heads) for w in ("wk", "wv"))
-            for i in range(cfg.decoder_layers)
-        ]
-        shape = (1, heads, max_len, cfg.d_model // heads)
-        self_k = [np.empty(shape) for _ in range(cfg.decoder_layers)]
-        self_v = [np.empty(shape) for _ in range(cfg.decoder_layers)]
-        return cls(cross_kv, self_k, self_v)
-
-    def reorder(self, parents) -> None:
-        """Make new row r continue old row ``parents[r]``; the row count may change."""
-        idx = np.asarray(parents, dtype=np.intp)
-        t = self.length
-        for bufs in (self.self_k, self.self_v):
-            for i, buf in enumerate(bufs):
-                new = np.empty((idx.size, *buf.shape[1:]))
-                new[:, :, :t] = buf[idx, :, :t]
-                bufs[i] = new
-
-
 def decoder_step(model: Seq2SeqModel, state: DecodeState, tokens) -> np.ndarray:
     """Feed one token per live row at the next position; returns (rows, vocab)
     next-token logits and appends that position's keys and values to ``state``."""
-    cfg, params = model.config, model.params
-    rows, heads, max_len, _ = state.self_k[0].shape
-    t = state.length
+    rows, _, max_len, _ = state.self_k[0].shape
     if len(tokens) != rows:
         raise ValueError(f"{len(tokens)} tokens for {rows} decode rows")
-    if t == max_len:
+    if state.length == max_len:
         raise ValueError(f"decode state is full after {max_len} steps")
-    # rows stay 2-D (rows, d_model) outside attention: BLAS is several times
-    # faster on (rows, d) @ (d, n) than on a stack of (1, d) rows
-    x = params["embed.tok"][np.asarray(tokens, dtype=np.int64)] + params["embed.tgt_pos"][t]
-
-    def heads_of(y):
-        return _split_heads(y[:, None, :], heads)
-
-    for i, (k_buf, v_buf, (cross_k, cross_v)) in enumerate(zip(state.self_k, state.self_v, state.cross_kv)):
-        p = f"dec{i}.self"
-        h, _ = _ln_fwd(params, f"dec{i}.ln1", x)
-        k_buf[:, :, t : t + 1] = heads_of(h @ params[f"{p}.wk"])
-        v_buf[:, :, t : t + 1] = heads_of(h @ params[f"{p}.wv"])
-        ctx, _ = _attend(heads_of(h @ params[f"{p}.wq"]), k_buf[:, :, : t + 1], v_buf[:, :, : t + 1], 0.0)
-        x = x + _merge_heads(ctx)[:, 0] @ params[f"{p}.wo"]
-        p = f"dec{i}.cross"
-        h2, _ = _ln_fwd(params, f"dec{i}.ln2", x)
-        ctx, _ = _attend(heads_of(h2 @ params[f"{p}.wq"]), cross_k, cross_v, 0.0)
-        x = x + _merge_heads(ctx)[:, 0] @ params[f"{p}.wo"]
-        h3, _ = _ln_fwd(params, f"dec{i}.ln3", x)
-        f, _ = _ffn_fwd(params, f"dec{i}.ffn", h3)
-        x = x + f
-    hidden, _ = _ln_fwd(params, "dec.ln_f", x)
-    state.length = t + 1
-    return hidden @ params["lm.w"] + params["lm.b"]
+    hidden, _ = _decoder_layers(model, state, np.asarray(tokens, dtype=np.int64)[:, None], 0.0)
+    return hidden[:, 0] @ model.params["lm.w"] + model.params["lm.b"]
 
 
 # --------------------------------------------------------------------------
@@ -633,12 +632,7 @@ def forward_lm(model: Seq2SeqModel, source_ids, target_ids) -> np.ndarray:
 
     Accepts a single pair of id sequences and returns (T, vocab) probabilities.
     """
-    inst = TrainingInstance(tuple(source_ids), tuple(target_ids), MSP)
-    batch = make_batch([inst], model.config)
-    enc_out, _ = encoder_forward(model, batch.src, batch.src_len)
-    hidden, _ = decoder_forward(model, batch.tgt_in, batch.tgt_len, enc_out, batch.src_len)
-    logits = hidden @ model.params["lm.w"] + model.params["lm.b"]
-    return np.exp(_log_softmax(logits))[0]
+    return forward_lm_batch(model, [TrainingInstance(tuple(source_ids), tuple(target_ids), MSP)])[0]
 
 
 def forward_lm_batch(model: Seq2SeqModel, instances: list[TrainingInstance]) -> np.ndarray:

@@ -58,6 +58,10 @@ class TrainSchedule:
     linear_decay: bool = True
 
 
+class NonFiniteError(ValueError):
+    """A training step produced a loss or gradient norm that is NaN or infinite."""
+
+
 @dataclass
 class StepRecord:
     step: int
@@ -89,16 +93,21 @@ class Adam:
         remaining = max(s.steps - step, 0)
         return s.peak_lr * remaining / span if s.steps > 1 else s.peak_lr
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> float:
+        """Clip ``grads`` and update ``params``; returns the pre-clip gradient
+        norm, and raises on a non-finite one before changing any state."""
+        norm = clip_gradients(grads, self.schedule.clip_norm)
+        if not math.isfinite(norm):
+            raise NonFiniteError(f"gradient norm is {norm}")
         self.t += 1
         lr = self.learning_rate(self.t)
-        clip_gradients(grads, self.schedule.clip_norm)
         for k, g in grads.items():
             self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
             self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
             mhat = self.m[k] / (1 - self.beta1**self.t)
             vhat = self.v[k] / (1 - self.beta2**self.t)
             params[k] -= lr * mhat / (np.sqrt(vhat) + self.eps)
+        return norm
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -145,15 +154,23 @@ def _train(
 ) -> list[StepRecord]:
     """The training loop of every phase.  ``draw(rng)`` gives each step's log
     label and batch; the loss follows the batch's objective.  Dropout, when
-    the model config asks for it, draws from its own generator."""
+    the model config asks for it, draws from its own generator.  A non-finite
+    loss or gradient norm stops the run before that step's update."""
     rng = np.random.default_rng(schedule.seed)
     drop_rng = np.random.default_rng(schedule.seed + 1) if model.config.dropout > 0 else None
     opt = Adam(model.params, schedule)
     records: list[StepRecord] = []
     for step in range(1, schedule.steps + 1):
         label, batch = draw(rng)
-        loss, count, grads = loss_and_grads(model, batch, batch[0].objective, drop_rng)
-        opt.step(model.params, grads)
+        objective = batch[0].objective
+        loss, count, grads = loss_and_grads(model, batch, objective, drop_rng)
+        try:
+            if not math.isfinite(loss):
+                raise NonFiniteError(f"loss is {loss}")
+            opt.step(model.params, grads)
+        except NonFiniteError as exc:
+            task = "" if label == objective else f"task {label}, "
+            raise NonFiniteError(f"step {step} ({task}objective {objective}): {exc}") from None
         records.append(StepRecord(step, label, loss / max(count, 1)))
         if after_step is not None:
             after_step(step)
@@ -291,6 +308,15 @@ def finetune_multitask(
 # --------------------------------------------------------------------------
 
 
+def _top_k(logp: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the ids of the ``k`` highest ``logp`` (at most all), ordered by
+    (-logp, id); ``argpartition`` picks among ids tied at the k-th place."""
+    k = min(k, logp.shape[-1])
+    top = np.argpartition(logp, -k, axis=-1)[:, -k:]
+    order = np.lexsort((top, -np.take_along_axis(logp, top, axis=-1)), axis=-1)
+    return np.take_along_axis(top, order, axis=-1)
+
+
 def generate(
     model: Seq2SeqModel,
     source_ids: Sequence[int],
@@ -326,7 +352,7 @@ def generate(
         live = [(seq, parent) for seq, _, finished, parent in hyps if not finished]
         state.reorder([parent for _, parent in live])
         logp = _log_softmax(decoder_step(model, state, [seq[-1] if seq else start for seq, _ in live]))
-        top = np.argsort(-logp, axis=-1)[:, :beam]
+        top = _top_k(logp, beam)
         expanded: list[tuple[list[int], float, bool, int]] = []
         row = 0
         for seq, score, finished, _ in hyps:

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from codepretrain import bpe, corpus
@@ -518,3 +519,74 @@ def test_eval_unknown_task(tmp_path):
     hyp = tmp_path / "h.txt"
     hyp.write_text("x\n", encoding="utf-8")
     assert dispatch(["eval", "--task", "mystery", "--hyp", str(hyp), "--ref", str(hyp)]) == 1
+
+
+
+def _write_bad_checkpoint(pipeline, path, kind):
+    if kind == "truncated":
+        good = _tiny_checkpoint(pipeline["tok"], path.with_name("good.npz")).read_bytes()
+        path.write_bytes(good[: len(good) // 2])
+    elif kind == "not-a-checkpoint":
+        np.savez(path, weights=np.zeros(3))
+    else:
+        path.write_text("not a checkpoint\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["generate", "pretrain"])
+@pytest.mark.parametrize(
+    "bad, cause",
+    [
+        ("truncated", "File is not a zip file"),
+        ("not-a-checkpoint", "__meta__"),
+        ("text", "pickled"),
+        ("vocab", "not a tokenizer vocab file"),
+    ],
+)
+def test_unreadable_checkpoint_or_tokenizer_is_clean_error(pipeline, tmp_path, capsys, command, bad, cause):
+    ckpt, tok = tmp_path / "init.npz", pipeline["tok"]
+    if bad == "vocab":
+        _tiny_checkpoint(pipeline["tok"], ckpt)
+        tok = tmp_path / "tok"
+        tok.mkdir()
+        (tok / "vocab.txt").write_text("[PAD]\n[CLS]\n", encoding="utf-8")
+        (tok / "merges.txt").write_text("", encoding="utf-8")
+        where = f"cannot read tokenizer {tok}: "
+    else:
+        _write_bad_checkpoint(pipeline, ckpt, bad)
+        where = f"cannot read checkpoint {ckpt}: "
+    data = tmp_path / "task.jsonl"
+    data.write_text(json.dumps({"source": "int x ;", "target": "declare"}) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "generate": ["generate", "--checkpoint", str(ckpt), "--input", str(data)],
+        "pretrain": ["pretrain", "--init", str(ckpt), "--instances", str(pipeline["inst"]), "--steps", "1"],
+    }[command]
+    assert dispatch(argv + ["--tokenizer", str(tok), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}") and cause in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, where", [("pretrain", "step 1 (objective "), ("finetune", "step 1 (task t, objective FINETUNE): ")]
+)
+def test_non_finite_loss_is_clean_error(pipeline, tmp_path, capsys, command, where):
+    """A NaN loss stops the run at step 1, before any update or output."""
+    ckpt = _tiny_checkpoint(pipeline["tok"], tmp_path / "init.npz", max_len=160)
+    model = Seq2SeqModel.load(ckpt)
+    model.params["lm.b"][3] = np.inf
+    model.save(ckpt)
+    out = tmp_path / "run"
+    if command == "pretrain":
+        argv = ["pretrain", "--instances", str(pipeline["inst"]), "--batch-size", "2"]
+    else:
+        task_data = tmp_path / "task.jsonl"
+        task_data.write_text(json.dumps({"source": "int x ;", "target": "declare"}) + "\n", encoding="utf-8")
+        mixture = tmp_path / "mixture.json"
+        mixture.write_text(json.dumps({"tasks": [{"name": "t", "path": str(task_data)}]}), encoding="utf-8")
+        argv = ["finetune", "--mixture", str(mixture)]
+    argv += ["--tokenizer", str(pipeline["tok"]), "--init", str(ckpt), "--steps", "3", "--out", str(out)]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}") and "loss is nan" in err
+    assert not (out / "metrics.jsonl").exists()

@@ -98,6 +98,36 @@ def test_clip_gradients_caps_norm():
     assert total == pytest.approx(1.0)
 
 
+def test_adam_step_returns_pre_clip_norm_and_rejects_non_finite():
+    params = {"a": np.ones(4), "b": np.ones(9)}
+    opt = tr.Adam(params, tr.TrainSchedule(steps=3, peak_lr=0.1, clip_norm=1.0))
+    grads = {"a": np.full(4, 3.0), "b": np.full(9, 4.0)}
+    assert opt.step(params, grads) == pytest.approx(np.sqrt(4 * 9 + 9 * 16))
+    before = {k: v.copy() for k, v in params.items()}
+    moments = {k: (opt.m[k].copy(), opt.v[k].copy()) for k in params}
+    for bad in (np.nan, np.inf):
+        grads = {"a": np.full(4, 1.0), "b": np.full(9, 1.0)}
+        grads["b"][2] = bad
+        with pytest.raises(tr.NonFiniteError, match="gradient norm is (nan|inf)"):
+            opt.step(params, grads)
+    assert opt.t == 1
+    for k in params:
+        assert np.array_equal(params[k], before[k])
+        assert np.array_equal(opt.m[k], moments[k][0]) and np.array_equal(opt.v[k], moments[k][1])
+
+
+def test_non_finite_loss_stops_training_before_update(tiny_config, denoise_pool):
+    model = Seq2SeqModel(tiny_config, seed=4)
+    model.params["lm.b"][3] = np.inf
+    before = {k: v.copy() for k, v in model.params.items()}
+    msp = [i for i in denoise_pool if i.objective == obj.MSP]
+    with pytest.raises(tr.NonFiniteError, match=r"^step 1 \(objective MSP\): loss is nan$"):
+        tr.finetune_seq2seq(model, msp, tr.TrainSchedule(steps=3, batch_size=4, seed=0))
+    for k, v in model.params.items():
+        assert np.array_equal(v, before[k])
+    assert issubclass(tr.NonFiniteError, ValueError)
+
+
 def test_generate_max_len_zero(tiny_config):
     model = Seq2SeqModel(tiny_config, seed=0)
     assert tr.generate(model, [1, 2, 3], max_len=0) == []
@@ -197,6 +227,22 @@ def test_generate_matches_reference_at_large_vocab():
     rng = np.random.default_rng(3)
     sources = [list(rng.integers(1, cfg.vocab_size, size=n)) for n in (12, 150)]
     _assert_decodes_like_reference(Seq2SeqModel(cfg, seed=3), sources)
+
+
+def test_beam_wider_than_vocabulary_matches_reference():
+    cfg = ModelConfig(vocab_size=3, d_model=8, num_heads=2, encoder_layers=1, decoder_layers=1,
+                      feedforward_dim=16, max_src_len=16, max_tgt_len=16)
+    model = Seq2SeqModel(cfg, seed=0)
+    for beam in (3, 5):
+        for eos in (None, 2):
+            want = _reference_generate(model, [1, 2, 0, 1], 6, beam=beam, eos_id=eos)
+            assert tr.generate(model, [1, 2, 0, 1], 6, beam=beam, eos_id=eos) == want
+
+
+def test_top_k_orders_ties_by_id():
+    logp = np.array([[0.0, -1.0, 0.0, -2.0, 0.0], [-3.0, -1.0, -1.0, -0.5, -4.0]])
+    assert tr._top_k(logp, 3).tolist() == [[0, 2, 4], [3, 1, 2]]
+    assert tr._top_k(logp, 9).tolist() == [[0, 2, 4, 1, 3], [3, 1, 2, 0, 4]]
 
 
 def test_first_step_distribution_matches_teacher_forcing(tiny_config):
