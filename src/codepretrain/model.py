@@ -187,6 +187,50 @@ def _attend(q, k, v, mask):
     return attn @ v, attn
 
 
+def _causal_mask(q_len: int, k_len: int) -> np.ndarray:
+    """Additive (q_len, k_len) mask that lets query i see keys up to
+    ``i + k_len - q_len``, so the last query sees every key: the queries may
+    be a whole teacher-forced sequence or the newest positions after a cache."""
+    return np.where(np.tri(q_len, k_len, k_len - q_len, dtype=bool), 0.0, NEG_INF)
+
+
+_ALL_ROWS = slice(None)  # the rows of a group that holds every row
+
+
+def _row_groups(q_len: np.ndarray, k_len: np.ndarray) -> list:
+    """The rows that share (query length, key length), as (rows, q_len, k_len),
+    leaving out rows without queries.  Each length array holds one entry per
+    row, or one entry for every row; ``rows`` is ``_ALL_ROWS`` when every
+    row shares both lengths."""
+    if q_len.size == k_len.size == 1:  # one pair for every row, as in a decode step
+        return [(_ALL_ROWS, int(q_len[0]), int(k_len[0]))] if q_len[0] else []
+    by_len: dict[tuple[int, int], list[int]] = {}
+    for r, lens in enumerate(zip(*(x.tolist() for x in np.broadcast_arrays(q_len, k_len)))):
+        by_len.setdefault(lens, []).append(r)
+    if len(by_len) == 1:
+        by_len = {lens: _ALL_ROWS for lens in by_len}
+    return [(rows, ql, kl) for (ql, kl), rows in by_len.items() if ql]
+
+
+def _attend_rows(q, k, v, groups, causal):
+    """Attention of each row over its own queries and keys: one ``_attend``
+    call per group of rows from ``_row_groups``, so no work falls on padding.
+    A row's queries past its length get a zero context.  Returns the context
+    and each group with its attention weights."""
+    ctx, weights = None, []
+    for rows, ql, kl in groups:
+        mask = _causal_mask(ql, kl) if causal and ql > 1 else 0.0  # one query sees every key
+        if rows is _ALL_ROWS and ql == q.shape[2] and kl == k.shape[2]:  # no padding, as in a decode step
+            ctx, attn = _attend(q, k, v, mask)
+        else:
+            c, attn = _attend(q[rows, :, :ql], k[rows, :, :kl], v[rows, :, :kl], mask)
+            if ctx is None:
+                ctx = np.zeros(q.shape)
+            ctx[rows, :, :ql] = c
+        weights.append((rows, ql, kl, attn))
+    return np.zeros(q.shape) if ctx is None else ctx, weights
+
+
 def _linear(x, w):
     """``x @ w`` over the last axis as one 2-D product: BLAS is several times
     faster on (rows, d) @ (d, n) than on a stack of (1, d) rows."""
@@ -198,29 +242,34 @@ def _project_kv(params, prefix, kv_in, num_heads):
     return tuple(_split_heads(_linear(kv_in, params[f"{prefix}.{w}"]), num_heads) for w in ("wk", "wv"))
 
 
-def _attn_fwd(params, prefix, q_in, kv_in, mask, num_heads, kv=None):
-    """mask is additive, broadcastable to (batch, heads, q_len, k_len); ``kv``
-    is the already projected (keys, values) pair of ``kv_in``, if there is one."""
+def _attn_fwd(params, prefix, q_in, kv_in, groups, num_heads, causal=False, kv=None):
+    """Attention over the row ``groups`` of ``_row_groups``, causal if asked;
+    ``kv`` is the already projected (keys, values) pair of ``kv_in``, if
+    there is one."""
     k, v = _project_kv(params, prefix, kv_in, num_heads) if kv is None else kv
     q = _split_heads(_linear(q_in, params[f"{prefix}.wq"]), num_heads)
-    ctx, attn = _attend(q, k, v, mask)
+    ctx, weights = _attend_rows(q, k, v, groups, causal)
     merged = _merge_heads(ctx)
-    return _linear(merged, params[f"{prefix}.wo"]), (prefix, q_in, kv_in, q, k, v, attn, merged, num_heads)
+    return _linear(merged, params[f"{prefix}.wo"]), (prefix, q_in, kv_in, q, k, v, weights, merged, num_heads)
 
 
 def _attn_bwd(dy, cache, params, grads):
-    prefix, q_in, kv_in, q, k, v, attn, merged, num_heads = cache
+    prefix, q_in, kv_in, q, k, v, weights, merged, num_heads = cache
     wq, wk, wv, wo = (params[f"{prefix}.{p}"] for p in ("wq", "wk", "wv", "wo"))
     b, tq, d = q_in.shape
     scale = 1.0 / np.sqrt(q.shape[-1])
     grads[f"{prefix}.wo"] += merged.reshape(-1, d).T @ dy.reshape(-1, d)
     dmerged = dy @ wo.T
     dctx = _split_heads(dmerged, num_heads)
-    dattn = dctx @ v.transpose(0, 1, 3, 2)
-    dv = attn.transpose(0, 1, 3, 2) @ dctx
-    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-    dq = dscores @ k * scale
-    dk = dscores.transpose(0, 1, 3, 2) @ q * scale
+    dq, dk, dv = np.zeros(q.shape), np.zeros(k.shape), np.zeros(v.shape)
+    for rows, ql, kl, attn in weights:
+        dc = dctx[rows, :, :ql]
+        dv[rows, :, :kl] = attn.transpose(0, 1, 3, 2) @ dc
+        dscores = dc @ v[rows, :, :kl].transpose(0, 1, 3, 2)  # d attn, then d scores in place
+        dscores -= (dscores * attn).sum(axis=-1, keepdims=True)
+        dscores *= attn
+        dq[rows, :, :ql] = dscores @ k[rows, :, :kl] * scale
+        dk[rows, :, :kl] = dscores.transpose(0, 1, 3, 2) @ q[rows, :, :ql] * scale
     dq_flat = _merge_heads(dq)
     dk_flat = _merge_heads(dk)
     dv_flat = _merge_heads(dv)
@@ -268,16 +317,6 @@ def _length_mask(lengths: np.ndarray, max_len: int) -> np.ndarray:
     return np.arange(max_len)[None, :] < lengths[:, None]
 
 
-def _key_mask(lengths: np.ndarray, max_len: int) -> np.ndarray:
-    """(batch, 1, 1, max_len) additive mask hiding padded key positions."""
-    valid = _length_mask(lengths, max_len)
-    return np.where(valid, 0.0, NEG_INF)[:, None, None, :]
-
-
-def _causal_mask(t: int) -> np.ndarray:
-    return np.where(np.tril(np.ones((t, t), dtype=bool)), 0.0, NEG_INF)[None, None, :, :]
-
-
 # --------------------------------------------------------------------------
 # encoder / decoder stacks
 # --------------------------------------------------------------------------
@@ -287,11 +326,11 @@ def encoder_forward(model: Seq2SeqModel, src: np.ndarray, src_len: np.ndarray, d
     cfg, params = model.config, model.params
     b, s = src.shape
     x = params["embed.tok"][src] + params["embed.src_pos"][:s]
-    mask = _key_mask(src_len, s)
+    groups = _row_groups(src_len, src_len)
     caches = []
     for i in range(cfg.encoder_layers):
         h, c_ln1 = _ln_fwd(params, f"enc{i}.ln1", x)
-        a, c_attn = _attn_fwd(params, f"enc{i}.attn", h, h, mask, cfg.num_heads)
+        a, c_attn = _attn_fwd(params, f"enc{i}.attn", h, h, groups, cfg.num_heads)
         a, k1 = _dropout_fwd(a, cfg.dropout, drop_rng)
         x = x + a
         h2, c_ln2 = _ln_fwd(params, f"enc{i}.ln2", x)
@@ -326,7 +365,7 @@ class DecodeState:
     one source's cross-attention row is broadcast over its hypotheses."""
 
     enc_out: np.ndarray                            # (batch, S, d_model)
-    cross_mask: np.ndarray                         # (batch, 1, 1, S), additive
+    src_len: np.ndarray                            # (batch,) real source positions
     cross_kv: list[tuple[np.ndarray, np.ndarray]]  # per layer, each (batch, heads, S, d_head)
     self_k: list[np.ndarray]                       # per layer, (rows, heads, max_len, d_head)
     self_v: list[np.ndarray]
@@ -341,7 +380,7 @@ class DecodeState:
         heads = cfg.num_heads
         cross_kv = [_project_kv(params, f"dec{i}.cross", enc_out, heads) for i in range(cfg.decoder_layers)]
         shape = (enc_out.shape[0], heads, max_len, cfg.d_model // heads)
-        return cls(enc_out, _key_mask(src_len, enc_out.shape[1]), cross_kv,
+        return cls(enc_out, src_len, cross_kv,
                    [np.empty(shape) for _ in cross_kv], [np.empty(shape) for _ in cross_kv])
 
     @classmethod
@@ -369,26 +408,29 @@ class DecodeState:
                 bufs[i] = new
 
 
-def _decoder_layers(model: Seq2SeqModel, state: DecodeState, ids: np.ndarray, self_mask,
+def _decoder_layers(model: Seq2SeqModel, state: DecodeState, ids: np.ndarray, ids_len: np.ndarray | None = None,
                     drop_rng=None, caches: list | None = None):
     """The decoder stack over ``ids`` (rows, n): the tokens at the ``n``
-    positions that follow the ``state.length`` already in ``state``.  Appends
-    their self-attention keys and values to ``state`` and, when ``caches`` is
-    a list, each layer's backward cache to it.  Returns the final-norm hidden
-    states (rows, n, d_model) and that norm's cache."""
+    positions that follow the ``state.length`` already in ``state``, of which
+    row r has ``ids_len[r]`` real ones (all ``n`` when ``ids_len`` is None).
+    Appends their self-attention keys and values to ``state`` and, when
+    ``caches`` is a list, each layer's backward cache to it.  Returns the
+    final-norm hidden states (rows, n, d_model) and that norm's cache."""
     cfg, params = model.config, model.params
     t, n = state.length, ids.shape[1]
+    q_len = np.asarray([n]) if ids_len is None else ids_len
+    self_groups, cross_groups = _row_groups(q_len, t + q_len), _row_groups(q_len, state.src_len)
     x = params["embed.tok"][ids] + params["embed.tgt_pos"][t : t + n]
     for i, (k_buf, v_buf, cross_kv) in enumerate(zip(state.self_k, state.self_v, state.cross_kv)):
         h, c_ln1 = _ln_fwd(params, f"dec{i}.ln1", x)
         k_buf[:, :, t : t + n], v_buf[:, :, t : t + n] = _project_kv(params, f"dec{i}.self", h, cfg.num_heads)
         self_kv = (k_buf[:, :, : t + n], v_buf[:, :, : t + n])
-        a, c_self = _attn_fwd(params, f"dec{i}.self", h, h, self_mask, cfg.num_heads, self_kv)
+        a, c_self = _attn_fwd(params, f"dec{i}.self", h, h, self_groups, cfg.num_heads, True, self_kv)
         a, k1 = _dropout_fwd(a, cfg.dropout, drop_rng)
         x = x + a
         h2, c_ln2 = _ln_fwd(params, f"dec{i}.ln2", x)
-        c_out, c_cross = _attn_fwd(params, f"dec{i}.cross", h2, state.enc_out, state.cross_mask,
-                                   cfg.num_heads, cross_kv)
+        c_out, c_cross = _attn_fwd(params, f"dec{i}.cross", h2, state.enc_out, cross_groups, cfg.num_heads,
+                                   kv=cross_kv)
         c_out, k2 = _dropout_fwd(c_out, cfg.dropout, drop_rng)
         x = x + c_out
         h3, c_ln3 = _ln_fwd(params, f"dec{i}.ln3", x)
@@ -405,11 +447,9 @@ def decoder_forward(model: Seq2SeqModel, tgt_in: np.ndarray, tgt_len: np.ndarray
                     src_len: np.ndarray, drop_rng=None):
     """Teacher-forced decoder over all T positions of ``tgt_in``; returns the
     final hidden states and the cache ``decoder_backward`` consumes."""
-    t = tgt_in.shape[1]
-    state = DecodeState.from_encoder(model, enc_out, src_len, t)
+    state = DecodeState.from_encoder(model, enc_out, src_len, tgt_in.shape[1])
     caches: list = []
-    self_mask = _causal_mask(t) + _key_mask(tgt_len, t)
-    hidden, c_lnf = _decoder_layers(model, state, tgt_in, self_mask, drop_rng, caches)
+    hidden, c_lnf = _decoder_layers(model, state, tgt_in, tgt_len, drop_rng, caches)
     return hidden, (tgt_in, caches, c_lnf)
 
 
@@ -444,7 +484,7 @@ def decoder_step(model: Seq2SeqModel, state: DecodeState, tokens) -> np.ndarray:
         raise ValueError(f"{len(tokens)} tokens for {rows} decode rows")
     if state.length == max_len:
         raise ValueError(f"decode state is full after {max_len} steps")
-    hidden, _ = _decoder_layers(model, state, np.asarray(tokens, dtype=np.int64)[:, None], 0.0)
+    hidden, _ = _decoder_layers(model, state, np.asarray(tokens, dtype=np.int64)[:, None])
     return hidden[:, 0] @ model.params["lm.w"] + model.params["lm.b"]
 
 
@@ -514,7 +554,30 @@ def make_batch(instances: list[TrainingInstance], config: ModelConfig) -> Batch:
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
+
+
+LM_HEAD_ROWS = 256  # target rows per LM-head chunk; bounds the (rows, vocab) working set
+
+
+def _lm_head_chunk(params, h: np.ndarray, targets: np.ndarray, grads: dict | None):
+    """Summed token cross entropy of the LM head over the hidden rows ``h``.
+    With ``grads``, adds the head's gradients to it and also returns the
+    gradient of ``h``."""
+    w = params["lm.w"]
+    logits = h @ w
+    logits += params["lm.b"]
+    logp = _log_softmax(logits)
+    picked = np.arange(len(h)), targets
+    loss = -logp[picked].sum()
+    if grads is None:
+        return loss, None
+    dlogits = np.exp(logp, out=logp)
+    dlogits[picked] -= 1.0
+    grads["lm.w"] += h.T @ dlogits
+    grads["lm.b"] += dlogits.sum(axis=0)
+    return loss, dlogits @ w.T
 
 
 def seq2seq_loss_and_grads(
@@ -530,31 +593,24 @@ def seq2seq_loss_and_grads(
     if any(len(i.target_ids) == 0 for i in instances):
         raise ValueError("sequence loss needs non-empty targets")
     batch = make_batch(instances, model.config)
-    params = model.params
     enc_out, enc_cache = encoder_forward(model, batch.src, batch.src_len, drop_rng)
     hidden, dec_cache = decoder_forward(
         model, batch.tgt_in, batch.tgt_len, enc_out, batch.src_len, drop_rng
     )
-    logits = hidden @ params["lm.w"] + params["lm.b"]
-    logp = _log_softmax(logits)
+    # the LM head runs on real target rows only, LM_HEAD_ROWS at a time
     mask = _length_mask(batch.tgt_len, batch.tgt.shape[1])
-    b_idx, t_idx = np.nonzero(mask)
-    token_count = int(mask.sum())
-    loss = -logp[b_idx, t_idx, batch.tgt[b_idx, t_idx]].sum()
+    rows, targets = hidden[mask], batch.tgt[mask]
+    grads = model.zeros_like_params() if compute_grads else None
+    chunks = [_lm_head_chunk(model.params, rows[i : i + LM_HEAD_ROWS], targets[i : i + LM_HEAD_ROWS], grads)
+              for i in range(0, len(rows), LM_HEAD_ROWS)]
+    loss = float(sum(chunk_loss for chunk_loss, _ in chunks))
     if not compute_grads:
-        return float(loss), token_count, None
-
-    probs = np.exp(logp)
-    dlogits = probs * mask[..., None]
-    dlogits[b_idx, t_idx, batch.tgt[b_idx, t_idx]] -= 1.0
-    grads = model.zeros_like_params()
-    d = model.config.d_model
-    grads["lm.w"] += hidden.reshape(-1, d).T @ dlogits.reshape(-1, model.config.vocab_size)
-    grads["lm.b"] += dlogits.sum(axis=(0, 1))
-    dhidden = dlogits @ params["lm.w"].T
+        return loss, len(rows), None
+    dhidden = np.zeros_like(hidden)
+    dhidden[mask] = np.concatenate([drows for _, drows in chunks])
     denc = decoder_backward(model, dhidden, dec_cache, grads)
     encoder_backward(model, denc, enc_cache, grads)
-    return float(loss), token_count, grads
+    return loss, len(rows), grads
 
 
 def tagging_loss_and_grads(

@@ -111,9 +111,11 @@ class Adam:
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients so their global norm is at most ``max_norm``."""
+    """Scale all gradients so their global norm is at most ``max_norm``.  A
+    non-finite norm leaves them untouched; it is returned for the caller to
+    reject."""
     total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if max_norm and total > max_norm:
+    if max_norm and math.isfinite(total) and total > max_norm:
         scale = max_norm / total
         for g in grads.values():
             g *= scale
@@ -155,7 +157,8 @@ def _train(
     """The training loop of every phase.  ``draw(rng)`` gives each step's log
     label and batch; the loss follows the batch's objective.  Dropout, when
     the model config asks for it, draws from its own generator.  A non-finite
-    loss or gradient norm stops the run before that step's update."""
+    loss or gradient norm stops the run before that step's update; numpy's
+    floating-point warnings are silenced, since that check reports them."""
     rng = np.random.default_rng(schedule.seed)
     drop_rng = np.random.default_rng(schedule.seed + 1) if model.config.dropout > 0 else None
     opt = Adam(model.params, schedule)
@@ -163,11 +166,12 @@ def _train(
     for step in range(1, schedule.steps + 1):
         label, batch = draw(rng)
         objective = batch[0].objective
-        loss, count, grads = loss_and_grads(model, batch, objective, drop_rng)
         try:
-            if not math.isfinite(loss):
-                raise NonFiniteError(f"loss is {loss}")
-            opt.step(model.params, grads)
+            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+                loss, count, grads = loss_and_grads(model, batch, objective, drop_rng)
+                if not math.isfinite(loss):
+                    raise NonFiniteError(f"loss is {loss}")
+                opt.step(model.params, grads)
         except NonFiniteError as exc:
             task = "" if label == objective else f"task {label}, "
             raise NonFiniteError(f"step {step} ({task}objective {objective}): {exc}") from None

@@ -567,11 +567,13 @@ def test_unreadable_checkpoint_or_tokenizer_is_clean_error(pipeline, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "command, where", [("pretrain", "step 1 (objective "), ("finetune", "step 1 (task t, objective FINETUNE): ")]
 )
 def test_non_finite_loss_is_clean_error(pipeline, tmp_path, capsys, command, where):
-    """A NaN loss stops the run at step 1, before any update or output."""
+    """A NaN loss stops the run at step 1, before any update or output, with
+    the error line alone: no numpy warning comes first."""
     ckpt = _tiny_checkpoint(pipeline["tok"], tmp_path / "init.npz", max_len=160)
     model = Seq2SeqModel.load(ckpt)
     model.params["lm.b"][3] = np.inf

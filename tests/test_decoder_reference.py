@@ -1,10 +1,20 @@
-"""The shared decoder layer against the two decoder copies it replaced.
+"""The model's training and decoding paths against a frozen padded reference.
 
-The teacher-forced decoder and the KV-cached decode step used to carry their
-own copies of the decoder layer, every linear map of a batch ran as a stacked
-(batch, T, d) @ (d, n) product, and layer norm called ``x.mean``/``x.var``.
-Those copies are frozen below as the reference; the shared layer must
-reproduce their loss, every gradient and every decode-step logit bit for bit.
+The reference is the model as it was before attention became per-sequence:
+every row attended over the whole padded batch behind additive key and
+causal masks, the LM head, log-softmax and cross entropy ran over every
+padded target slot, the teacher-forced decoder and the KV-cached decode step
+carried their own copies of the decoder layer, every linear map ran as a
+stacked (batch, T, d) @ (d, n) product, and layer norm called
+``x.mean``/``x.var``.  Everything the model has changed since is copied
+below, so the reference calls none of it.
+
+Each sequence now attends at its own lengths and the LM head runs on the
+real target rows in chunks.  Those change only the order of floating-point
+sums, so the sequence and tagging losses must match within 1e-12 relative
+and every gradient within 1e-12 of that array's largest entry, with and
+without dropout.  A decode step runs as one batched call, as before, and
+must reproduce every reference logit bit for bit.
 """
 
 from __future__ import annotations
@@ -19,8 +29,30 @@ from codepretrain import objectives as obj
 from codepretrain.model import ModelConfig, Seq2SeqModel
 
 # --------------------------------------------------------------------------
-# the reference: the forward code as it was before the shared layer
+# the reference: the padded model as it was before per-sequence attention
 # --------------------------------------------------------------------------
+
+
+def _ref_attend(q, k, v, mask):
+    scores = q @ k.transpose(0, 1, 3, 2) * (1.0 / np.sqrt(q.shape[-1])) + mask
+    scores -= scores.max(axis=-1, keepdims=True)
+    exps = np.exp(scores)
+    attn = exps / exps.sum(axis=-1, keepdims=True)
+    return attn @ v, attn
+
+
+def _ref_key_mask(lengths, max_len):
+    valid = mdl._length_mask(lengths, max_len)
+    return np.where(valid, 0.0, mdl.NEG_INF)[:, None, None, :]
+
+
+def _ref_causal_mask(t):
+    return np.where(np.tril(np.ones((t, t), dtype=bool)), 0.0, mdl.NEG_INF)[None, None, :, :]
+
+
+def _ref_log_softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _ref_ln_fwd(params, prefix, x):
@@ -37,10 +69,32 @@ def _ref_attn_fwd(params, prefix, q_in, kv_in, mask, num_heads):
     q = mdl._split_heads(q_in @ wq, num_heads)
     k = mdl._split_heads(kv_in @ wk, num_heads)
     v = mdl._split_heads(kv_in @ wv, num_heads)
-    ctx, attn = mdl._attend(q, k, v, mask)
+    ctx, attn = _ref_attend(q, k, v, mask)
     merged = mdl._merge_heads(ctx)
     out = merged @ wo
     return out, (prefix, q_in, kv_in, q, k, v, attn, merged, num_heads)
+
+
+def _ref_attn_bwd(dy, cache, params, grads):
+    prefix, q_in, kv_in, q, k, v, attn, merged, num_heads = cache
+    wq, wk, wv, wo = (params[f"{prefix}.{p}"] for p in ("wq", "wk", "wv", "wo"))
+    b, tq, d = q_in.shape
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    grads[f"{prefix}.wo"] += merged.reshape(-1, d).T @ dy.reshape(-1, d)
+    dmerged = dy @ wo.T
+    dctx = mdl._split_heads(dmerged, num_heads)
+    dattn = dctx @ v.transpose(0, 1, 3, 2)
+    dv = attn.transpose(0, 1, 3, 2) @ dctx
+    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    dq = dscores @ k * scale
+    dk = dscores.transpose(0, 1, 3, 2) @ q * scale
+    dq_flat = mdl._merge_heads(dq)
+    dk_flat = mdl._merge_heads(dk)
+    dv_flat = mdl._merge_heads(dv)
+    grads[f"{prefix}.wq"] += q_in.reshape(-1, d).T @ dq_flat.reshape(-1, d)
+    grads[f"{prefix}.wk"] += kv_in.reshape(-1, d).T @ dk_flat.reshape(-1, d)
+    grads[f"{prefix}.wv"] += kv_in.reshape(-1, d).T @ dv_flat.reshape(-1, d)
+    return dq_flat @ wq.T, dk_flat @ wk.T + dv_flat @ wv.T
 
 
 def _ref_ffn_fwd(params, prefix, x):
@@ -54,7 +108,7 @@ def _ref_encoder_forward(model, src, src_len, drop_rng=None):
     cfg, params = model.config, model.params
     b, s = src.shape
     x = params["embed.tok"][src] + params["embed.src_pos"][:s]
-    mask = mdl._key_mask(src_len, s)
+    mask = _ref_key_mask(src_len, s)
     caches = []
     for i in range(cfg.encoder_layers):
         h, c_ln1 = _ref_ln_fwd(params, f"enc{i}.ln1", x)
@@ -70,12 +124,28 @@ def _ref_encoder_forward(model, src, src_len, drop_rng=None):
     return out, (src, caches, c_lnf)
 
 
+def _ref_encoder_backward(model, dout, cache, grads):
+    cfg, params = model.config, model.params
+    src, caches, c_lnf = cache
+    dx = mdl._ln_bwd(dout, c_lnf, grads)
+    for i in reversed(range(cfg.encoder_layers)):
+        c_ln1, c_attn, k1, c_ln2, c_ffn, k2 = caches[i]
+        df = mdl._dropout_bwd(dx, k2)
+        dh2 = mdl._ffn_bwd(df, c_ffn, params, grads)
+        dx = dx + mdl._ln_bwd(dh2, c_ln2, grads)
+        da = mdl._dropout_bwd(dx, k1)
+        dq, dkv = _ref_attn_bwd(da, c_attn, params, grads)
+        dx = dx + mdl._ln_bwd(dq + dkv, c_ln1, grads)
+    np.add.at(grads["embed.tok"], src, dx)
+    grads["embed.src_pos"][: src.shape[1]] += dx.sum(axis=0)
+
+
 def _ref_decoder_forward(model, tgt_in, tgt_len, enc_out, src_len, drop_rng=None):
     cfg, params = model.config, model.params
     b, t = tgt_in.shape
     x = params["embed.tok"][tgt_in] + params["embed.tgt_pos"][:t]
-    self_mask = mdl._causal_mask(t) + mdl._key_mask(tgt_len, t)
-    cross_mask = mdl._key_mask(src_len, enc_out.shape[1])
+    self_mask = _ref_causal_mask(t) + _ref_key_mask(tgt_len, t)
+    cross_mask = _ref_key_mask(src_len, enc_out.shape[1])
     caches = []
     for i in range(cfg.decoder_layers):
         h, c_ln1 = _ref_ln_fwd(params, f"dec{i}.ln1", x)
@@ -106,11 +176,11 @@ def _ref_decoder_backward(model, dhidden, cache, grads):
         dh3 = mdl._ffn_bwd(df, c_ffn, params, grads)
         dx = dx + mdl._ln_bwd(dh3, c_ln3, grads)
         dc = mdl._dropout_bwd(dx, k2)
-        dq, dkv = mdl._attn_bwd(dc, c_cross, params, grads)
+        dq, dkv = _ref_attn_bwd(dc, c_cross, params, grads)
         denc = dkv if denc is None else denc + dkv
         dx = dx + mdl._ln_bwd(dq, c_ln2, grads)
         da = mdl._dropout_bwd(dx, k1)
-        dq2, dkv2 = mdl._attn_bwd(da, c_self, params, grads)
+        dq2, dkv2 = _ref_attn_bwd(da, c_self, params, grads)
         dx = dx + mdl._ln_bwd(dq2 + dkv2, c_ln1, grads)
     np.add.at(grads["embed.tok"], tgt_in, dx)
     grads["embed.tgt_pos"][: tgt_in.shape[1]] += dx.sum(axis=0)
@@ -125,7 +195,7 @@ def _ref_seq2seq_loss_and_grads(model, instances, drop_rng=None):
         model, batch.tgt_in, batch.tgt_len, enc_out, batch.src_len, drop_rng
     )
     logits = hidden @ params["lm.w"] + params["lm.b"]
-    logp = mdl._log_softmax(logits)
+    logp = _ref_log_softmax(logits)
     mask = mdl._length_mask(batch.tgt_len, batch.tgt.shape[1])
     b_idx, t_idx = np.nonzero(mask)
     loss = -logp[b_idx, t_idx, batch.tgt[b_idx, t_idx]].sum()
@@ -136,8 +206,23 @@ def _ref_seq2seq_loss_and_grads(model, instances, drop_rng=None):
     grads["lm.w"] += hidden.reshape(-1, d).T @ dlogits.reshape(-1, model.config.vocab_size)
     grads["lm.b"] += dlogits.sum(axis=(0, 1))
     denc = _ref_decoder_backward(model, dlogits @ params["lm.w"].T, dec_cache, grads)
-    mdl.encoder_backward(model, denc, enc_cache, grads)
+    _ref_encoder_backward(model, denc, enc_cache, grads)
     return float(loss), int(mask.sum()), grads
+
+
+def _ref_tagging_loss_and_grads(model, instances, drop_rng=None):
+    batch = mdl.make_batch(instances, model.config)
+    params = model.params
+    enc_out, enc_cache = _ref_encoder_forward(model, batch.src, batch.src_len, drop_rng)
+    z = enc_out @ params["tag.w"] + params["tag.b"]
+    y, m = batch.tag_labels, batch.tag_mask
+    loss = -(y * -np.logaddexp(0.0, -z) + (1.0 - y) * -np.logaddexp(0.0, z))[m].sum()
+    dz = np.where(m, 1.0 / (1.0 + np.exp(-z)) - y, 0.0)
+    grads = model.zeros_like_params()
+    grads["tag.w"] += (enc_out * dz[..., None]).sum(axis=(0, 1))
+    grads["tag.b"] += dz.sum()
+    _ref_encoder_backward(model, dz[..., None] * params["tag.w"], enc_cache, grads)
+    return float(loss), int(m.sum()), grads
 
 
 @dataclass
@@ -186,11 +271,11 @@ def _ref_decoder_step(model, state, tokens):
         h, _ = _ref_ln_fwd(params, f"dec{i}.ln1", x)
         k_buf[:, :, t : t + 1] = heads_of(h @ params[f"{p}.wk"])
         v_buf[:, :, t : t + 1] = heads_of(h @ params[f"{p}.wv"])
-        ctx, _ = mdl._attend(heads_of(h @ params[f"{p}.wq"]), k_buf[:, :, : t + 1], v_buf[:, :, : t + 1], 0.0)
+        ctx, _ = _ref_attend(heads_of(h @ params[f"{p}.wq"]), k_buf[:, :, : t + 1], v_buf[:, :, : t + 1], 0.0)
         x = x + mdl._merge_heads(ctx)[:, 0] @ params[f"{p}.wo"]
         p = f"dec{i}.cross"
         h2, _ = _ref_ln_fwd(params, f"dec{i}.ln2", x)
-        ctx, _ = mdl._attend(heads_of(h2 @ params[f"{p}.wq"]), cross_k, cross_v, 0.0)
+        ctx, _ = _ref_attend(heads_of(h2 @ params[f"{p}.wq"]), cross_k, cross_v, 0.0)
         x = x + mdl._merge_heads(ctx)[:, 0] @ params[f"{p}.wo"]
         h3, _ = _ref_ln_fwd(params, f"dec{i}.ln3", x)
         f, _ = _ref_ffn_fwd(params, f"dec{i}.ffn", h3)
@@ -201,7 +286,7 @@ def _ref_decoder_step(model, state, tokens):
 
 
 # --------------------------------------------------------------------------
-# the shared layer against the reference
+# the model against the reference
 # --------------------------------------------------------------------------
 
 LARGE = ModelConfig(vocab_size=2500, d_model=128, num_heads=4, max_src_len=200, max_tgt_len=64)
@@ -221,18 +306,39 @@ def _random_instances(cfg, rng, count=6):
     return out
 
 
+def _tagging_instances(cfg, rng, count=6):
+    """Sources of mixed lengths whose code segments carry random tag labels."""
+    out = []
+    for _ in range(count):
+        src = rng.integers(1, cfg.vocab_size, size=int(rng.integers(6, min(cfg.max_src_len, 150))))
+        labels = rng.integers(0, 2, size=int(rng.integers(1, len(src) - 2)))
+        out.append(obj.TrainingInstance(tuple(int(i) for i in src), (), obj.IT, tuple(int(i) for i in labels)))
+    return out
+
+
+def _assert_close(got, want):
+    """Loss within 1e-12 relative, each gradient within 1e-12 of its largest entry."""
+    loss, count, grads = got
+    want_loss, want_count, want_grads = want
+    assert count == want_count
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    assert grads.keys() == want_grads.keys()
+    for k in grads:
+        np.testing.assert_allclose(grads[k], want_grads[k], rtol=0, atol=1e-12 * np.abs(want_grads[k]).max(),
+                                   err_msg=k)
+
+
 @pytest.mark.parametrize("name", ["tiny", "v2500-d128"])
 @pytest.mark.parametrize("dropout", [0.0, 0.1])
 def test_loss_and_grads_match_reference(tiny_config, name, dropout):
     cfg = replace(_configs(tiny_config)[name], dropout=dropout)
     model = Seq2SeqModel(cfg, seed=5)
     instances = _random_instances(cfg, np.random.default_rng(11))
-    loss, count, grads = mdl.seq2seq_loss_and_grads(model, instances, np.random.default_rng(3))
-    want_loss, want_count, want_grads = _ref_seq2seq_loss_and_grads(model, instances, np.random.default_rng(3))
-    assert loss == want_loss and count == want_count
-    assert grads.keys() == want_grads.keys()
-    for k in grads:
-        assert np.array_equal(grads[k], want_grads[k]), k
+    _assert_close(mdl.seq2seq_loss_and_grads(model, instances, np.random.default_rng(3)),
+                  _ref_seq2seq_loss_and_grads(model, instances, np.random.default_rng(3)))
+    tagged = _tagging_instances(cfg, np.random.default_rng(12))
+    _assert_close(mdl.tagging_loss_and_grads(model, tagged, np.random.default_rng(4)),
+                  _ref_tagging_loss_and_grads(model, tagged, np.random.default_rng(4)))
 
 
 @pytest.mark.parametrize("name", ["tiny", "v2500-d128"])

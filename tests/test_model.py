@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,3 +241,24 @@ def test_checkpoint_roundtrip(model, msp_instance, tmp_path):
     for k in model.params:
         assert np.array_equal(back.params[k], model.params[k])
     assert loss_msp(back, msp_instance) == loss_msp(model, msp_instance)
+
+
+def test_seq2seq_step_never_holds_padded_logits():
+    """The LM head runs on real target rows, a chunk at a time, so the peak
+    memory of a training step's loss and gradients stays below one padded
+    (batch, T, vocab) float64 array."""
+    cfg = ModelConfig(vocab_size=8000, d_model=32, num_heads=2, encoder_layers=1, decoder_layers=1,
+                      feedforward_dim=64, max_src_len=32, max_tgt_len=256)
+    model = Seq2SeqModel(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    instances = [
+        obj.TrainingInstance(tuple(rng.integers(1, 8000, 16).tolist()), tuple(rng.integers(1, 8000, n).tolist()), obj.MSP)
+        for n in np.linspace(8, 256, 8).astype(int)
+    ]
+    tracemalloc.start()
+    try:
+        seq2seq_loss_and_grads(model, instances)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 256 * 8000 * 8

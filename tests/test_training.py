@@ -98,6 +98,16 @@ def test_clip_gradients_caps_norm():
     assert total == pytest.approx(1.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_clip_gradients_leaves_non_finite_gradients_untouched():
+    grads = {"a": np.full(4, 3.0), "b": np.full(9, 4.0)}
+    grads["b"][2] = np.inf
+    before = {k: v.copy() for k, v in grads.items()}
+    assert tr.clip_gradients(grads, 1.0) == np.inf
+    for k in grads:
+        assert np.array_equal(grads[k], before[k])
+
+
 def test_adam_step_returns_pre_clip_norm_and_rejects_non_finite():
     params = {"a": np.ones(4), "b": np.ones(9)}
     opt = tr.Adam(params, tr.TrainSchedule(steps=3, peak_lr=0.1, clip_norm=1.0))
