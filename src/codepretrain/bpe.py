@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from . import artifacts
+
 FORMAT_VERSION = 1
 
 PAD, CLS, SEP = "[PAD]", "[CLS]", "[SEP]"
@@ -261,14 +263,9 @@ class SubwordTokenizer:
             "#alphabet: 256 byte units in printable byte-alphabet spelling",
             "#specials: " + json.dumps(self._specials),
         ]
-        with open(directory / "vocab.txt", "w", encoding="utf-8") as f:
-            f.write("\n".join(header) + "\n")
-            for token in self._id_to_token:
-                f.write(token + "\n")
-        with open(directory / "merges.txt", "w", encoding="utf-8") as f:
-            f.write(f"#codepretrain-merges v{FORMAT_VERSION}\n")
-            for a, b in self._merges:
-                f.write(f"{a} {b}\n")
+        merges = [f"#codepretrain-merges v{FORMAT_VERSION}", *(f"{a} {b}" for a, b in self._merges)]
+        for name, lines in (("vocab.txt", header + self._id_to_token), ("merges.txt", merges)):
+            artifacts.write_atomic(directory / name, lambda f: f.writelines(line + "\n" for line in lines))
 
     @classmethod
     def load(cls, directory: str | Path) -> "SubwordTokenizer":

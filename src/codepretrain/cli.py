@@ -25,9 +25,9 @@ import sys
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
-from . import bpe, corpus, metrics as metrics_mod, mixture as mixture_mod
+from . import artifacts, bpe, corpus, metrics as metrics_mod, mixture as mixture_mod
 from . import lexer as lx
 from . import objectives as obj
 from . import training as tr
@@ -84,14 +84,6 @@ def _stage_up_to_date(out: Path, config: dict) -> bool:
     return False
 
 
-def _write_snapshot(out: Path, config: dict) -> None:
-    """Write to a temporary name, then rename, so a snapshot is never half written."""
-    snap = _snapshot_path(out)
-    tmp = snap.with_name(snap.name + ".tmp")
-    tmp.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    os.replace(tmp, snap)
-
-
 def _digest(path: Path) -> str:
     """sha256 of a file, or of every file under a directory with its relative name."""
     h = hashlib.sha256()
@@ -136,7 +128,8 @@ def _run_stage(args: argparse.Namespace) -> int:
         return 0
     out.parent.mkdir(parents=True, exist_ok=True)
     stage.run(args, out)
-    _write_snapshot(out, config)
+    snapshot = json.dumps(config, indent=2, sort_keys=True) + "\n"
+    artifacts.write_atomic(_snapshot_path(out), lambda f: f.write(snapshot))
     return 0
 
 
@@ -156,31 +149,13 @@ def _cmd_ingest(args, out: Path) -> None:
     print(f"ingest: wrote {count} documents to {out} ({len(errors)} malformed lines)")
 
 
-def _jsonl_rows(path: str | Path) -> Iterator[tuple[int, object]]:
-    """(line number, parsed row) for each non-empty line of a JSONL file."""
-    with open(path, encoding="utf-8") as f:
-        for n, line in enumerate(f, start=1):
-            if line.strip():
-                try:
-                    yield n, json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CommandError(f"{path} line {n}: not JSON: {exc}")
-
-
 def _read_any_documents(path: Path, lang_config: str | None):
     """Accept either normalized documents or a raw corpus file, told apart by
     the first row; a raw corpus skips malformed lines as ``ingest`` does."""
-    docs = []
-    for n, row in _jsonl_rows(path):
-        if not docs and not (isinstance(row, dict) and "code_tokens" in row):
-            return list(corpus.normalize_corpus(corpus.ingest(path), lx.load_lexers(lang_config)))
-        try:
-            docs.append(corpus.CodeDocument.from_dict(row))
-        except KeyError as exc:
-            raise CommandError(f"{path} line {n}: missing key {exc}")
-        except (TypeError, ValueError) as exc:
-            raise CommandError(f"{path} line {n}: {exc}")
-    return docs
+    first = next(artifacts.read_jsonl(path, lambda row: row), None)
+    if first is None or (isinstance(first, dict) and "code_tokens" in first):
+        return list(corpus.read_documents(path))
+    return list(corpus.normalize_corpus(corpus.ingest(path), lx.load_lexers(lang_config)))
 
 
 def _cmd_stats(args) -> int:
@@ -197,11 +172,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_lex(args) -> int:
     src = _require_file(args.input, "input file")
-    lexers = lx.load_lexers(args.lang_config)
-    try:
-        lexer = lx.get_lexer(args.lang, lexers)
-    except lx.UnsupportedLanguageError:
-        raise CommandError(f"unsupported language tag: {args.lang}")
+    lexer = lx.get_lexer(args.lang, lx.load_lexers(args.lang_config))
     tokens = lx.lex(src.read_text(encoding="utf-8"), lexer)
     labels = lx.label_identifiers(tokens)
     for token, label in zip(tokens, labels):
@@ -220,10 +191,7 @@ def _iter_corpus_texts(path: Path, fields: tuple[str, ...]):
 
 def _cmd_train_tokenizer(args, out: Path) -> None:
     fields = tuple(args.text_fields.split(","))
-    try:
-        tok = bpe.train(_iter_corpus_texts(Path(args.input), fields), args.vocab_size, args.min_freq)
-    except bpe.TrainingDataError as exc:
-        raise CommandError(str(exc))
+    tok = bpe.train(_iter_corpus_texts(Path(args.input), fields), args.vocab_size, args.min_freq)
     tok.save(out)
     print(f"train-tokenizer: vocab size {tok.vocab_size} ({len(tok.merges)} merges) -> {out}")
 
@@ -294,10 +262,7 @@ def _cmd_pretrain(args, out: Path) -> None:
         model = _load("checkpoint", Seq2SeqModel.load, args.init)
     else:
         model = Seq2SeqModel(_model_config_from_args(args, tok.vocab_size), seed=args.seed)
-    try:
-        log = tr.pretrain(model, instances, _schedule_from_args(args), phase=args.phase)
-    except (ValueError, tr.InstanceObjectiveError) as exc:
-        raise CommandError(str(exc))
+    log = tr.pretrain(model, instances, _schedule_from_args(args), phase=args.phase)
     out.mkdir(parents=True, exist_ok=True)
     model.save(out / "checkpoint.npz")
     tr.write_metrics_log(log, out / "metrics.jsonl")
@@ -311,32 +276,24 @@ def _cmd_pretrain(args, out: Path) -> None:
 
 def _load_task_instances(path: str, tokenizer: bpe.SubwordTokenizer) -> list[obj.TrainingInstance]:
     """A task dataset is either pre-built instances or {source, target} text pairs."""
-    out: list[obj.TrainingInstance] = []
-    for n, row in _jsonl_rows(path):
-        try:
-            if "source_ids" in row:
-                out.append(obj.TrainingInstance.from_dict(row))
-                continue
-            source, target = row["source"], row["target"]
-        except KeyError as exc:
-            raise CommandError(f"{path} line {n}: missing key {exc}")
-        except (TypeError, ValueError) as exc:
-            raise CommandError(f"{path} line {n}: {exc}")
-        out.append(obj.TrainingInstance(
+
+    def parse(row) -> obj.TrainingInstance:
+        if "source_ids" in row:
+            return obj.TrainingInstance.from_dict(row)
+        source, target = row["source"], row["target"]
+        return obj.TrainingInstance(
             (tokenizer.cls_id, *tokenizer.encode(source, use_specials=False), tokenizer.sep_id),
             (*tokenizer.encode(target, use_specials=False), tokenizer.sep_id),
             obj.FINETUNE,
-        ))
-    return out
+        )
+
+    return list(artifacts.read_jsonl(path, parse))
 
 
 def _mixture(args) -> mixture_mod.TaskMixture:
-    try:
-        mix = mixture_mod.TaskMixture.from_config(args.mixture)
-        if args.alpha is not None:
-            mix = mixture_mod.TaskMixture(tasks=mix.tasks, alpha=args.alpha)
-    except ValueError as exc:
-        raise CommandError(str(exc))
+    mix = mixture_mod.TaskMixture.from_config(args.mixture)
+    if args.alpha is not None:
+        mix = mixture_mod.TaskMixture(tasks=mix.tasks, alpha=args.alpha)
     return mix
 
 
@@ -357,12 +314,9 @@ def _cmd_finetune(args, out: Path) -> None:
     validation = {
         spec.name: _load_task_instances(spec.validation, tok) for spec in mix.tasks if spec.validation
     }
-    try:
-        log, best = tr.finetune_multitask(
-            model, mix, datasets, tok, _schedule_from_args(args), validation=validation or None
-        )
-    except ValueError as exc:
-        raise CommandError(str(exc))
+    log, best = tr.finetune_multitask(
+        model, mix, datasets, tok, _schedule_from_args(args), validation=validation or None
+    )
     out.mkdir(parents=True, exist_ok=True)
     model.save(out / "checkpoint.npz")
     tr.write_metrics_log(log, out / "metrics.jsonl")
@@ -384,7 +338,7 @@ def _cmd_generate(args, out: Path) -> None:
         except ValueError as exc:
             raise CommandError(f"{args.input} record {n}: {exc}")
         lines.append(" ".join(tok.decode(ids).split()))
-    out.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    artifacts.write_atomic(out, lambda f: f.writelines(line + "\n" for line in lines))
     print(f"generate: wrote {len(lines)} hypotheses to {out}")
 
 
@@ -542,10 +496,7 @@ def dispatch(argv: list[str] | None = None) -> int:
         if isinstance(args.func, Stage):
             return _run_stage(args)
         return args.func(args)
-    except CommandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CommandError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

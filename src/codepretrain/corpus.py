@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from . import artifacts
 from . import lexer as lx
 
 log = logging.getLogger(__name__)
@@ -114,18 +115,12 @@ class IngestError:
     message: str
 
 
-def ingest(
-    path: str | Path,
-    format: str = "jsonl",
-    errors: list[IngestError] | None = None,
-) -> Iterator[RawRecord]:
-    """Yield raw records from ``path`` in file order.
+def ingest(path: str | Path, errors: list[IngestError] | None = None) -> Iterator[RawRecord]:
+    """Yield raw records from the JSONL corpus ``path`` in file order.
 
     Malformed lines are reported into ``errors`` (and logged) with their
     1-based line number; processing continues.  An unreadable file raises.
     """
-    if format != "jsonl":
-        raise ValueError(f"unsupported corpus format: {format!r}")
     with open(path, encoding="utf-8") as f:
         yield from _ingest_lines(f, errors)
 
@@ -203,19 +198,11 @@ def compute_stats(docs: Iterable[CodeDocument]) -> CorpusStats:
 
 
 def write_documents(docs: Iterable[CodeDocument], path: str | Path) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as f:
-        for doc in docs:
-            f.write(json.dumps(doc.to_dict()) + "\n")
-            count += 1
-    return count
+    return artifacts.write_jsonl(docs, path)
 
 
 def read_documents(path: str | Path) -> Iterator[CodeDocument]:
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                yield CodeDocument.from_dict(json.loads(line))
+    return artifacts.read_jsonl(path, CodeDocument.from_dict)
 
 
 def bundled_corpus_path() -> Path:

@@ -36,8 +36,11 @@ _NUMBER_RE = re.compile(
 )
 
 
-class UnsupportedLanguageError(KeyError):
+class UnsupportedLanguageError(ValueError):
     """Raised when no rule table is registered for a language tag."""
+
+    def __str__(self) -> str:
+        return f"unsupported language tag: {self.args[0]}"
 
 
 @dataclass(frozen=True)

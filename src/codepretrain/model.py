@@ -1,7 +1,7 @@
 """Desk-scale encoder-decoder transformer in numpy with hand-written backprop.
 
 Float64 throughout, pre-norm residual blocks, learned absolute positions,
-multi-head attention without biases, ReLU feed-forward blocks.  Three loss
+multi-head attention without biases, ReLU feed-forward blocks.  Two loss
 heads sit on top:
 
 - a vocabulary projection over decoder states for span/identifier denoising
@@ -20,9 +20,11 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
+from . import artifacts
 from .objectives import IT, MIP, MSP, TrainingInstance
 
 NEG_INF = -1e30
@@ -49,6 +51,11 @@ class ModelConfig:
     pad_id: int = 0
 
     def __post_init__(self):
+        for name in ("vocab_size", "d_model", "num_heads", "encoder_layers", "decoder_layers",
+                     "feedforward_dim", "max_src_len", "max_tgt_len"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be a positive int, got {value!r}")
         if self.d_model % self.num_heads != 0:
             raise ValueError("d_model must be divisible by num_heads")
         if self.max_src_len > 512 or self.max_tgt_len > 256:
@@ -57,12 +64,13 @@ class ModelConfig:
             raise ValueError("dropout must be in [0, 1)")
 
 
-def _init_params(config: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
+def _init_params(config: ModelConfig, normal: Callable[..., np.ndarray]) -> dict[str, np.ndarray]:
+    """Every parameter, in a fixed order; each weight matrix is ``normal(0.0, 0.02, shape)``."""
     d, ff, v = config.d_model, config.feedforward_dim, config.vocab_size
     params: dict[str, np.ndarray] = {}
 
-    def w(name, shape, scale=0.02):
-        params[name] = rng.normal(0.0, scale, size=shape)
+    def w(name, shape):
+        params[name] = normal(0.0, 0.02, shape)
 
     def ln(prefix):
         params[f"{prefix}.g"] = np.ones(d)
@@ -117,7 +125,7 @@ class Seq2SeqModel:
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray] | None = None, seed: int = 0):
         self.config = config
-        self.params = params if params is not None else _init_params(config, np.random.default_rng(seed))
+        self.params = params if params is not None else _init_params(config, np.random.default_rng(seed).normal)
 
     def clone(self) -> "Seq2SeqModel":
         return Seq2SeqModel(self.config, {k: v.copy() for k, v in self.params.items()})
@@ -128,7 +136,9 @@ class Seq2SeqModel:
     def save(self, path: str | Path) -> None:
         meta = {"checkpoint_version": CHECKPOINT_VERSION, "config": asdict(self.config)}
         arrays = {f"param::{k}": v for k, v in self.params.items()}
-        np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays)
+        meta_bytes = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        # np.savez given a path would append ".npz" to the temporary name
+        artifacts.write_atomic(path, lambda f: np.savez(f, __meta__=meta_bytes, **arrays), binary=True)
 
     @classmethod
     def load(cls, path: str | Path) -> "Seq2SeqModel":
@@ -138,6 +148,11 @@ class Seq2SeqModel:
                 raise ValueError(f"unsupported checkpoint version: {meta.get('checkpoint_version')}")
             config = ModelConfig(**meta["config"])
             params = {k[len("param::"):]: data[k] for k in data.files if k.startswith("param::")}
+        expected = _init_params(config, lambda loc, scale, size: np.broadcast_to(0.0, size))
+        for name in sorted(expected.keys() | params.keys()):
+            found, want = (arrays[name].shape if name in arrays else None for arrays in (params, expected))
+            if found != want:
+                raise ValueError(f"parameter {name}: shape {found} in checkpoint, {want} in model")
         return cls(config, params)
 
 

@@ -22,7 +22,6 @@ with [SEP], which doubles as the end-of-sequence marker.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -31,6 +30,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import artifacts
 from .bpe import NUM_MASK_TOKENS, SubwordTokenizer
 from .corpus import CodeDocument
 
@@ -484,16 +484,8 @@ def build_dual_instances(
 
 
 def write_instances(instances: Iterable[TrainingInstance], path: str | Path) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as f:
-        for inst in instances:
-            f.write(json.dumps(inst.to_dict()) + "\n")
-            count += 1
-    return count
+    return artifacts.write_jsonl(instances, path)
 
 
 def read_instances(path: str | Path) -> Iterator[TrainingInstance]:
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                yield TrainingInstance.from_dict(json.loads(line))
+    return artifacts.read_jsonl(path, TrainingInstance.from_dict)

@@ -10,7 +10,6 @@ runs.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-from . import metrics as metrics_mod
+from . import artifacts, metrics as metrics_mod
 from .bpe import SubwordTokenizer
 from .mixture import TaskMixture, apply_control_code, sample_task
 from .model import (
@@ -46,6 +45,8 @@ from .objectives import (
 
 DUAL_TASKS = (DUAL_NL2PL, DUAL_PL2NL)
 
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class TrainSchedule:
@@ -55,7 +56,11 @@ class TrainSchedule:
     warmup_steps: int = 0
     clip_norm: float = 1.0
     seed: int = 0
-    linear_decay: bool = True
+
+    def __post_init__(self):
+        for name, low in (("steps", 0), ("batch_size", 1), ("warmup_steps", 0), ("clip_norm", 0)):
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
 
 
 class NonFiniteError(ValueError):
@@ -75,10 +80,8 @@ class StepRecord:
 class Adam:
     """Adaptive-moment optimizer with optional warmup and linear decay to zero."""
 
-    def __init__(self, params: dict[str, np.ndarray], schedule: TrainSchedule,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, np.ndarray], schedule: TrainSchedule):
         self.schedule = schedule
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
@@ -87,8 +90,6 @@ class Adam:
         s = self.schedule
         if s.warmup_steps and step <= s.warmup_steps:
             return s.peak_lr * step / s.warmup_steps
-        if not s.linear_decay:
-            return s.peak_lr
         span = max(s.steps - s.warmup_steps, 1)
         remaining = max(s.steps - step, 0)
         return s.peak_lr * remaining / span if s.steps > 1 else s.peak_lr
@@ -102,11 +103,11 @@ class Adam:
         self.t += 1
         lr = self.learning_rate(self.t)
         for k, g in grads.items():
-            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
-            mhat = self.m[k] / (1 - self.beta1**self.t)
-            vhat = self.v[k] / (1 - self.beta2**self.t)
-            params[k] -= lr * mhat / (np.sqrt(vhat) + self.eps)
+            self.m[k] = BETA1 * self.m[k] + (1 - BETA1) * g
+            self.v[k] = BETA2 * self.v[k] + (1 - BETA2) * g * g
+            mhat = self.m[k] / (1 - BETA1**self.t)
+            vhat = self.v[k] / (1 - BETA2**self.t)
+            params[k] -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
         return norm
 
 
@@ -488,16 +489,8 @@ def evaluate_mask_instances(
 
 
 def write_metrics_log(log: Iterable[StepRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for rec in log:
-            f.write(json.dumps(rec.to_dict()) + "\n")
+    artifacts.write_jsonl(log, path)
 
 
 def read_metrics_log(path: str | Path) -> list[StepRecord]:
-    out = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                d = json.loads(line)
-                out.append(StepRecord(d["step"], d["objective"], d["loss"]))
-    return out
+    return list(artifacts.read_jsonl(path, lambda d: StepRecord(d["step"], d["objective"], d["loss"])))

@@ -65,6 +65,16 @@ def test_lex_unsupported_language(tmp_path, capsys):
     assert "unsupported language" in capsys.readouterr().err
 
 
+def test_ingest_unsupported_language_is_clean_error(tmp_path, capsys):
+    """The language is named, and no documents file or temporary file is left."""
+    raw = tmp_path / "corpus.jsonl"
+    rows = [{"code": "int a;", "language": "mini"}] * 5 + [{"code": "MOVE A TO B.", "language": "cobol"}]
+    raw.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    assert dispatch(["ingest", "--input", str(raw), "--out", str(tmp_path / "docs.jsonl")]) == 1
+    assert capsys.readouterr().err == "error: unsupported language tag: cobol\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
+
 def test_ingest_reports_malformed_lines(tmp_path, capsys):
     raw = tmp_path / "corpus.jsonl"
     raw.write_text(
@@ -528,8 +538,15 @@ def _write_bad_checkpoint(pipeline, path, kind):
         path.write_bytes(good[: len(good) // 2])
     elif kind == "not-a-checkpoint":
         np.savez(path, weights=np.zeros(3))
-    else:
+    elif kind == "text":
         path.write_text("not a checkpoint\n", encoding="utf-8")
+    else:
+        model = Seq2SeqModel.load(_tiny_checkpoint(pipeline["tok"], path))
+        if kind == "missing-param":
+            del model.params["dec0.ffn.w1"]
+        else:
+            model.params["lm.b"] = np.zeros(7)
+        model.save(path)
 
 
 @pytest.mark.parametrize("command", ["generate", "pretrain"])
@@ -539,6 +556,8 @@ def _write_bad_checkpoint(pipeline, path, kind):
         ("truncated", "File is not a zip file"),
         ("not-a-checkpoint", "__meta__"),
         ("text", "pickled"),
+        ("missing-param", "parameter dec0.ffn.w1: shape None in checkpoint"),
+        ("bad-shape", "parameter lm.b: shape (7,) in checkpoint"),
         ("vocab", "not a tokenizer vocab file"),
     ],
 )
@@ -564,6 +583,26 @@ def test_unreadable_checkpoint_or_tokenizer_is_clean_error(pipeline, tmp_path, c
     assert dispatch(argv + ["--tokenizer", str(tok), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}") and cause in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--num-heads", "0", "num_heads"), ("--batch-size", "0", "batch_size"),
+     ("--encoder-layers", "-1", "encoder_layers"), ("--steps", "-1", "steps"),
+     ("--warmup-steps", "-1", "warmup_steps")],
+)
+def test_invalid_model_or_schedule_value_is_clean_error(pipeline, tmp_path, capsys, flag, value, field):
+    out = tmp_path / "run"
+    argv = [
+        "pretrain", "--instances", str(pipeline["inst"]), "--tokenizer", str(pipeline["tok"]),
+        "--steps", "1", "--batch-size", "2", "--d-model", "16", "--num-heads", "2", "--encoder-layers", "1",
+        "--decoder-layers", "1", "--feedforward-dim", "32", "--max-src-len", "160", "--max-tgt-len", "64",
+        flag, value, "--out", str(out),
+    ]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and field in err[0]
     assert not out.exists()
 
 
