@@ -96,11 +96,6 @@ def is_printable_token(printable: str) -> bool:
     return True
 
 
-def pretokenize(text: str) -> list[str]:
-    """Split raw text into pre-tokens (printable byte-alphabet form)."""
-    return [_to_printable(m.group(0).encode("utf-8")) for m in _PRETOKEN_RE.finditer(text)]
-
-
 def _merge_pair(symbols: list[str], pair: tuple[str, str]) -> list[str]:
     """``symbols`` with every occurrence of ``pair`` merged, left to right."""
     first, second = pair
@@ -143,7 +138,7 @@ class SubwordTokenizer:
         self._special_re = re.compile(
             "|".join(re.escape(s) for s in sorted(self._specials, key=len, reverse=True))
         )
-        self._cache: dict[str, tuple[str, ...]] = {}
+        self._ids: dict[str, tuple[int, ...]] = {}  # raw text -> encode(text, use_specials=False)
 
     # -- introspection ------------------------------------------------------
 
@@ -205,40 +200,42 @@ class SubwordTokenizer:
 
     # -- encode / decode ----------------------------------------------------
 
-    def _apply_merges(self, word: str) -> tuple[str, ...]:
-        cached = self._cache.get(word)
-        if cached is not None:
-            return cached
-        symbols = list(word)
+    def _merge_pretoken(self, pretoken: str) -> tuple[int, ...]:
+        symbols = list(_to_printable(pretoken.encode("utf-8")))
         while len(symbols) > 1:
             ranks = [self._ranks.get(pair) for pair in zip(symbols, symbols[1:])]
             best_rank = min((r for r in ranks if r is not None), default=None)
             if best_rank is None:
                 break
             symbols = _merge_pair(symbols, self._merges[best_rank])
-        result = tuple(symbols)
-        self._cache[word] = result
-        return result
+        return tuple(self._token_to_id[token] for token in symbols)
+
+    def encode_word(self, word: str) -> tuple[int, ...]:
+        """``tuple(encode(word, use_specials=False))``, computed once per distinct word."""
+        ids = self._ids.get(word)
+        if ids is None:
+            ids = self._ids[word] = tuple(self._encode_plain(word))
+        return ids
 
     def encode(self, text: str, use_specials: bool = True) -> list[int]:
         """Encode UTF-8 text to ids; special literals become single ids when enabled."""
-        ids: list[int] = []
-        if use_specials and self._specials:
-            pos = 0
-            for m in self._special_re.finditer(text):
-                ids.extend(self._encode_plain(text[pos:m.start()]))
-                ids.append(self._special_ids[m.group(0)])
-                pos = m.end()
-            ids.extend(self._encode_plain(text[pos:]))
-        else:
-            ids.extend(self._encode_plain(text))
+        if not (use_specials and self._specials):
+            return self._encode_plain(text)
+        ids, pos = [], 0
+        for m in self._special_re.finditer(text):
+            ids.extend(self._encode_plain(text[pos:m.start()]))
+            ids.append(self._special_ids[m.group(0)])
+            pos = m.end()
+        ids.extend(self._encode_plain(text[pos:]))
         return ids
 
     def _encode_plain(self, text: str) -> list[int]:
         ids: list[int] = []
-        for word in pretokenize(text):
-            for token in self._apply_merges(word):
-                ids.append(self._token_to_id[token])
+        for pretoken in _PRETOKEN_RE.findall(text):
+            cached = self._ids.get(pretoken)
+            if cached is None:
+                cached = self._ids[pretoken] = self._merge_pretoken(pretoken)
+            ids.extend(cached)
         return ids
 
     def decode(self, ids: Iterable[int]) -> str:
@@ -320,11 +317,12 @@ def train(
     if min_freq < 1:
         raise TrainingDataError(f"min_freq must be >= 1, got {min_freq}")
 
-    word_freq: Counter[str] = Counter()
+    pretoken_freq: Counter[str] = Counter()
     for text in corpus:
-        word_freq.update(pretokenize(text))
-    if not word_freq:
+        pretoken_freq.update(_PRETOKEN_RE.findall(text))
+    if not pretoken_freq:
         raise TrainingDataError("training corpus is empty")
+    word_freq = {_to_printable(p.encode("utf-8")): f for p, f in pretoken_freq.items()}
 
     segments: dict[str, list[str]] = {w: list(w) for w in word_freq}
     pair_counts: Counter[tuple[str, str]] = Counter()

@@ -1,11 +1,15 @@
 """Rule-table lexer that classifies code tokens and labels identifiers.
 
 Each supported language is described by a small JSON table (keyword set,
-identifier pattern, comment and string delimiters).  The lexer is total:
-every byte of input ends up in some token, falling back to ``unknown`` for
-characters no rule matches.  Identifier labeling is purely lexical: a token
-is an identifier iff it matches the language's identifier pattern and is not
-a reserved keyword.
+identifier pattern, comment and string delimiters).  A table compiles into
+one scanner: an alternation of named groups in priority order (whitespace,
+line comments, block comments, strings with the longest delimiter first,
+the identifier pattern, numbers, punctuation, operators with the longest
+first, any other printable ASCII character as an operator, anything else as
+``unknown``), walked with ``finditer``.  The lexer is total: every
+character of input ends up in some token or in skipped whitespace.
+Identifier labeling is purely lexical: a token is an identifier iff it
+matches the language's identifier pattern and is not a reserved keyword.
 """
 
 from __future__ import annotations
@@ -27,13 +31,16 @@ _DEFAULT_OPERATORS = [
     "+", "-", "*", "/", "%", "=", "<", ">", "!", "&", "|", "^", "~", "?",
 ]
 
-_PUNCTUATION = set("()[]{},;.:")
-
-_NUMBER_RE = re.compile(
-    r"0[xX][0-9a-fA-F_]+[a-zA-Z]*"
+# Numbers start with an ASCII digit; ``\d`` alone would admit other scripts' digits.
+_NUMBER = (
+    r"(?=[0-9])(?:0[xX][0-9a-fA-F_]+[a-zA-Z]*"
     r"|0[bB][01_]+[a-zA-Z]*"
-    r"|\d[\d_]*(\.[\d_]+)?([eE][+-]?\d+)?[a-zA-Z]*"
+    r"|\d[\d_]*(?:\.[\d_]+)?(?:[eE][+-]?\d+)?[a-zA-Z]*)"
 )
+
+# Token kind of each scanner group named otherwise; "word" is decided by the
+# keyword set and "space" is skipped.
+_GROUP_KIND = {"string": "literal", "number": "literal"}
 
 
 class UnsupportedLanguageError(ValueError):
@@ -55,10 +62,24 @@ class StringRule:
     delimiter: str
     escape: str | None = "\\"
 
+    def pattern(self) -> str:
+        """From the delimiter to the closing one or the end of input; a
+        one-character delimiter also stops before a newline.  An escape takes
+        the character after it along, when there is one."""
+        d = re.escape(self.delimiter)
+        body = rf"(?!{d})" + (r"[^\n]" if len(self.delimiter) == 1 else r"[\s\S]")
+        if self.escape:
+            body = rf"(?={re.escape(self.escape)})[\s\S]{{2}}|{body}"
+        return rf"{d}(?:{body})*(?:{d})?"
+
 
 @dataclass(frozen=True)
 class LanguageLexer:
-    """Immutable lexing rule table for one language."""
+    """Immutable lexing rule table for one language.
+
+    The identifier pattern becomes one group of the compiled scanner, so it
+    must not match the empty string, and it may not use numbered
+    backreferences or global inline flags such as ``(?i)``."""
 
     language: str
     keyword_set: frozenset[str]
@@ -66,134 +87,74 @@ class LanguageLexer:
     line_comments: tuple[str, ...] = ()
     block_comments: tuple[tuple[str, str], ...] = ()
     strings: tuple[StringRule, ...] = (StringRule('"'), StringRule("'"))
-    _ident_re: re.Pattern = field(init=False, repr=False, compare=False)
+    _scanner: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.keyword_set:
             raise ValueError(f"language {self.language!r} has an empty keyword set")
-        object.__setattr__(self, "_ident_re", re.compile(self.identifier_pattern))
+        delimiters = [*self.line_comments, *(d for pair in self.block_comments for d in pair)]
+        if "" in delimiters + [r.delimiter for r in self.strings]:
+            raise ValueError("comment and string delimiters must be non-empty")
+        groups = {
+            "space": r"\s+",
+            "comment": "|".join([rf"{re.escape(s)}[^\n]*" for s in self.line_comments] + [
+                rf"{re.escape(s)}[\s\S]*?(?:{re.escape(e)}|\Z)" for s, e in self.block_comments]),
+            "string": "|".join(r.pattern() for r in sorted(self.strings, key=lambda r: -len(r.delimiter))),
+            "word": self.identifier_pattern,
+            "number": _NUMBER,
+            "punctuation": r"[()\[\]{},;.:]",
+            "operator": "|".join(map(re.escape, _DEFAULT_OPERATORS)) + r"|[!-~]",
+            "unknown": r"[\s\S]",
+        }
+        try:
+            empty_word = re.match(self.identifier_pattern, "")
+            scanner = re.compile("|".join(f"(?P<{g}>{p})" for g, p in groups.items() if p))
+        except re.error as exc:
+            raise ValueError(f"identifier pattern {self.identifier_pattern!r}: {exc}") from None
+        if empty_word:
+            raise ValueError(f"identifier pattern {self.identifier_pattern!r} matches the empty string")
+        object.__setattr__(self, "_scanner", scanner)
 
     @classmethod
     def from_dict(cls, table: dict) -> "LanguageLexer":
-        return cls(
-            language=table["language"],
-            keyword_set=frozenset(table["keywords"]),
-            identifier_pattern=table.get("identifier", r"[A-Za-z_][A-Za-z0-9_]*"),
-            line_comments=tuple(table.get("line_comments", [])),
-            block_comments=tuple((a, b) for a, b in table.get("block_comments", [])),
-            strings=tuple(
-                StringRule(s["delimiter"], s.get("escape", "\\"))
-                for s in table.get("strings", [{"delimiter": '"'}, {"delimiter": "'"}])
-            ),
-        )
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "LanguageLexer":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+        """The lexer a parsed JSON table describes; a malformed table raises
+        ValueError naming the cause."""
+        if not isinstance(table, dict):
+            raise ValueError("a language table must be a JSON object")
+        try:
+            return cls(
+                language=table["language"],
+                keyword_set=frozenset(table["keywords"]),
+                identifier_pattern=table.get("identifier", r"[A-Za-z_][A-Za-z0-9_]*"),
+                line_comments=tuple(table.get("line_comments", [])),
+                block_comments=tuple((a, b) for a, b in table.get("block_comments", [])),
+                strings=tuple(
+                    StringRule(s["delimiter"], s.get("escape", "\\"))
+                    for s in table.get("strings", [{"delimiter": '"'}, {"delimiter": "'"}])
+                ),
+            )
+        except KeyError as exc:
+            raise ValueError(f"missing key {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed table: {exc}") from None
 
 
 def lex(source: str, lexer: LanguageLexer) -> list[LexToken]:
     """Tokenize ``source`` into classified lexemes covering all non-whitespace input."""
     tokens: list[LexToken] = []
-    n = len(source)
-    i = 0
-    byte_pos = 0
-
-    def _emit(end: int, kind: str):
-        nonlocal i, byte_pos
-        text = source[i:end]
-        nbytes = len(text.encode("utf-8"))
-        tokens.append(LexToken(text, kind, (byte_pos, byte_pos + nbytes)))
-        i = end
-        byte_pos += nbytes
-
-    def _skip(end: int):
-        nonlocal i, byte_pos
-        byte_pos += len(source[i:end].encode("utf-8"))
-        i = end
-
-    # Sort string delimiters longest-first so triple quotes win over single ones.
-    string_rules = sorted(lexer.strings, key=lambda r: -len(r.delimiter))
-
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            j = i + 1
-            while j < n and source[j].isspace():
-                j += 1
-            _skip(j)
-            continue
-
-        matched_comment = False
-        for start in lexer.line_comments:
-            if source.startswith(start, i):
-                j = source.find("\n", i)
-                _emit(n if j < 0 else j, "comment")
-                matched_comment = True
-                break
-        if matched_comment:
-            continue
-        for start, end in lexer.block_comments:
-            if source.startswith(start, i):
-                j = source.find(end, i + len(start))
-                _emit(n if j < 0 else j + len(end), "comment")
-                matched_comment = True
-                break
-        if matched_comment:
-            continue
-
-        matched_string = False
-        for rule in string_rules:
-            if source.startswith(rule.delimiter, i):
-                j = i + len(rule.delimiter)
-                while j < n:
-                    if rule.escape and source.startswith(rule.escape, j) and j + 1 < n:
-                        j += 2
-                        continue
-                    if source.startswith(rule.delimiter, j):
-                        j += len(rule.delimiter)
-                        break
-                    if "\n" == source[j] and len(rule.delimiter) == 1:
-                        break  # unterminated single-line string: stop at newline
-                    j += 1
-                _emit(j, "literal")
-                matched_string = True
-                break
-        if matched_string:
-            continue
-
-        m = lexer._ident_re.match(source, i)
-        if m and m.end() > i:
-            text = source[i:m.end()]
-            _emit(m.end(), "keyword" if text in lexer.keyword_set else "identifier")
-            continue
-
-        if ch.isascii() and ch.isdigit():
-            m = _NUMBER_RE.match(source, i)
-            _emit(m.end(), "literal")
-            continue
-
-        if ch in _PUNCTUATION:
-            _emit(i + 1, "punctuation")
-            continue
-
-        matched_op = False
-        for op in _DEFAULT_OPERATORS:
-            if source.startswith(op, i):
-                _emit(i + len(op), "operator")
-                matched_op = True
-                break
-        if matched_op:
-            continue
-
-        # Unmatched symbol characters still count as operators if printable ASCII,
-        # otherwise fall through to unknown.
-        if ch.isascii() and ch.isprintable():
-            _emit(i + 1, "operator")
+    ascii_only = source.isascii()
+    end = 0  # byte offset where the previous match ended
+    for m in lexer._scanner.finditer(source):
+        group, text = m.lastgroup, m.group()
+        if ascii_only:
+            span = m.span()
         else:
-            _emit(i + 1, "unknown")
-
+            span = (end, end + len(text.encode("utf-8")))
+            end = span[1]
+        if group == "word":
+            tokens.append(LexToken(text, "keyword" if text in lexer.keyword_set else "identifier", span))
+        elif group != "space":
+            tokens.append(LexToken(text, _GROUP_KIND.get(group, group), span))
     return tokens
 
 
@@ -221,17 +182,20 @@ def builtin_language_tags() -> list[str]:
 
 
 def load_lexers(config_dir: str | Path | None = None) -> dict[str, LanguageLexer]:
-    """Load all rule tables from ``config_dir``, or the built-in set when omitted."""
-    lexers: dict[str, LanguageLexer] = {}
+    """Load all rule tables from ``config_dir``, or the built-in set when
+    omitted.  A table that is not valid JSON or is malformed raises
+    ValueError naming its file and the cause."""
     if config_dir is None:
-        for entry in _builtin_table_dir().iterdir():
-            if entry.name.endswith(".json"):
-                table = json.loads(entry.read_text(encoding="utf-8"))
-                lexers[table["language"]] = LanguageLexer.from_dict(table)
+        paths = [p for p in _builtin_table_dir().iterdir() if p.name.endswith(".json")]
     else:
-        for path in sorted(Path(config_dir).glob("*.json")):
-            lx = LanguageLexer.from_file(path)
-            lexers[lx.language] = lx
+        paths = sorted(Path(config_dir).glob("*.json"))
+    lexers: dict[str, LanguageLexer] = {}
+    for path in paths:
+        try:
+            lexer = LanguageLexer.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        except ValueError as exc:
+            raise ValueError(f"language table {path}: {exc}") from None
+        lexers[lexer.language] = lexer
     return lexers
 
 

@@ -201,15 +201,16 @@ def sample_spans(
     return SpanPlan(spans=tuple(spans), corruption_rate=rate, seed=seed)
 
 
-WordIds = list[list[int]]  # one list of subword ids per whole word
+WordIds = list[tuple[int, ...]]  # the subword ids of each whole word
 
 
 def _encode_words(
     words: Iterable[str], tokenizer: SubwordTokenizer, budget: float = math.inf
 ) -> WordIds:
     """Subword ids of each word in the longest whole-word prefix of ``words``
-    whose total fits ``budget``.  This is the only place a word becomes ids,
-    and no word after the first one that overflows is encoded.
+    whose total fits ``budget``.  This is the only place a word becomes ids;
+    the tokenizer encodes each distinct word once, and no word after the
+    first one that overflows is looked up.
 
     The private builders below take a document's NL and code words encoded
     here, possibly clipped; zipping them with ``doc.code_tokens`` and
@@ -218,7 +219,7 @@ def _encode_words(
     out: WordIds = []
     used = 0
     for w in words:
-        ids = tokenizer.encode(w, use_specials=False)
+        ids = tokenizer.encode_word(w)
         used += len(ids)
         if used > budget:
             break
@@ -283,7 +284,7 @@ def _it(doc: CodeDocument, nl: WordIds, code: WordIds, tokenizer: SubwordTokeniz
 
 def _mip(doc: CodeDocument, nl: WordIds, code: WordIds, tokenizer: SubwordTokenizer) -> TrainingInstance:
     words = list(zip(doc.code_tokens, doc.identifier_labels, code))
-    distinct: dict[str, tuple[int, list[int]]] = {}  # identifier -> (sentinel index, ids)
+    distinct: dict[str, tuple[int, tuple[int, ...]]] = {}  # identifier -> (sentinel index, ids)
     for token, label, ids in words:
         if label == 1 and token not in distinct:
             distinct[token] = (len(distinct), ids)

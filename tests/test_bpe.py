@@ -57,6 +57,41 @@ def test_special_literal_single_id(tokenizer):
     assert tokenizer.decode(raw) == "[MASK7]"
 
 
+# words with one and several pre-tokens, whitespace, non-ASCII text, and
+# special-token literals, which encode_word spells from bytes
+WORDS = ["return", "binarySearch", "x2", "a.b", "foo(bar)", "don't", "été", "٣", " ", "\n\t", "",
+         "[SEP]", "[MASK7]", "x [MASK7] y", "<java>"]
+
+
+def test_encode_word_matches_encode(tokenizer):
+    # either call may fill the cache first
+    word_first = bpe.SubwordTokenizer(tokenizer.specials, tokenizer.merges)
+    text_first = bpe.SubwordTokenizer(tokenizer.specials, tokenizer.merges)
+    for w in WORDS:
+        ids = word_first.encode_word(w)
+        assert ids == tuple(word_first.encode(w, use_specials=False)), w
+        assert tuple(text_first.encode(w, use_specials=False)) == text_first.encode_word(w) == ids, w
+    assert word_first.encode_word("[SEP]") != (tokenizer.sep_id,)
+
+
+@given(st.text(max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_encode_word_matches_encode_on_any_text(tokenizer, word):
+    assert tokenizer.encode_word(word) == tuple(tokenizer.encode(word, use_specials=False))
+
+
+def test_callers_cannot_change_cached_ids(tokenizer):
+    tok = bpe.SubwordTokenizer(tokenizer.specials, tokenizer.merges)
+    ids = tok.encode_word("binarySearch")
+    assert isinstance(ids, tuple)
+    for use_specials in (False, True):
+        out = tok.encode("binarySearch", use_specials=use_specials)
+        out.append(tok.sep_id)
+        out[0] = tok.pad_id
+    assert tok.encode("binarySearch") == tok.encode("binarySearch", use_specials=False) == list(ids)
+    assert tok.encode_word("binarySearch") == ids
+
+
 def test_specials_occupy_fixed_slots(tokenizer):
     assert tokenizer.pad_id == 0
     assert tokenizer.cls_id == 1

@@ -65,6 +65,28 @@ def test_lex_unsupported_language(tmp_path, capsys):
     assert "unsupported language" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("table, cause", [
+    ('{"language":\n', "Expecting value: line 2 column 1 (char 13)"),
+    ('{"language": "mini"}', "missing key 'keywords'"),
+    ('{"keywords": ["int"]}', "missing key 'language'"),
+    ('{"language": "mini", "keywords": ["int"], "identifier": "[A-Z"}',
+     "identifier pattern '[A-Z': unterminated character set"),
+    ('{"language": "mini", "keywords": ["int"], "identifier": "[a-z]*"}',
+     "identifier pattern '[a-z]*' matches the empty string"),
+], ids=["bad-json", "no-keywords", "no-language", "bad-pattern", "empty-pattern"])
+def test_lex_malformed_lang_config_is_clean_error(tmp_path, capsys, table, cause):
+    """A malformed table ends the command with one line naming the file and the cause."""
+    config = tmp_path / "langs"
+    config.mkdir()
+    (config / "mini.json").write_text(table, encoding="utf-8")
+    src = tmp_path / "snippet.mini"
+    src.write_text("int a = 1;", encoding="utf-8")
+    assert dispatch(["lex", "--lang", "mini", "--input", str(src), "--lang-config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: language table {config / 'mini.json'}: {cause}")
+    assert err.count("\n") == 1
+
+
 def test_ingest_unsupported_language_is_clean_error(tmp_path, capsys):
     """The language is named, and no documents file or temporary file is left."""
     raw = tmp_path / "corpus.jsonl"

@@ -127,6 +127,17 @@ def test_empty_keyword_set_rejected():
         lx.LanguageLexer(language="x", keyword_set=frozenset())
 
 
+@pytest.mark.parametrize("rules", [
+    {"line_comments": ("",)},
+    {"block_comments": (("", "*/"),)},
+    {"strings": (lx.StringRule(""),)},
+])
+def test_empty_delimiter_rejected(rules):
+    # an empty delimiter matches at every position without consuming input
+    with pytest.raises(ValueError, match="delimiters must be non-empty"):
+        lx.LanguageLexer(language="x", keyword_set=frozenset({"if"}), **rules)
+
+
 @st.composite
 def _source_text(draw):
     atoms = st.sampled_from(

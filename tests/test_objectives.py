@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from codepretrain import bpe
 from codepretrain import objectives as obj
 from codepretrain import synth
 from codepretrain.corpus import CodeDocument
@@ -586,22 +587,30 @@ def test_public_builders_match_reference(bundled_docs, tokenizer):
 def test_batch_builders_encode_each_word_at_most_once(
     bundled_docs, tokenizer, monkeypatch, max_src, max_tgt
 ):
-    calls = 0
-    encode = tokenizer.encode
+    """A word the tokenizer has not seen is a cache miss, the one path that
+    pre-tokenizes and merges; a fresh tokenizer misses once per distinct word
+    at most, a warm one never, and both build the same instances."""
+    distinct = {w for d in bundled_docs for w in (*d.nl_tokens, *d.code_tokens)}
+    for build in (
+        lambda tok: obj.build_denoising_instances(bundled_docs, tok, seed=0, max_src_len=max_src,
+                                                  max_tgt_len=max_tgt),
+        lambda tok: obj.build_dual_instances(bundled_docs, tok, max_src_len=max_src, max_tgt_len=max_tgt),
+    ):
+        fresh = bpe.SubwordTokenizer(tokenizer.specials, tokenizer.merges)
+        misses = 0
+        encode_plain = fresh._encode_plain
 
-    def counting_encode(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return encode(*args, **kwargs)
+        def counting_encode_plain(text):
+            nonlocal misses
+            misses += 1
+            return encode_plain(text)
 
-    monkeypatch.setattr(tokenizer, "encode", counting_encode)
-    words = sum(len(d.nl_tokens) + len(d.code_tokens) for d in bundled_docs)
-    obj.build_denoising_instances(bundled_docs, tokenizer, seed=0, max_src_len=max_src,
-                                  max_tgt_len=max_tgt)
-    assert 0 < calls <= words
-    calls = 0
-    obj.build_dual_instances(bundled_docs, tokenizer, max_src_len=max_src, max_tgt_len=max_tgt)
-    assert 0 < calls <= words
+        monkeypatch.setattr(fresh, "_encode_plain", counting_encode_plain)
+        assert build(fresh) == build(tokenizer)
+        assert 0 < misses <= len(distinct)
+        misses = 0
+        build(fresh)
+        assert misses == 0
 
 
 def test_dual_instances_skip_documents_clipped_to_no_nl(bundled_docs, tokenizer):
