@@ -6,8 +6,10 @@ causal masks, the LM head, log-softmax and cross entropy ran over every
 padded target slot, the teacher-forced decoder and the KV-cached decode step
 carried their own copies of the decoder layer, every linear map ran as a
 stacked (batch, T, d) @ (d, n) product, and layer norm called
-``x.mean``/``x.var``.  Everything the model has changed since is copied
-below, so the reference calls none of it.
+``x.mean``/``x.var``.  That code is copied below, with every helper it
+used (head split and merge, length mask, layer-norm, feed-forward and
+dropout backward passes, dropout), so the reference calls no model code but
+``make_batch``, and a change to a live helper cannot move the oracle with it.
 
 Each sequence now attends at its own lengths and the LM head runs on the
 real target rows in chunks.  Those change only the order of floating-point
@@ -33,6 +35,59 @@ from codepretrain.model import ModelConfig, Seq2SeqModel
 # --------------------------------------------------------------------------
 
 
+# the model's helpers as they were when this reference was frozen
+
+
+def _split_heads(x, num_heads):
+    b, t, d = x.shape
+    return x.reshape(b, t, num_heads, d // num_heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x):
+    b, h, t, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
+
+
+def _length_mask(lengths: np.ndarray, max_len: int) -> np.ndarray:
+    return np.arange(max_len)[None, :] < lengths[:, None]
+
+
+def _ln_bwd(dy, cache, grads):
+    prefix, xhat, inv, g = cache
+    axes = tuple(range(dy.ndim - 1))
+    grads[f"{prefix}.g"] += (dy * xhat).sum(axis=axes)
+    grads[f"{prefix}.b"] += dy.sum(axis=axes)
+    dxhat = dy * g
+    m = dxhat.mean(axis=-1, keepdims=True)
+    mx = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return inv * (dxhat - m - xhat * mx)
+
+
+def _ffn_bwd(dy, cache, params, grads):
+    prefix, x, pre, act = cache
+    w1, w2 = params[f"{prefix}.w1"], params[f"{prefix}.w2"]
+    d_in = x.shape[-1]
+    ff = act.shape[-1]
+    grads[f"{prefix}.w2"] += act.reshape(-1, ff).T @ dy.reshape(-1, dy.shape[-1])
+    grads[f"{prefix}.b2"] += dy.sum(axis=tuple(range(dy.ndim - 1)))
+    dact = dy @ w2.T
+    dpre = dact * (pre > 0)
+    grads[f"{prefix}.w1"] += x.reshape(-1, d_in).T @ dpre.reshape(-1, ff)
+    grads[f"{prefix}.b1"] += dpre.sum(axis=tuple(range(dpre.ndim - 1)))
+    return dpre @ w1.T
+
+
+def _dropout_fwd(x, p, rng):
+    if p <= 0.0 or rng is None:
+        return x, None
+    keep = (rng.random(x.shape) >= p) / (1.0 - p)
+    return x * keep, keep
+
+
+def _dropout_bwd(dy, keep):
+    return dy if keep is None else dy * keep
+
+
 def _ref_attend(q, k, v, mask):
     scores = q @ k.transpose(0, 1, 3, 2) * (1.0 / np.sqrt(q.shape[-1])) + mask
     scores -= scores.max(axis=-1, keepdims=True)
@@ -42,7 +97,7 @@ def _ref_attend(q, k, v, mask):
 
 
 def _ref_key_mask(lengths, max_len):
-    valid = mdl._length_mask(lengths, max_len)
+    valid = _length_mask(lengths, max_len)
     return np.where(valid, 0.0, mdl.NEG_INF)[:, None, None, :]
 
 
@@ -66,11 +121,11 @@ def _ref_ln_fwd(params, prefix, x):
 
 def _ref_attn_fwd(params, prefix, q_in, kv_in, mask, num_heads):
     wq, wk, wv, wo = (params[f"{prefix}.{p}"] for p in ("wq", "wk", "wv", "wo"))
-    q = mdl._split_heads(q_in @ wq, num_heads)
-    k = mdl._split_heads(kv_in @ wk, num_heads)
-    v = mdl._split_heads(kv_in @ wv, num_heads)
+    q = _split_heads(q_in @ wq, num_heads)
+    k = _split_heads(kv_in @ wk, num_heads)
+    v = _split_heads(kv_in @ wv, num_heads)
     ctx, attn = _ref_attend(q, k, v, mask)
-    merged = mdl._merge_heads(ctx)
+    merged = _merge_heads(ctx)
     out = merged @ wo
     return out, (prefix, q_in, kv_in, q, k, v, attn, merged, num_heads)
 
@@ -82,15 +137,15 @@ def _ref_attn_bwd(dy, cache, params, grads):
     scale = 1.0 / np.sqrt(q.shape[-1])
     grads[f"{prefix}.wo"] += merged.reshape(-1, d).T @ dy.reshape(-1, d)
     dmerged = dy @ wo.T
-    dctx = mdl._split_heads(dmerged, num_heads)
+    dctx = _split_heads(dmerged, num_heads)
     dattn = dctx @ v.transpose(0, 1, 3, 2)
     dv = attn.transpose(0, 1, 3, 2) @ dctx
     dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
     dq = dscores @ k * scale
     dk = dscores.transpose(0, 1, 3, 2) @ q * scale
-    dq_flat = mdl._merge_heads(dq)
-    dk_flat = mdl._merge_heads(dk)
-    dv_flat = mdl._merge_heads(dv)
+    dq_flat = _merge_heads(dq)
+    dk_flat = _merge_heads(dk)
+    dv_flat = _merge_heads(dv)
     grads[f"{prefix}.wq"] += q_in.reshape(-1, d).T @ dq_flat.reshape(-1, d)
     grads[f"{prefix}.wk"] += kv_in.reshape(-1, d).T @ dk_flat.reshape(-1, d)
     grads[f"{prefix}.wv"] += kv_in.reshape(-1, d).T @ dv_flat.reshape(-1, d)
@@ -113,11 +168,11 @@ def _ref_encoder_forward(model, src, src_len, drop_rng=None):
     for i in range(cfg.encoder_layers):
         h, c_ln1 = _ref_ln_fwd(params, f"enc{i}.ln1", x)
         a, c_attn = _ref_attn_fwd(params, f"enc{i}.attn", h, h, mask, cfg.num_heads)
-        a, k1 = mdl._dropout_fwd(a, cfg.dropout, drop_rng)
+        a, k1 = _dropout_fwd(a, cfg.dropout, drop_rng)
         x = x + a
         h2, c_ln2 = _ref_ln_fwd(params, f"enc{i}.ln2", x)
         f, c_ffn = _ref_ffn_fwd(params, f"enc{i}.ffn", h2)
-        f, k2 = mdl._dropout_fwd(f, cfg.dropout, drop_rng)
+        f, k2 = _dropout_fwd(f, cfg.dropout, drop_rng)
         x = x + f
         caches.append((c_ln1, c_attn, k1, c_ln2, c_ffn, k2))
     out, c_lnf = _ref_ln_fwd(params, "enc.ln_f", x)
@@ -127,15 +182,15 @@ def _ref_encoder_forward(model, src, src_len, drop_rng=None):
 def _ref_encoder_backward(model, dout, cache, grads):
     cfg, params = model.config, model.params
     src, caches, c_lnf = cache
-    dx = mdl._ln_bwd(dout, c_lnf, grads)
+    dx = _ln_bwd(dout, c_lnf, grads)
     for i in reversed(range(cfg.encoder_layers)):
         c_ln1, c_attn, k1, c_ln2, c_ffn, k2 = caches[i]
-        df = mdl._dropout_bwd(dx, k2)
-        dh2 = mdl._ffn_bwd(df, c_ffn, params, grads)
-        dx = dx + mdl._ln_bwd(dh2, c_ln2, grads)
-        da = mdl._dropout_bwd(dx, k1)
+        df = _dropout_bwd(dx, k2)
+        dh2 = _ffn_bwd(df, c_ffn, params, grads)
+        dx = dx + _ln_bwd(dh2, c_ln2, grads)
+        da = _dropout_bwd(dx, k1)
         dq, dkv = _ref_attn_bwd(da, c_attn, params, grads)
-        dx = dx + mdl._ln_bwd(dq + dkv, c_ln1, grads)
+        dx = dx + _ln_bwd(dq + dkv, c_ln1, grads)
     np.add.at(grads["embed.tok"], src, dx)
     grads["embed.src_pos"][: src.shape[1]] += dx.sum(axis=0)
 
@@ -150,15 +205,15 @@ def _ref_decoder_forward(model, tgt_in, tgt_len, enc_out, src_len, drop_rng=None
     for i in range(cfg.decoder_layers):
         h, c_ln1 = _ref_ln_fwd(params, f"dec{i}.ln1", x)
         a, c_self = _ref_attn_fwd(params, f"dec{i}.self", h, h, self_mask, cfg.num_heads)
-        a, k1 = mdl._dropout_fwd(a, cfg.dropout, drop_rng)
+        a, k1 = _dropout_fwd(a, cfg.dropout, drop_rng)
         x = x + a
         h2, c_ln2 = _ref_ln_fwd(params, f"dec{i}.ln2", x)
         c_out, c_cross = _ref_attn_fwd(params, f"dec{i}.cross", h2, enc_out, cross_mask, cfg.num_heads)
-        c_out, k2 = mdl._dropout_fwd(c_out, cfg.dropout, drop_rng)
+        c_out, k2 = _dropout_fwd(c_out, cfg.dropout, drop_rng)
         x = x + c_out
         h3, c_ln3 = _ref_ln_fwd(params, f"dec{i}.ln3", x)
         f, c_ffn = _ref_ffn_fwd(params, f"dec{i}.ffn", h3)
-        f, k3 = mdl._dropout_fwd(f, cfg.dropout, drop_rng)
+        f, k3 = _dropout_fwd(f, cfg.dropout, drop_rng)
         x = x + f
         caches.append((c_ln1, c_self, k1, c_ln2, c_cross, k2, c_ln3, c_ffn, k3))
     hidden, c_lnf = _ref_ln_fwd(params, "dec.ln_f", x)
@@ -168,20 +223,20 @@ def _ref_decoder_forward(model, tgt_in, tgt_len, enc_out, src_len, drop_rng=None
 def _ref_decoder_backward(model, dhidden, cache, grads):
     cfg, params = model.config, model.params
     tgt_in, caches, c_lnf = cache
-    dx = mdl._ln_bwd(dhidden, c_lnf, grads)
+    dx = _ln_bwd(dhidden, c_lnf, grads)
     denc = None
     for i in reversed(range(cfg.decoder_layers)):
         c_ln1, c_self, k1, c_ln2, c_cross, k2, c_ln3, c_ffn, k3 = caches[i]
-        df = mdl._dropout_bwd(dx, k3)
-        dh3 = mdl._ffn_bwd(df, c_ffn, params, grads)
-        dx = dx + mdl._ln_bwd(dh3, c_ln3, grads)
-        dc = mdl._dropout_bwd(dx, k2)
+        df = _dropout_bwd(dx, k3)
+        dh3 = _ffn_bwd(df, c_ffn, params, grads)
+        dx = dx + _ln_bwd(dh3, c_ln3, grads)
+        dc = _dropout_bwd(dx, k2)
         dq, dkv = _ref_attn_bwd(dc, c_cross, params, grads)
         denc = dkv if denc is None else denc + dkv
-        dx = dx + mdl._ln_bwd(dq, c_ln2, grads)
-        da = mdl._dropout_bwd(dx, k1)
+        dx = dx + _ln_bwd(dq, c_ln2, grads)
+        da = _dropout_bwd(dx, k1)
         dq2, dkv2 = _ref_attn_bwd(da, c_self, params, grads)
-        dx = dx + mdl._ln_bwd(dq2 + dkv2, c_ln1, grads)
+        dx = dx + _ln_bwd(dq2 + dkv2, c_ln1, grads)
     np.add.at(grads["embed.tok"], tgt_in, dx)
     grads["embed.tgt_pos"][: tgt_in.shape[1]] += dx.sum(axis=0)
     return denc
@@ -196,7 +251,7 @@ def _ref_seq2seq_loss_and_grads(model, instances, drop_rng=None):
     )
     logits = hidden @ params["lm.w"] + params["lm.b"]
     logp = _ref_log_softmax(logits)
-    mask = mdl._length_mask(batch.tgt_len, batch.tgt.shape[1])
+    mask = _length_mask(batch.tgt_len, batch.tgt.shape[1])
     b_idx, t_idx = np.nonzero(mask)
     loss = -logp[b_idx, t_idx, batch.tgt[b_idx, t_idx]].sum()
     dlogits = np.exp(logp) * mask[..., None]
@@ -239,7 +294,7 @@ class _RefDecodeState:
         enc_out, _ = _ref_encoder_forward(model, src[None, :], np.asarray([src.size]))
         heads = cfg.num_heads
         cross_kv = [
-            tuple(mdl._split_heads(enc_out @ params[f"dec{i}.cross.{w}"], heads) for w in ("wk", "wv"))
+            tuple(_split_heads(enc_out @ params[f"dec{i}.cross.{w}"], heads) for w in ("wk", "wv"))
             for i in range(cfg.decoder_layers)
         ]
         shape = (1, heads, max_len, cfg.d_model // heads)
@@ -264,7 +319,7 @@ def _ref_decoder_step(model, state, tokens):
     x = params["embed.tok"][np.asarray(tokens, dtype=np.int64)] + params["embed.tgt_pos"][t]
 
     def heads_of(y):
-        return mdl._split_heads(y[:, None, :], heads)
+        return _split_heads(y[:, None, :], heads)
 
     for i, (k_buf, v_buf, (cross_k, cross_v)) in enumerate(zip(state.self_k, state.self_v, state.cross_kv)):
         p = f"dec{i}.self"
@@ -272,11 +327,11 @@ def _ref_decoder_step(model, state, tokens):
         k_buf[:, :, t : t + 1] = heads_of(h @ params[f"{p}.wk"])
         v_buf[:, :, t : t + 1] = heads_of(h @ params[f"{p}.wv"])
         ctx, _ = _ref_attend(heads_of(h @ params[f"{p}.wq"]), k_buf[:, :, : t + 1], v_buf[:, :, : t + 1], 0.0)
-        x = x + mdl._merge_heads(ctx)[:, 0] @ params[f"{p}.wo"]
+        x = x + _merge_heads(ctx)[:, 0] @ params[f"{p}.wo"]
         p = f"dec{i}.cross"
         h2, _ = _ref_ln_fwd(params, f"dec{i}.ln2", x)
         ctx, _ = _ref_attend(heads_of(h2 @ params[f"{p}.wq"]), cross_k, cross_v, 0.0)
-        x = x + mdl._merge_heads(ctx)[:, 0] @ params[f"{p}.wo"]
+        x = x + _merge_heads(ctx)[:, 0] @ params[f"{p}.wo"]
         h3, _ = _ref_ln_fwd(params, f"dec{i}.ln3", x)
         f, _ = _ref_ffn_fwd(params, f"dec{i}.ffn", h3)
         x = x + f
@@ -373,5 +428,5 @@ def test_teacher_forcing_and_decode_steps_agree(tiny_config):
     source, target = [1, 9, 8, 7, 2], [5, 17, 3, 40, 2]
     state = mdl.DecodeState.for_source(model, source, len(target))
     steps = [mdl.decoder_step(model, state, [tok])[0] for tok in [tiny_config.pad_id, *target[:-1]]]
-    probs = np.exp(mdl._log_softmax(np.stack(steps)))
+    probs = np.exp(_ref_log_softmax(np.stack(steps)))
     np.testing.assert_allclose(probs, mdl.forward_lm(model, source, target), rtol=0, atol=1e-12)
