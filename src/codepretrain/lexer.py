@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 TOKEN_KINDS = ("identifier", "keyword", "literal", "operator", "punctuation", "comment", "unknown")
 
@@ -50,8 +51,9 @@ class UnsupportedLanguageError(ValueError):
         return f"unsupported language tag: {self.args[0]}"
 
 
-@dataclass(frozen=True)
-class LexToken:
+class LexToken(NamedTuple):
+    """One token; a tuple, so building the many a corpus lexes into stays cheap."""
+
     text: str
     kind: str
     span: tuple[int, int]  # byte offsets into the UTF-8 encoding of the source

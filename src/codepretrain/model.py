@@ -10,9 +10,12 @@ heads sit on top:
   which by construction touches only encoder-side parameters.
 
 Forward passes cache activations so the explicit backward passes can be
-checked against central finite differences.  One decoder stack serves both
-teacher-forced training (all positions at once) and KV-cached decoding (one
-position per step).
+checked against central finite differences.  Training uses a packed layout:
+a batch's real tokens are (rows, d_model) arrays with per-sequence offsets
+(``Packing``), so every per-token op skips padding, attention runs per
+sequence on views of those rows, and dropout masks are drawn at the padded
+shape with their real rows kept.  One decoder stack serves teacher-forced
+training and KV-cached decoding (one row per hypothesis and step).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -157,179 +160,170 @@ class Seq2SeqModel:
 
 
 # --------------------------------------------------------------------------
-# layer primitives (forward returns a cache consumed by the matching backward)
+# packed rows and the layer primitives over them (forward returns a cache
+# consumed by the matching backward)
 # --------------------------------------------------------------------------
+
+
+def _spans(lens: np.ndarray) -> list[slice]:
+    """Each sequence's slice of the packed rows: the ``cu_seqlens`` offsets."""
+    ends = np.cumsum(lens).tolist()
+    return [slice(end - n, end) for end, n in zip(ends, lens.tolist())]
+
+
+class Packing(NamedTuple):
+    """The real tokens of a padded (batch, width) array as packed rows, one
+    sequence after another: ``padded[real]`` are those rows, and sequence b
+    owns ``spans[b]`` of them."""
+
+    real: np.ndarray  # (batch, width) bool
+    spans: list[slice]
+
+    @classmethod
+    def of(cls, lens: np.ndarray, width: int) -> "Packing":
+        return cls(np.arange(width) < lens[:, None], _spans(lens))
+
+
+def _embed(params, pos_table, ids, rows: Packing):
+    """Token plus position embeddings of the real ids of padded ``ids``, as
+    packed rows; returns them and those ids."""
+    tok = ids[rows.real]
+    return params["embed.tok"][tok] + params[pos_table][np.nonzero(rows.real)[1]], tok
+
+
+def _embed_bwd(grads, pos_table, tok, rows: Packing, dx):
+    np.add.at(grads["embed.tok"], tok, dx)
+    np.add.at(grads[pos_table], np.nonzero(rows.real)[1], dx)
 
 
 def _ln_fwd(params, prefix, x):
     g, b = params[f"{prefix}.g"], params[f"{prefix}.b"]
     # the arithmetic of x.mean and x.var, without their Python-level wrappers
     d = x.shape[-1]
-    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + LN_EPS)
-    xhat = xc * inv
+    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / d  # centred, then scaled in place
+    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d + LN_EPS)
+    xhat *= inv
     return g * xhat + b, (prefix, xhat, inv, g)
 
 
 def _ln_bwd(dy, cache, grads):
     prefix, xhat, inv, g = cache
-    axes = tuple(range(dy.ndim - 1))
-    grads[f"{prefix}.g"] += (dy * xhat).sum(axis=axes)
-    grads[f"{prefix}.b"] += dy.sum(axis=axes)
-    dxhat = dy * g
-    m = dxhat.mean(axis=-1, keepdims=True)
-    mx = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    return inv * (dxhat - m - xhat * mx)
-
-
-def _split_heads(x, num_heads):
-    b, t, d = x.shape
-    return x.reshape(b, t, num_heads, d // num_heads).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(x):
-    b, h, t, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
+    grads[f"{prefix}.g"] += (dy * xhat).sum(axis=0)
+    grads[f"{prefix}.b"] += dy.sum(axis=0)
+    dx = dy * g  # d xhat, then dx in place
+    mx = (dx * xhat).mean(axis=-1, keepdims=True)
+    dx -= dx.mean(axis=-1, keepdims=True)
+    dx -= xhat * mx
+    dx *= inv
+    return dx
 
 
 def _attend(q, k, v, mask):
-    """Softmax attention over split heads; mask is additive, broadcastable to
-    (batch, heads, q_len, k_len).  Returns (context, attention weights)."""
-    scores = q @ k.transpose(0, 1, 3, 2) * (1.0 / np.sqrt(q.shape[-1])) + mask
+    """Softmax attention of (..., q_len, d_head) queries over (..., k_len, d_head)
+    keys, with an optional additive mask; returns (context, attention weights).
+    Score-sized steps run in place: a fresh array of that size costs more than its arithmetic."""
+    scores = q @ k.swapaxes(-1, -2)
+    scores *= 1.0 / np.sqrt(q.shape[-1])
+    if mask is not None:
+        scores += mask
     scores -= scores.max(axis=-1, keepdims=True)
-    exps = np.exp(scores)
-    attn = exps / exps.sum(axis=-1, keepdims=True)
+    attn = np.exp(scores, out=scores)
+    attn /= attn.sum(axis=-1, keepdims=True)
     return attn @ v, attn
 
 
-def _causal_mask(q_len: int, k_len: int) -> np.ndarray:
-    """Additive (q_len, k_len) mask that lets query i see keys up to
-    ``i + k_len - q_len``, so the last query sees every key: the queries may
-    be a whole teacher-forced sequence or the newest positions after a cache."""
-    return np.where(np.tri(q_len, k_len, k_len - q_len, dtype=bool), 0.0, NEG_INF)
-
-
-_ALL_ROWS = slice(None)  # the rows of a group that holds every row
-
-
-def _row_groups(q_len: np.ndarray, k_len: np.ndarray) -> list:
-    """The rows that share (query length, key length), as (rows, q_len, k_len),
-    leaving out rows without queries.  Each length array holds one entry per
-    row, or one entry for every row; ``rows`` is ``_ALL_ROWS`` when every
-    row shares both lengths."""
-    if q_len.size == k_len.size == 1:  # one pair for every row, as in a decode step
-        return [(_ALL_ROWS, int(q_len[0]), int(k_len[0]))] if q_len[0] else []
-    by_len: dict[tuple[int, int], list[int]] = {}
-    for r, lens in enumerate(zip(*(x.tolist() for x in np.broadcast_arrays(q_len, k_len)))):
-        by_len.setdefault(lens, []).append(r)
-    if len(by_len) == 1:
-        by_len = {lens: _ALL_ROWS for lens in by_len}
-    return [(rows, ql, kl) for (ql, kl), rows in by_len.items() if ql]
-
-
-def _attend_rows(q, k, v, groups, causal):
-    """Attention of each row over its own queries and keys: one ``_attend``
-    call per group of rows from ``_row_groups``, so no work falls on padding.
-    A row's queries past its length get a zero context.  Returns the context
-    and each group with its attention weights."""
-    ctx, weights = None, []
-    for rows, ql, kl in groups:
-        mask = _causal_mask(ql, kl) if causal and ql > 1 else 0.0  # one query sees every key
-        if rows is _ALL_ROWS and ql == q.shape[2] and kl == k.shape[2]:  # no padding, as in a decode step
-            ctx, attn = _attend(q, k, v, mask)
-        else:
-            c, attn = _attend(q[rows, :, :ql], k[rows, :, :kl], v[rows, :, :kl], mask)
-            if ctx is None:
-                ctx = np.zeros(q.shape)
-            ctx[rows, :, :ql] = c
-        weights.append((rows, ql, kl, attn))
-    return np.zeros(q.shape) if ctx is None else ctx, weights
-
-
 def _linear(x, w):
-    """``x @ w`` over the last axis as one 2-D product: BLAS is several times
-    faster on (rows, d) @ (d, n) than on a stack of (1, d) rows."""
-    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[-1:])
+    """``x @ w`` for (rows, d) ``x``: every forward projection goes through here."""
+    return x @ w
 
 
 def _project_kv(params, prefix, kv_in, num_heads):
-    """The keys and values of ``kv_in`` for attention ``prefix``, split into heads."""
-    return tuple(_split_heads(_linear(kv_in, params[f"{prefix}.{w}"]), num_heads) for w in ("wk", "wv"))
+    """The keys and values of the rows ``kv_in`` for attention ``prefix``, each (rows, heads, d_head)."""
+    return tuple(_linear(kv_in, params[f"{prefix}.{w}"]).reshape(len(kv_in), num_heads, -1) for w in ("wk", "wv"))
 
 
-def _attn_fwd(params, prefix, q_in, kv_in, groups, num_heads, causal=False, kv=None):
-    """Attention over the row ``groups`` of ``_row_groups``, causal if asked;
-    ``kv`` is the already projected (keys, values) pair of ``kv_in``, if
-    there is one."""
+def _attn_fwd(params, prefix, q_in, kv_in, spans, num_heads, causal=False, kv=None):
+    """Attention of the query rows ``q_in`` over the key rows ``kv_in`` (or over
+    ``kv``, their projected keys and values).  ``spans`` pairs each sequence's
+    query rows with its key rows; each pair attends on its own, causal if asked,
+    on (heads, len, d_head) views.  With ``spans`` None (a decode step) ``kv``
+    holds (rows, heads, k_len, d_head) caches and all rows attend in one call."""
     k, v = _project_kv(params, prefix, kv_in, num_heads) if kv is None else kv
-    q = _split_heads(_linear(q_in, params[f"{prefix}.wq"]), num_heads)
-    ctx, weights = _attend_rows(q, k, v, groups, causal)
-    merged = _merge_heads(ctx)
-    return _linear(merged, params[f"{prefix}.wo"]), (prefix, q_in, kv_in, q, k, v, weights, merged, num_heads)
+    q = _linear(q_in, params[f"{prefix}.wq"]).reshape(len(q_in), num_heads, -1)
+    weights = []
+    if spans is None:
+        ctx = _attend(q[:, :, None], k, v, None)[0]
+    else:
+        ctx = np.empty_like(q)
+        for qs, ks in spans:
+            if qs.stop > qs.start:
+                # causal: query i sees keys up to i
+                mask = np.where(np.tri(qs.stop - qs.start, dtype=bool), 0.0, NEG_INF) if causal else None
+                c, attn = _attend(q[qs].transpose(1, 0, 2), k[ks].transpose(1, 0, 2), v[ks].transpose(1, 0, 2), mask)
+                ctx[qs] = c.transpose(1, 0, 2)
+                weights.append((qs, ks, attn))
+    merged = ctx.reshape(len(q_in), -1)
+    return _linear(merged, params[f"{prefix}.wo"]), (prefix, q_in, kv_in, q, k, v, weights, merged)
 
 
 def _attn_bwd(dy, cache, params, grads):
-    prefix, q_in, kv_in, q, k, v, weights, merged, num_heads = cache
+    prefix, q_in, kv_in, q, k, v, weights, merged = cache
     wq, wk, wv, wo = (params[f"{prefix}.{p}"] for p in ("wq", "wk", "wv", "wo"))
-    b, tq, d = q_in.shape
     scale = 1.0 / np.sqrt(q.shape[-1])
-    grads[f"{prefix}.wo"] += merged.reshape(-1, d).T @ dy.reshape(-1, d)
-    dmerged = dy @ wo.T
-    dctx = _split_heads(dmerged, num_heads)
+    grads[f"{prefix}.wo"] += merged.T @ dy
+    dctx = (dy @ wo.T).reshape(q.shape)
     dq, dk, dv = np.zeros(q.shape), np.zeros(k.shape), np.zeros(v.shape)
-    for rows, ql, kl, attn in weights:
-        dc = dctx[rows, :, :ql]
-        dv[rows, :, :kl] = attn.transpose(0, 1, 3, 2) @ dc
-        dscores = dc @ v[rows, :, :kl].transpose(0, 1, 3, 2)  # d attn, then d scores in place
-        dscores -= (dscores * attn).sum(axis=-1, keepdims=True)
+    ctx = merged.reshape(q.shape)
+    for qs, ks, attn in weights:
+        dc, c, qh, kh, vh = (x[s].transpose(1, 0, 2) for x, s in ((dctx, qs), (ctx, qs), (q, qs), (k, ks), (v, ks)))
+        dv[ks] = (attn.swapaxes(-1, -2) @ dc).transpose(1, 0, 2)
+        # d attn, then d scores in place; sum_j attn_ij * dattn_ij is dc_i . c_i
+        dscores = dc @ vh.swapaxes(-1, -2)
+        dscores -= (dc * c).sum(axis=-1, keepdims=True)
         dscores *= attn
-        dq[rows, :, :ql] = dscores @ k[rows, :, :kl] * scale
-        dk[rows, :, :kl] = dscores.transpose(0, 1, 3, 2) @ q[rows, :, :ql] * scale
-    dq_flat = _merge_heads(dq)
-    dk_flat = _merge_heads(dk)
-    dv_flat = _merge_heads(dv)
-    grads[f"{prefix}.wq"] += q_in.reshape(-1, d).T @ dq_flat.reshape(-1, d)
-    grads[f"{prefix}.wk"] += kv_in.reshape(-1, d).T @ dk_flat.reshape(-1, d)
-    grads[f"{prefix}.wv"] += kv_in.reshape(-1, d).T @ dv_flat.reshape(-1, d)
-    dq_in = dq_flat @ wq.T
-    dkv_in = dk_flat @ wk.T + dv_flat @ wv.T
-    return dq_in, dkv_in
+        dq[qs] = (dscores @ kh * scale).transpose(1, 0, 2)
+        dk[ks] = (dscores.swapaxes(-1, -2) @ qh * scale).transpose(1, 0, 2)
+    dq, dk, dv = (x.reshape(len(x), -1) for x in (dq, dk, dv))
+    grads[f"{prefix}.wq"] += q_in.T @ dq
+    grads[f"{prefix}.wk"] += kv_in.T @ dk
+    grads[f"{prefix}.wv"] += kv_in.T @ dv
+    return dq @ wq.T, dk @ wk.T + dv @ wv.T
 
 
 def _ffn_fwd(params, prefix, x):
     w1, b1, w2, b2 = (params[f"{prefix}.{p}"] for p in ("w1", "b1", "w2", "b2"))
-    pre = _linear(x, w1) + b1
-    act = np.maximum(pre, 0.0)
-    return _linear(act, w2) + b2, (prefix, x, pre, act)
+    act = _linear(x, w1)
+    act += b1
+    np.maximum(act, 0.0, out=act)
+    y = _linear(act, w2)
+    y += b2
+    return y, (prefix, x, act)
 
 
 def _ffn_bwd(dy, cache, params, grads):
-    prefix, x, pre, act = cache
+    prefix, x, act = cache
     w1, w2 = params[f"{prefix}.w1"], params[f"{prefix}.w2"]
-    d_in = x.shape[-1]
-    ff = act.shape[-1]
-    grads[f"{prefix}.w2"] += act.reshape(-1, ff).T @ dy.reshape(-1, dy.shape[-1])
-    grads[f"{prefix}.b2"] += dy.sum(axis=tuple(range(dy.ndim - 1)))
-    dact = dy @ w2.T
-    dpre = dact * (pre > 0)
-    grads[f"{prefix}.w1"] += x.reshape(-1, d_in).T @ dpre.reshape(-1, ff)
-    grads[f"{prefix}.b1"] += dpre.sum(axis=tuple(range(dpre.ndim - 1)))
+    grads[f"{prefix}.w2"] += act.T @ dy
+    grads[f"{prefix}.b2"] += dy.sum(axis=0)
+    dpre = dy @ w2.T
+    dpre *= act > 0
+    grads[f"{prefix}.w1"] += x.T @ dpre
+    grads[f"{prefix}.b1"] += dpre.sum(axis=0)
     return dpre @ w1.T
 
 
-def _dropout_fwd(x, p, rng):
+def _dropout_fwd(x, p, rng, rows: Packing | None):
+    """Inverted dropout on the packed rows ``x``.  The mask is drawn at the
+    padded (batch, width, d) shape of ``rows`` and its real rows kept, so each
+    draw is the one the padded layout made."""
     if p <= 0.0 or rng is None:
         return x, None
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
+    keep = (rng.random((*rows.real.shape, x.shape[-1])) >= p)[rows.real] / (1.0 - p)
     return x * keep, keep
 
 
 def _dropout_bwd(dy, keep):
     return dy if keep is None else dy * keep
-
-
-def _length_mask(lengths: np.ndarray, max_len: int) -> np.ndarray:
-    return np.arange(max_len)[None, :] < lengths[:, None]
 
 
 # --------------------------------------------------------------------------
@@ -338,28 +332,31 @@ def _length_mask(lengths: np.ndarray, max_len: int) -> np.ndarray:
 
 
 def encoder_forward(model: Seq2SeqModel, src: np.ndarray, src_len: np.ndarray, drop_rng=None):
+    """The encoder over padded ``src`` (batch, S), row b holding ``src_len[b]``
+    real ids.  Returns the final-norm states of the real tokens as packed
+    rows (sum(src_len), d_model) and the cache ``encoder_backward`` consumes."""
     cfg, params = model.config, model.params
-    b, s = src.shape
-    x = params["embed.tok"][src] + params["embed.src_pos"][:s]
-    groups = _row_groups(src_len, src_len)
+    rows = Packing.of(src_len, src.shape[1])
+    x, tok = _embed(params, "embed.src_pos", src, rows)
+    spans = [(s, s) for s in rows.spans]
     caches = []
     for i in range(cfg.encoder_layers):
         h, c_ln1 = _ln_fwd(params, f"enc{i}.ln1", x)
-        a, c_attn = _attn_fwd(params, f"enc{i}.attn", h, h, groups, cfg.num_heads)
-        a, k1 = _dropout_fwd(a, cfg.dropout, drop_rng)
+        a, c_attn = _attn_fwd(params, f"enc{i}.attn", h, h, spans, cfg.num_heads)
+        a, k1 = _dropout_fwd(a, cfg.dropout, drop_rng, rows)
         x = x + a
         h2, c_ln2 = _ln_fwd(params, f"enc{i}.ln2", x)
         f, c_ffn = _ffn_fwd(params, f"enc{i}.ffn", h2)
-        f, k2 = _dropout_fwd(f, cfg.dropout, drop_rng)
+        f, k2 = _dropout_fwd(f, cfg.dropout, drop_rng, rows)
         x = x + f
         caches.append((c_ln1, c_attn, k1, c_ln2, c_ffn, k2))
     out, c_lnf = _ln_fwd(params, "enc.ln_f", x)
-    return out, (src, caches, c_lnf)
+    return out, (tok, rows, caches, c_lnf)
 
 
 def encoder_backward(model: Seq2SeqModel, dout: np.ndarray, cache, grads) -> None:
     cfg, params = model.config, model.params
-    src, caches, c_lnf = cache
+    tok, rows, caches, c_lnf = cache
     dx = _ln_bwd(dout, c_lnf, grads)
     for i in reversed(range(cfg.encoder_layers)):
         c_ln1, c_attn, k1, c_ln2, c_ffn, k2 = caches[i]
@@ -369,48 +366,34 @@ def encoder_backward(model: Seq2SeqModel, dout: np.ndarray, cache, grads) -> Non
         da = _dropout_bwd(dx, k1)
         dq, dkv = _attn_bwd(da, c_attn, params, grads)
         dx = dx + _ln_bwd(dq + dkv, c_ln1, grads)
-    np.add.at(grads["embed.tok"], src, dx)
-    grads["embed.src_pos"][: src.shape[1]] += dx.sum(axis=0)
+    _embed_bwd(grads, "embed.src_pos", tok, rows, dx)
 
 
 @dataclass
 class DecodeState:
-    """Decoder caches over a batch of encoder outputs, which ``_decoder_layers``
-    fills.  Self-attention row r is the r-th target sequence or live hypothesis;
-    one source's cross-attention row is broadcast over its hypotheses."""
+    """Decoder caches for decoding from one encoded source.  Self-attention
+    row r is the r-th live hypothesis; the source's cross-attention keys and
+    values serve every row."""
 
-    enc_out: np.ndarray                            # (batch, S, d_model)
-    src_len: np.ndarray                            # (batch,) real source positions
-    cross_kv: list[tuple[np.ndarray, np.ndarray]]  # per layer, each (batch, heads, S, d_head)
+    cross_kv: list[tuple[np.ndarray, np.ndarray]]  # per layer, each (1, heads, S, d_head)
     self_k: list[np.ndarray]                       # per layer, (rows, heads, max_len, d_head)
     self_v: list[np.ndarray]
     length: int = 0                                # positions filled so far
 
     @classmethod
-    def from_encoder(cls, model: Seq2SeqModel, enc_out: np.ndarray, src_len: np.ndarray,
-                     max_len: int) -> "DecodeState":
-        """Project the cross-attention keys and values of ``enc_out`` and
-        allocate ``max_len`` self-attention positions for each of its rows."""
-        cfg, params = model.config, model.params
-        heads = cfg.num_heads
-        cross_kv = [_project_kv(params, f"dec{i}.cross", enc_out, heads) for i in range(cfg.decoder_layers)]
-        shape = (enc_out.shape[0], heads, max_len, cfg.d_model // heads)
-        return cls(enc_out, src_len, cross_kv,
-                   [np.empty(shape) for _ in cross_kv], [np.empty(shape) for _ in cross_kv])
-
-    @classmethod
     def for_source(cls, model: Seq2SeqModel, source_ids, max_len: int) -> "DecodeState":
-        """Run the encoder once and allocate caches for ``max_len`` steps of one row."""
-        cfg = model.config
-        src = np.asarray(source_ids, dtype=np.int64)
-        if not 0 < src.size <= cfg.max_src_len:
-            raise ValueError(f"source length {src.size} outside 1..{cfg.max_src_len}")
+        """Run the encoder once, project the cross-attention keys and values
+        and allocate caches for ``max_len`` steps of one row."""
+        cfg, params = model.config, model.params
+        src = source_array(source_ids, cfg)
         if not 0 < max_len <= cfg.max_tgt_len:
             raise ValueError(f"decode length {max_len} outside 1..{cfg.max_tgt_len}")
-        _check_ids(src, cfg.vocab_size, "source")
-        src_len = np.asarray([src.size])
-        enc_out, _ = encoder_forward(model, src[None, :], src_len)
-        return cls.from_encoder(model, enc_out, src_len, max_len)
+        enc_out, _ = encoder_forward(model, src[None, :], np.asarray([src.size]))
+        heads = cfg.num_heads
+        cross_kv = [tuple(x.transpose(1, 0, 2)[None] for x in _project_kv(params, f"dec{i}.cross", enc_out, heads))
+                    for i in range(cfg.decoder_layers)]
+        shape = (1, heads, max_len, cfg.d_model // heads)
+        return cls(cross_kv, [np.empty(shape) for _ in cross_kv], [np.empty(shape) for _ in cross_kv])
 
     def reorder(self, parents) -> None:
         """Make new row r continue old row ``parents[r]``; the row count may change."""
@@ -423,55 +406,58 @@ class DecodeState:
                 bufs[i] = new
 
 
-def _decoder_layers(model: Seq2SeqModel, state: DecodeState, ids: np.ndarray, ids_len: np.ndarray | None = None,
-                    drop_rng=None, caches: list | None = None):
-    """The decoder stack over ``ids`` (rows, n): the tokens at the ``n``
-    positions that follow the ``state.length`` already in ``state``, of which
-    row r has ``ids_len[r]`` real ones (all ``n`` when ``ids_len`` is None).
-    Appends their self-attention keys and values to ``state`` and, when
-    ``caches`` is a list, each layer's backward cache to it.  Returns the
-    final-norm hidden states (rows, n, d_model) and that norm's cache."""
+def _decoder_layers(model: Seq2SeqModel, x: np.ndarray, enc: np.ndarray | None, spans, state=None,
+                    rows: Packing | None = None, drop_rng=None):
+    """The decoder stack over the embedded rows ``x`` (rows, d_model).  Teacher
+    forced (no ``state``), ``x`` holds the packed target sequences of ``rows``
+    and ``spans`` pairs each one's rows with itself and with its rows of the
+    packed encoder output ``enc``.  In a decode step ``spans`` is (None, None):
+    row r is the next position of ``state`` row r, whose caches it extends and
+    attends over.  Returns the final-norm hidden states, that norm's cache and
+    each layer's backward cache."""
     cfg, params = model.config, model.params
-    t, n = state.length, ids.shape[1]
-    q_len = np.asarray([n]) if ids_len is None else ids_len
-    self_groups, cross_groups = _row_groups(q_len, t + q_len), _row_groups(q_len, state.src_len)
-    x = params["embed.tok"][ids] + params["embed.tgt_pos"][t : t + n]
-    for i, (k_buf, v_buf, cross_kv) in enumerate(zip(state.self_k, state.self_v, state.cross_kv)):
+    heads = cfg.num_heads
+    self_spans, cross_spans = spans
+    caches = []
+    for i in range(cfg.decoder_layers):
         h, c_ln1 = _ln_fwd(params, f"dec{i}.ln1", x)
-        k_buf[:, :, t : t + n], v_buf[:, :, t : t + n] = _project_kv(params, f"dec{i}.self", h, cfg.num_heads)
-        self_kv = (k_buf[:, :, : t + n], v_buf[:, :, : t + n])
-        a, c_self = _attn_fwd(params, f"dec{i}.self", h, h, self_groups, cfg.num_heads, True, self_kv)
-        a, k1 = _dropout_fwd(a, cfg.dropout, drop_rng)
+        self_kv = cross_kv = None
+        if state is not None:  # the newest position's keys and values join the cache
+            k_buf, v_buf, t = state.self_k[i], state.self_v[i], state.length
+            k_buf[:, :, t], v_buf[:, :, t] = _project_kv(params, f"dec{i}.self", h, heads)
+            self_kv, cross_kv = (k_buf[:, :, : t + 1], v_buf[:, :, : t + 1]), state.cross_kv[i]
+        a, c_self = _attn_fwd(params, f"dec{i}.self", h, h, self_spans, heads, True, self_kv)
+        a, k1 = _dropout_fwd(a, cfg.dropout, drop_rng, rows)
         x = x + a
         h2, c_ln2 = _ln_fwd(params, f"dec{i}.ln2", x)
-        c_out, c_cross = _attn_fwd(params, f"dec{i}.cross", h2, state.enc_out, cross_groups, cfg.num_heads,
-                                   kv=cross_kv)
-        c_out, k2 = _dropout_fwd(c_out, cfg.dropout, drop_rng)
+        c_out, c_cross = _attn_fwd(params, f"dec{i}.cross", h2, enc, cross_spans, heads, kv=cross_kv)
+        c_out, k2 = _dropout_fwd(c_out, cfg.dropout, drop_rng, rows)
         x = x + c_out
         h3, c_ln3 = _ln_fwd(params, f"dec{i}.ln3", x)
         f, c_ffn = _ffn_fwd(params, f"dec{i}.ffn", h3)
-        f, k3 = _dropout_fwd(f, cfg.dropout, drop_rng)
+        f, k3 = _dropout_fwd(f, cfg.dropout, drop_rng, rows)
         x = x + f
-        if caches is not None:
-            caches.append((c_ln1, c_self, k1, c_ln2, c_cross, k2, c_ln3, c_ffn, k3))
-    state.length = t + n
-    return _ln_fwd(params, "dec.ln_f", x)
+        caches.append((c_ln1, c_self, k1, c_ln2, c_cross, k2, c_ln3, c_ffn, k3))
+    return (*_ln_fwd(params, "dec.ln_f", x), caches)
 
 
 def decoder_forward(model: Seq2SeqModel, tgt_in: np.ndarray, tgt_len: np.ndarray, enc_out: np.ndarray,
                     src_len: np.ndarray, drop_rng=None):
-    """Teacher-forced decoder over all T positions of ``tgt_in``; returns the
-    final hidden states and the cache ``decoder_backward`` consumes."""
-    state = DecodeState.from_encoder(model, enc_out, src_len, tgt_in.shape[1])
-    caches: list = []
-    hidden, c_lnf = _decoder_layers(model, state, tgt_in, tgt_len, drop_rng, caches)
-    return hidden, (tgt_in, caches, c_lnf)
+    """Teacher-forced decoder over the real positions of padded ``tgt_in``
+    (batch, T), attending over the packed encoder rows ``enc_out`` of sources
+    with ``src_len`` real ids.  Returns the final hidden states as packed rows
+    (sum(tgt_len), d_model) and the cache ``decoder_backward`` consumes."""
+    rows = Packing.of(tgt_len, tgt_in.shape[1])
+    x, tok = _embed(model.params, "embed.tgt_pos", tgt_in, rows)
+    spans = [(s, s) for s in rows.spans], list(zip(rows.spans, _spans(src_len)))
+    hidden, c_lnf, caches = _decoder_layers(model, x, enc_out, spans, None, rows, drop_rng)
+    return hidden, (tok, rows, caches, c_lnf)
 
 
 def decoder_backward(model: Seq2SeqModel, dhidden: np.ndarray, cache, grads) -> np.ndarray:
-    """Returns the gradient with respect to the encoder output."""
+    """Returns the gradient with respect to the (packed) encoder output."""
     cfg, params = model.config, model.params
-    tgt_in, caches, c_lnf = cache
+    tok, rows, caches, c_lnf = cache
     dx = _ln_bwd(dhidden, c_lnf, grads)
     denc = None
     for i in reversed(range(cfg.decoder_layers)):
@@ -486,8 +472,7 @@ def decoder_backward(model: Seq2SeqModel, dhidden: np.ndarray, cache, grads) -> 
         da = _dropout_bwd(dx, k1)
         dq2, dkv2 = _attn_bwd(da, c_self, params, grads)
         dx = dx + _ln_bwd(dq2 + dkv2, c_ln1, grads)
-    np.add.at(grads["embed.tok"], tgt_in, dx)
-    grads["embed.tgt_pos"][: tgt_in.shape[1]] += dx.sum(axis=0)
+    _embed_bwd(grads, "embed.tgt_pos", tok, rows, dx)
     return denc
 
 
@@ -499,8 +484,11 @@ def decoder_step(model: Seq2SeqModel, state: DecodeState, tokens) -> np.ndarray:
         raise ValueError(f"{len(tokens)} tokens for {rows} decode rows")
     if state.length == max_len:
         raise ValueError(f"decode state is full after {max_len} steps")
-    hidden, _ = _decoder_layers(model, state, np.asarray(tokens, dtype=np.int64)[:, None])
-    return hidden[:, 0] @ model.params["lm.w"] + model.params["lm.b"]
+    params = model.params
+    x = params["embed.tok"][np.asarray(tokens, dtype=np.int64)] + params["embed.tgt_pos"][state.length]
+    hidden = _decoder_layers(model, x, None, (None, None), state)[0]
+    state.length += 1
+    return hidden @ params["lm.w"] + params["lm.b"]
 
 
 # --------------------------------------------------------------------------
@@ -526,6 +514,15 @@ def _check_ids(ids: np.ndarray, vocab_size: int, what: str) -> None:
         raise ValueError(
             f"{what} id outside vocabulary: {int(ids[pos])} at position {pos} (vocabulary size {vocab_size})"
         )
+
+
+def source_array(source_ids, config: ModelConfig) -> np.ndarray:
+    """One source as an int64 array, checked to hold 1..max_src_len ids of the vocabulary."""
+    src = np.asarray(source_ids, dtype=np.int64)
+    if not 0 < src.size <= config.max_src_len:
+        raise ValueError(f"source length {src.size} outside 1..{config.max_src_len}")
+    _check_ids(src, config.vocab_size, "source")
+    return src
 
 
 def make_batch(instances: list[TrainingInstance], config: ModelConfig) -> Batch:
@@ -581,14 +578,17 @@ def _lm_head_chunk(params, h: np.ndarray, targets: np.ndarray, grads: dict | Non
     With ``grads``, adds the head's gradients to it and also returns the
     gradient of ``h``."""
     w = params["lm.w"]
-    logits = h @ w
+    logits = _linear(h, w)
     logits += params["lm.b"]
-    logp = _log_softmax(logits)
+    logits -= logits.max(axis=-1, keepdims=True)
     picked = np.arange(len(h)), targets
-    loss = -logp[picked].sum()
+    target_logits = logits[picked]
+    dlogits = np.exp(logits, out=logits)  # one exp pass, in place, serves the loss and the gradient
+    sums = dlogits.sum(axis=-1)
+    loss = (np.log(sums) - target_logits).sum()
     if grads is None:
         return loss, None
-    dlogits = np.exp(logp, out=logp)
+    dlogits /= sums[:, None]
     dlogits[picked] -= 1.0
     grads["lm.w"] += h.T @ dlogits
     grads["lm.b"] += dlogits.sum(axis=0)
@@ -612,20 +612,17 @@ def seq2seq_loss_and_grads(
     hidden, dec_cache = decoder_forward(
         model, batch.tgt_in, batch.tgt_len, enc_out, batch.src_len, drop_rng
     )
-    # the LM head runs on real target rows only, LM_HEAD_ROWS at a time
-    mask = _length_mask(batch.tgt_len, batch.tgt.shape[1])
-    rows, targets = hidden[mask], batch.tgt[mask]
+    # hidden holds the real target rows (the cache's Packing); the LM head runs on LM_HEAD_ROWS at a time
+    targets = batch.tgt[dec_cache[1].real]
     grads = model.zeros_like_params() if compute_grads else None
-    chunks = [_lm_head_chunk(model.params, rows[i : i + LM_HEAD_ROWS], targets[i : i + LM_HEAD_ROWS], grads)
-              for i in range(0, len(rows), LM_HEAD_ROWS)]
+    chunks = [_lm_head_chunk(model.params, hidden[i : i + LM_HEAD_ROWS], targets[i : i + LM_HEAD_ROWS], grads)
+              for i in range(0, len(hidden), LM_HEAD_ROWS)]
     loss = float(sum(chunk_loss for chunk_loss, _ in chunks))
     if not compute_grads:
-        return loss, len(rows), None
-    dhidden = np.zeros_like(hidden)
-    dhidden[mask] = np.concatenate([drows for _, drows in chunks])
-    denc = decoder_backward(model, dhidden, dec_cache, grads)
+        return loss, len(hidden), None
+    denc = decoder_backward(model, np.concatenate([drows for _, drows in chunks]), dec_cache, grads)
     encoder_backward(model, denc, enc_cache, grads)
-    return loss, len(rows), grads
+    return loss, len(hidden), grads
 
 
 def tagging_loss_and_grads(
@@ -644,24 +641,23 @@ def tagging_loss_and_grads(
     batch = make_batch(instances, model.config)
     params = model.params
     enc_out, enc_cache = encoder_forward(model, batch.src, batch.src_len, drop_rng)
-    z = enc_out @ params["tag.w"] + params["tag.b"]
-    y = batch.tag_labels
-    m = batch.tag_mask
+    # the head runs on the labelled rows only
+    real = enc_cache[1].real
+    labelled = np.flatnonzero(batch.tag_mask[real])
+    h, y = enc_out[labelled], batch.tag_labels[real][labelled]
+    z = h @ params["tag.w"] + params["tag.b"]
     # log sigmoid pieces, numerically stable
-    log_p = -np.logaddexp(0.0, -z)
-    log_1mp = -np.logaddexp(0.0, z)
-    loss = -(y * log_p + (1.0 - y) * log_1mp)[m].sum()
-    count = int(m.sum())
+    loss = float(-(y * -np.logaddexp(0.0, -z) + (1.0 - y) * -np.logaddexp(0.0, z)).sum())
     if not compute_grads:
-        return float(loss), count, None
-    p = 1.0 / (1.0 + np.exp(-z))
-    dz = np.where(m, p - y, 0.0)
+        return loss, len(labelled), None
+    dz = 1.0 / (1.0 + np.exp(-z)) - y
     grads = model.zeros_like_params()
-    grads["tag.w"] += (enc_out * dz[..., None]).sum(axis=(0, 1))
+    grads["tag.w"] += dz @ h
     grads["tag.b"] += dz.sum()
-    denc = dz[..., None] * params["tag.w"]
+    denc = np.zeros_like(enc_out)
+    denc[labelled] = np.outer(dz, params["tag.w"])
     encoder_backward(model, denc, enc_cache, grads)
-    return float(loss), count, grads
+    return loss, len(labelled), grads
 
 
 def loss_and_grads(model: Seq2SeqModel, instances: list[TrainingInstance], objective: str,
@@ -707,16 +703,20 @@ def forward_lm(model: Seq2SeqModel, source_ids, target_ids) -> np.ndarray:
 
 
 def forward_lm_batch(model: Seq2SeqModel, instances: list[TrainingInstance]) -> np.ndarray:
+    """(batch, T, vocab) next-token distributions, teacher forced; the
+    positions past an instance's target are zero."""
     batch = make_batch(instances, model.config)
     enc_out, _ = encoder_forward(model, batch.src, batch.src_len)
-    hidden, _ = decoder_forward(model, batch.tgt_in, batch.tgt_len, enc_out, batch.src_len)
-    logits = hidden @ model.params["lm.w"] + model.params["lm.b"]
-    return np.exp(_log_softmax(logits))
+    hidden, dec_cache = decoder_forward(model, batch.tgt_in, batch.tgt_len, enc_out, batch.src_len)
+    probs = np.zeros((*batch.tgt.shape, model.config.vocab_size))
+    probs[dec_cache[1].real] = np.exp(_log_softmax(
+        hidden @ model.params["lm.w"] + model.params["lm.b"]))
+    return probs
 
 
 def tag_probabilities(model: Seq2SeqModel, instance: TrainingInstance) -> np.ndarray:
     """Per-position identifier probabilities for the instance's code segment."""
     batch = make_batch([instance], model.config)
     enc_out, _ = encoder_forward(model, batch.src, batch.src_len)
-    z = enc_out @ model.params["tag.w"] + model.params["tag.b"]
-    return 1.0 / (1.0 + np.exp(-z[0][batch.tag_mask[0]]))
+    z = enc_out[batch.tag_mask[0]] @ model.params["tag.w"] + model.params["tag.b"]
+    return 1.0 / (1.0 + np.exp(-z))

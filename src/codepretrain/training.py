@@ -32,6 +32,7 @@ from .model import (
     encoder_forward,
     is_decoder_param,
     loss_and_grads,
+    source_array,
     _log_softmax,
 )
 from .objectives import (
@@ -398,14 +399,13 @@ def classify_unigram(
 def embed_last_state(model: Seq2SeqModel, source_ids: Sequence[int]) -> np.ndarray:
     """Sequence embedding: the decoder's final hidden state after teacher
     forcing the source sequence through it."""
-    src = np.asarray([source_ids], dtype=np.int64)
-    src_len = np.asarray([len(source_ids)], dtype=np.int64)
-    enc_out, _ = encoder_forward(model, src, src_len)
-    dec_in = [model.config.pad_id, *source_ids[: model.config.max_tgt_len - 1]]
-    tgt = np.asarray([dec_in], dtype=np.int64)
-    tgt_len = np.asarray([len(dec_in)], dtype=np.int64)
-    hidden, _ = decoder_forward(model, tgt, tgt_len, enc_out, src_len)
-    return hidden[0, -1]
+    cfg = model.config
+    src = source_array(source_ids, cfg)
+    src_len = np.asarray([src.size])
+    enc_out, _ = encoder_forward(model, src[None, :], src_len)
+    dec_in = np.asarray([cfg.pad_id, *src[: cfg.max_tgt_len - 1]], dtype=np.int64)
+    hidden, _ = decoder_forward(model, dec_in[None, :], np.asarray([dec_in.size]), enc_out, src_len)
+    return hidden[-1]
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

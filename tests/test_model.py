@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from codepretrain import model as mdl
 from codepretrain import objectives as obj
 from codepretrain import training as tr
 from codepretrain.model import (
@@ -262,3 +263,74 @@ def test_seq2seq_step_never_holds_padded_logits():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 256 * 8000 * 8
+
+
+PACKED = ModelConfig(vocab_size=300, d_model=16, num_heads=2, encoder_layers=2, decoder_layers=2,
+                     feedforward_dim=24, max_src_len=200, max_tgt_len=100)
+
+
+def _mixed_batches(rng):
+    """A sequence batch and a tagging batch of mixed source and target lengths."""
+    def ids(lo, hi):
+        return tuple(rng.integers(1, PACKED.vocab_size, size=int(rng.integers(lo, hi))).tolist())
+
+    seq = [obj.TrainingInstance(ids(3, 200), ids(1, 100), obj.MSP) for _ in range(6)]
+    tagged = []
+    for _ in range(6):
+        src = ids(6, 200)
+        labels = tuple(rng.integers(0, 2, size=int(rng.integers(1, len(src) - 2))).tolist())
+        tagged.append(obj.TrainingInstance(src, (), obj.IT, labels))
+    return seq, tagged
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batch_loss_and_grads_are_sums_over_instances(seed):
+    """Packing a batch into real rows changes nothing a sequence sees: the
+    loss, count and gradients of a mixed-length batch are the sums of those of
+    its one-instance batches."""
+    model = Seq2SeqModel(PACKED, seed=seed)
+    for loss_fn, instances in zip((seq2seq_loss_and_grads, tagging_loss_and_grads),
+                                  _mixed_batches(np.random.default_rng(seed))):
+        loss, count, grads = loss_fn(model, instances)
+        parts = [loss_fn(model, [inst]) for inst in instances]
+        assert count == sum(c for _, c, _ in parts)
+        assert abs(loss - sum(p for p, _, _ in parts)) <= 1e-12 * abs(loss)
+        for name, g in grads.items():
+            want = sum(part[name] for _, _, part in parts)
+            np.testing.assert_allclose(g, want, rtol=0, atol=1e-12 * np.abs(want).max(), err_msg=name)
+
+
+def test_training_step_runs_on_real_rows_only(monkeypatch):
+    """Every projection and feed-forward block of a training step runs on the
+    batch's real source rows, its real target rows or one LM-head chunk of
+    them, never on the padded (batch, max_len) grid."""
+    model = Seq2SeqModel(PACKED, seed=0)
+    seq, tagged = _mixed_batches(np.random.default_rng(3))
+    seen = {"linear": [], "ffn": []}
+    linear, ffn_fwd = mdl._linear, mdl._ffn_fwd
+
+    def spy_linear(x, w):
+        seen["linear"].append((len(x), w.shape[1]))
+        return linear(x, w)
+
+    def spy_ffn(params, prefix, x):
+        seen["ffn"].append(len(x))
+        return ffn_fwd(params, prefix, x)
+
+    monkeypatch.setattr(mdl, "_linear", spy_linear)
+    monkeypatch.setattr(mdl, "_ffn_fwd", spy_ffn)
+    for objective, instances in ((obj.MSP, seq), (obj.IT, tagged)):
+        seen["linear"].clear()
+        seen["ffn"].clear()
+        mdl.loss_and_grads(model, instances, objective)
+        batch = make_batch(instances, PACKED)
+        real = {int(batch.src_len.sum())} | ({int(batch.tgt_len.sum())} if objective != obj.IT else set())
+        padded = {batch.src.size, batch.tgt.size}
+        assert not real & padded
+        head = [rows for rows, out in seen["linear"] if out == PACKED.vocab_size]
+        body = [rows for rows, out in seen["linear"] if out != PACKED.vocab_size]
+        assert set(body) == real and set(seen["ffn"]) == real
+        if objective == obj.IT:
+            assert head == []
+        else:
+            assert len(head) > 1 and max(head) <= mdl.LM_HEAD_ROWS and sum(head) == batch.tgt_len.sum()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -179,7 +180,7 @@ def _reference_generate(model, source_ids, max_len, beam=1, eos_id=None):
     def logits_after(dec_in):
         tgt = np.asarray([dec_in], dtype=np.int64)
         hidden, _ = decoder_forward(model, tgt, np.asarray([len(dec_in)]), enc_out, src_len)
-        return hidden[0, -1] @ model.params["lm.w"] + model.params["lm.b"]
+        return hidden[-1] @ model.params["lm.w"] + model.params["lm.b"]
 
     if beam <= 1:
         out = []
@@ -285,6 +286,18 @@ def test_embed_dimension_and_self_similarity(tiny_config):
     assert e1.shape == (tiny_config.d_model,)
     e2 = tr.embed_last_state(model, [1, 9, 8, 2])
     assert tr.cosine_similarity(e1, e2) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("source, message", [
+    ([1, -1, 3], "source id outside vocabulary: -1 at position 1"),
+    ([1, 3, 10**6], "source id outside vocabulary: 1000000 at position 2"),
+    ([], "source length 0 outside 1..160"),
+    ([1] * 161, "source length 161 outside 1..160"),
+])
+def test_embed_last_state_rejects_bad_source(tiny_config, source, message):
+    model = Seq2SeqModel(tiny_config, seed=2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tr.embed_last_state(model, source)
 
 
 def test_unigram_classifier_separable_set(tokenizer, tiny_config):
