@@ -4,13 +4,14 @@
 Each artifact-producing command is a ``Stage`` that declares its default
 output name and its input files once.  ``dispatch`` runs every stage the same
 way: it resolves the output, digests the inputs and writes a snapshot next to
-the output that records every flag of the stage and a sha256 of every input
-the stage reads.  When the output already exists with an identical snapshot
-the stage is skipped, so re-running a pipeline only redoes stages whose flags
-or inputs changed.  The snapshot layout changed when it began to record every
-flag, so a run directory made before that redoes each stage once.  All
-randomness flows from explicit seeds; rerunning a stage with the same
-configuration reproduces its artifacts byte for byte.
+the output that records every flag of the stage, a sha256 of every input
+the stage reads and the checkpoint and tokenizer format versions.  When the
+output already exists with an identical snapshot the stage is skipped, so
+re-running a pipeline only redoes stages whose flags, inputs or formats
+changed.  A run directory made before the snapshot recorded every flag and
+both versions redoes each stage once.  All randomness flows from explicit
+seeds; rerunning a stage with the same configuration reproduces its
+artifacts byte for byte.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -29,6 +30,7 @@ from typing import Callable
 
 from . import artifacts, bpe, corpus, metrics as metrics_mod, mixture as mixture_mod
 from . import lexer as lx
+from . import model as mdl
 from . import objectives as obj
 from . import training as tr
 from .model import ModelConfig, Seq2SeqModel
@@ -122,7 +124,8 @@ def _run_stage(args: argparse.Namespace) -> int:
     if stage.more_inputs is not None:
         files += stage.more_inputs(args)
     inputs = {str(path): _digest(_require_file(path, what)) for path, what in files if path is not None}
-    config = {**flags, "stage": args.command, "out": str(out), "inputs": inputs}
+    versions = {"checkpoint": mdl.CHECKPOINT_VERSION, "tokenizer": bpe.FORMAT_VERSION}
+    config = {**flags, "stage": args.command, "out": str(out), "inputs": inputs, "versions": versions}
     if _stage_up_to_date(out, config):
         print(f"{args.command}: up to date ({out})")
         return 0

@@ -5,7 +5,10 @@ multi-head attention without biases, ReLU feed-forward blocks.  Two loss
 heads sit on top:
 
 - a vocabulary projection over decoder states for span/identifier denoising
-  and plain sequence-to-sequence training (teacher forced, causal mask);
+  and plain sequence-to-sequence training (teacher forced, causal mask),
+  tied to the token embedding: one C-contiguous (d_model, vocab) matrix
+  ``embed.tok`` gives the logits ``hidden @ embed.tok + lm.b`` and, through
+  its transpose, the token embeddings;
 - a scalar sigmoid projection over encoder states for identifier tagging,
   which by construction touches only encoder-side parameters.
 
@@ -33,7 +36,7 @@ from .objectives import IT, MIP, MSP, TrainingInstance
 NEG_INF = -1e30
 LN_EPS = 1e-6
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2: the LM head is tied to the token embedding
 
 
 class InstanceObjectiveError(ValueError):
@@ -89,7 +92,8 @@ def _init_params(config: ModelConfig, normal: Callable[..., np.ndarray]) -> dict
         w(f"{prefix}.w2", (ff, d))
         params[f"{prefix}.b2"] = np.zeros(d)
 
-    w("embed.tok", (v, d))
+    # drawn as the (vocab, d_model) table it is the transpose of, so every later draw is unchanged
+    params["embed.tok"] = np.ascontiguousarray(normal(0.0, 0.02, (v, d)).T)
     w("embed.src_pos", (config.max_src_len, d))
     w("embed.tgt_pos", (config.max_tgt_len, d))
     for i in range(config.encoder_layers):
@@ -106,7 +110,6 @@ def _init_params(config: ModelConfig, normal: Callable[..., np.ndarray]) -> dict
         ln(f"dec{i}.ln3")
         ffn(f"dec{i}.ffn")
     ln("dec.ln_f")
-    w("lm.w", (d, v))
     params["lm.b"] = np.zeros(v)
     w("tag.w", (d,))
     params["tag.b"] = np.zeros(())
@@ -147,8 +150,10 @@ class Seq2SeqModel:
     def load(cls, path: str | Path) -> "Seq2SeqModel":
         with np.load(path) as data:
             meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
-            if meta.get("checkpoint_version") != CHECKPOINT_VERSION:
-                raise ValueError(f"unsupported checkpoint version: {meta.get('checkpoint_version')}")
+            version = meta.get("checkpoint_version")
+            if version != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION}): "
+                                 "the LM head is now tied to the token embedding, so retrain the run")
             config = ModelConfig(**meta["config"])
             params = {k[len("param::"):]: data[k] for k in data.files if k.startswith("param::")}
         expected = _init_params(config, lambda loc, scale, size: np.broadcast_to(0.0, size))
@@ -188,11 +193,11 @@ def _embed(params, pos_table, ids, rows: Packing):
     """Token plus position embeddings of the real ids of padded ``ids``, as
     packed rows; returns them and those ids."""
     tok = ids[rows.real]
-    return params["embed.tok"][tok] + params[pos_table][np.nonzero(rows.real)[1]], tok
+    return params["embed.tok"].T[tok] + params[pos_table][np.nonzero(rows.real)[1]], tok
 
 
 def _embed_bwd(grads, pos_table, tok, rows: Packing, dx):
-    np.add.at(grads["embed.tok"], tok, dx)
+    np.add.at(grads["embed.tok"].T, tok, dx)
     np.add.at(grads[pos_table], np.nonzero(rows.real)[1], dx)
 
 
@@ -485,10 +490,10 @@ def decoder_step(model: Seq2SeqModel, state: DecodeState, tokens) -> np.ndarray:
     if state.length == max_len:
         raise ValueError(f"decode state is full after {max_len} steps")
     params = model.params
-    x = params["embed.tok"][np.asarray(tokens, dtype=np.int64)] + params["embed.tgt_pos"][state.length]
+    x = params["embed.tok"].T[np.asarray(tokens, dtype=np.int64)] + params["embed.tgt_pos"][state.length]
     hidden = _decoder_layers(model, x, None, (None, None), state)[0]
     state.length += 1
-    return hidden @ params["lm.w"] + params["lm.b"]
+    return _logits(params, hidden)
 
 
 # --------------------------------------------------------------------------
@@ -573,13 +578,18 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 LM_HEAD_ROWS = 256  # target rows per LM-head chunk; bounds the (rows, vocab) working set
 
 
+def _logits(params, h: np.ndarray) -> np.ndarray:
+    """The LM head over the hidden rows ``h``: ``h @ embed.tok + lm.b``."""
+    logits = _linear(h, params["embed.tok"])
+    logits += params["lm.b"]
+    return logits
+
+
 def _lm_head_chunk(params, h: np.ndarray, targets: np.ndarray, grads: dict | None):
     """Summed token cross entropy of the LM head over the hidden rows ``h``.
     With ``grads``, adds the head's gradients to it and also returns the
     gradient of ``h``."""
-    w = params["lm.w"]
-    logits = _linear(h, w)
-    logits += params["lm.b"]
+    logits = _logits(params, h)
     logits -= logits.max(axis=-1, keepdims=True)
     picked = np.arange(len(h)), targets
     target_logits = logits[picked]
@@ -590,17 +600,13 @@ def _lm_head_chunk(params, h: np.ndarray, targets: np.ndarray, grads: dict | Non
         return loss, None
     dlogits /= sums[:, None]
     dlogits[picked] -= 1.0
-    grads["lm.w"] += h.T @ dlogits
+    grads["embed.tok"] += h.T @ dlogits
     grads["lm.b"] += dlogits.sum(axis=0)
-    return loss, dlogits @ w.T
+    return loss, dlogits @ params["embed.tok"].T
 
 
-def seq2seq_loss_and_grads(
-    model: Seq2SeqModel,
-    instances: list[TrainingInstance],
-    drop_rng=None,
-    compute_grads: bool = True,
-):
+def seq2seq_loss_and_grads(model: Seq2SeqModel, instances: list[TrainingInstance], drop_rng=None,
+                           compute_grads: bool = True):
     """Teacher-forced token cross entropy, summed over real target tokens.
 
     Returns (loss_sum, token_count, grads or None).
@@ -609,9 +615,7 @@ def seq2seq_loss_and_grads(
         raise ValueError("sequence loss needs non-empty targets")
     batch = make_batch(instances, model.config)
     enc_out, enc_cache = encoder_forward(model, batch.src, batch.src_len, drop_rng)
-    hidden, dec_cache = decoder_forward(
-        model, batch.tgt_in, batch.tgt_len, enc_out, batch.src_len, drop_rng
-    )
+    hidden, dec_cache = decoder_forward(model, batch.tgt_in, batch.tgt_len, enc_out, batch.src_len, drop_rng)
     # hidden holds the real target rows (the cache's Packing); the LM head runs on LM_HEAD_ROWS at a time
     targets = batch.tgt[dec_cache[1].real]
     grads = model.zeros_like_params() if compute_grads else None
@@ -625,12 +629,8 @@ def seq2seq_loss_and_grads(
     return loss, len(hidden), grads
 
 
-def tagging_loss_and_grads(
-    model: Seq2SeqModel,
-    instances: list[TrainingInstance],
-    drop_rng=None,
-    compute_grads: bool = True,
-):
+def tagging_loss_and_grads(model: Seq2SeqModel, instances: list[TrainingInstance], drop_rng=None,
+                           compute_grads: bool = True):
     """Binary cross entropy of the tagging head over code-segment positions.
 
     Runs the encoder only, so decoder parameters receive no gradient.
@@ -709,8 +709,7 @@ def forward_lm_batch(model: Seq2SeqModel, instances: list[TrainingInstance]) -> 
     enc_out, _ = encoder_forward(model, batch.src, batch.src_len)
     hidden, dec_cache = decoder_forward(model, batch.tgt_in, batch.tgt_len, enc_out, batch.src_len)
     probs = np.zeros((*batch.tgt.shape, model.config.vocab_size))
-    probs[dec_cache[1].real] = np.exp(_log_softmax(
-        hidden @ model.params["lm.w"] + model.params["lm.b"]))
+    probs[dec_cache[1].real] = np.exp(_log_softmax(_logits(model.params, hidden)))
     return probs
 
 

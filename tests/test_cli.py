@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from codepretrain import bpe, corpus
+from codepretrain import model as mdl
 from codepretrain.cli import Stage, build_parser, dispatch
 from codepretrain.model import ModelConfig, Seq2SeqModel
 
@@ -264,6 +265,25 @@ def test_stage_reruns_after_run_killed_mid_write(tmp_path, capsys, monkeypatch):
     assert dispatch(argv) == 0
     assert "up to date" not in capsys.readouterr().out
     assert len(list(corpus.read_documents(out))) == 50
+
+
+@pytest.mark.parametrize("module, version", [(mdl, "CHECKPOINT_VERSION"), (bpe, "FORMAT_VERSION")])
+def test_stage_reruns_when_a_format_version_changes(pipeline, tmp_path, capsys, monkeypatch, module, version):
+    """A checkpoint or tokenizer format change makes a matching snapshot stale."""
+    argv = [
+        "pretrain", "--instances", str(pipeline["inst"]), "--tokenizer", str(pipeline["tok"]),
+        "--steps", "1", "--batch-size", "2", "--d-model", "16", "--num-heads", "2", "--encoder-layers", "1",
+        "--decoder-layers", "1", "--feedforward-dim", "32", "--max-src-len", "160", "--max-tgt-len", "64",
+        "--out", str(tmp_path / "run"),
+    ]
+    assert dispatch(argv) == 0
+    assert dispatch(argv) == 0
+    assert "up to date" in capsys.readouterr().out
+    monkeypatch.setattr(module, version, getattr(module, version) + 1)
+    assert dispatch(argv) == 0
+    assert "up to date" not in capsys.readouterr().out
+    assert dispatch(argv) == 0
+    assert "up to date" in capsys.readouterr().out
 
 
 def test_pretrain_generate_eval_end_to_end(pipeline, tmp_path, capsys):
@@ -605,6 +625,30 @@ def test_unreadable_checkpoint_or_tokenizer_is_clean_error(pipeline, tmp_path, c
     assert dispatch(argv + ["--tokenizer", str(tok), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}") and cause in err
+    assert not out.exists()
+
+
+def test_generate_on_version_1_checkpoint_is_clean_error(pipeline, tmp_path, capsys, monkeypatch):
+    """A checkpoint saved before the LM head was tied to the token embedding
+    (a (vocab, d_model) ``embed.tok`` and a separate ``lm.w``) is refused with
+    one error line that says why."""
+    ckpt = _tiny_checkpoint(pipeline["tok"], tmp_path / "v1.npz")
+    model = Seq2SeqModel.load(ckpt)
+    model.params["lm.w"] = model.params["embed.tok"].copy()
+    model.params["embed.tok"] = model.params["embed.tok"].T.copy()
+    with monkeypatch.context() as m:
+        m.setattr(mdl, "CHECKPOINT_VERSION", 1)
+        model.save(ckpt)
+    data = tmp_path / "task.jsonl"
+    data.write_text(json.dumps({"source": "int x ;", "target": "declare"}) + "\n", encoding="utf-8")
+    out = tmp_path / "hyp.txt"
+    argv = ["generate", "--checkpoint", str(ckpt), "--tokenizer", str(pipeline["tok"]), "--input", str(data),
+            "--out", str(out)]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: cannot read checkpoint {ckpt}: unsupported checkpoint version 1 ")
+    assert "tied to the token embedding" in err[0] and "retrain" in err[0]
     assert not out.exists()
 
 

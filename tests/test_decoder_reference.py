@@ -10,6 +10,10 @@ stacked (batch, T, d) @ (d, n) product, and layer norm called
 used (head split and merge, length mask, layer-norm, feed-forward and
 dropout backward passes, dropout), so the reference calls no model code but
 ``make_batch``, and a change to a live helper cannot move the oracle with it.
+The LM head is tied to the token embedding in the reference too: the
+(d_model, vocab) matrix ``embed.tok`` gives the logits, its transpose the
+token embeddings, and both the head and the embedding scatter add their
+gradients into it.
 
 Each sequence now attends at its own lengths and the LM head runs on the
 real target rows in chunks.  Those change only the order of floating-point
@@ -162,7 +166,7 @@ def _ref_ffn_fwd(params, prefix, x):
 def _ref_encoder_forward(model, src, src_len, drop_rng=None):
     cfg, params = model.config, model.params
     b, s = src.shape
-    x = params["embed.tok"][src] + params["embed.src_pos"][:s]
+    x = params["embed.tok"].T[src] + params["embed.src_pos"][:s]
     mask = _ref_key_mask(src_len, s)
     caches = []
     for i in range(cfg.encoder_layers):
@@ -191,14 +195,14 @@ def _ref_encoder_backward(model, dout, cache, grads):
         da = _dropout_bwd(dx, k1)
         dq, dkv = _ref_attn_bwd(da, c_attn, params, grads)
         dx = dx + _ln_bwd(dq + dkv, c_ln1, grads)
-    np.add.at(grads["embed.tok"], src, dx)
+    np.add.at(grads["embed.tok"].T, src, dx)
     grads["embed.src_pos"][: src.shape[1]] += dx.sum(axis=0)
 
 
 def _ref_decoder_forward(model, tgt_in, tgt_len, enc_out, src_len, drop_rng=None):
     cfg, params = model.config, model.params
     b, t = tgt_in.shape
-    x = params["embed.tok"][tgt_in] + params["embed.tgt_pos"][:t]
+    x = params["embed.tok"].T[tgt_in] + params["embed.tgt_pos"][:t]
     self_mask = _ref_causal_mask(t) + _ref_key_mask(tgt_len, t)
     cross_mask = _ref_key_mask(src_len, enc_out.shape[1])
     caches = []
@@ -237,7 +241,7 @@ def _ref_decoder_backward(model, dhidden, cache, grads):
         da = _dropout_bwd(dx, k1)
         dq2, dkv2 = _ref_attn_bwd(da, c_self, params, grads)
         dx = dx + _ln_bwd(dq2 + dkv2, c_ln1, grads)
-    np.add.at(grads["embed.tok"], tgt_in, dx)
+    np.add.at(grads["embed.tok"].T, tgt_in, dx)
     grads["embed.tgt_pos"][: tgt_in.shape[1]] += dx.sum(axis=0)
     return denc
 
@@ -249,7 +253,7 @@ def _ref_seq2seq_loss_and_grads(model, instances, drop_rng=None):
     hidden, dec_cache = _ref_decoder_forward(
         model, batch.tgt_in, batch.tgt_len, enc_out, batch.src_len, drop_rng
     )
-    logits = hidden @ params["lm.w"] + params["lm.b"]
+    logits = hidden @ params["embed.tok"] + params["lm.b"]
     logp = _ref_log_softmax(logits)
     mask = _length_mask(batch.tgt_len, batch.tgt.shape[1])
     b_idx, t_idx = np.nonzero(mask)
@@ -258,9 +262,9 @@ def _ref_seq2seq_loss_and_grads(model, instances, drop_rng=None):
     dlogits[b_idx, t_idx, batch.tgt[b_idx, t_idx]] -= 1.0
     grads = model.zeros_like_params()
     d = model.config.d_model
-    grads["lm.w"] += hidden.reshape(-1, d).T @ dlogits.reshape(-1, model.config.vocab_size)
+    grads["embed.tok"] += hidden.reshape(-1, d).T @ dlogits.reshape(-1, model.config.vocab_size)
     grads["lm.b"] += dlogits.sum(axis=(0, 1))
-    denc = _ref_decoder_backward(model, dlogits @ params["lm.w"].T, dec_cache, grads)
+    denc = _ref_decoder_backward(model, dlogits @ params["embed.tok"].T, dec_cache, grads)
     _ref_encoder_backward(model, denc, enc_cache, grads)
     return float(loss), int(mask.sum()), grads
 
@@ -316,7 +320,7 @@ def _ref_decoder_step(model, state, tokens):
     cfg, params = model.config, model.params
     rows, heads, max_len, _ = state.self_k[0].shape
     t = state.length
-    x = params["embed.tok"][np.asarray(tokens, dtype=np.int64)] + params["embed.tgt_pos"][t]
+    x = params["embed.tok"].T[np.asarray(tokens, dtype=np.int64)] + params["embed.tgt_pos"][t]
 
     def heads_of(y):
         return _split_heads(y[:, None, :], heads)
@@ -337,7 +341,7 @@ def _ref_decoder_step(model, state, tokens):
         x = x + f
     hidden, _ = _ref_ln_fwd(params, "dec.ln_f", x)
     state.length = t + 1
-    return hidden @ params["lm.w"] + params["lm.b"]
+    return hidden @ params["embed.tok"] + params["lm.b"]
 
 
 # --------------------------------------------------------------------------

@@ -103,7 +103,7 @@ def test_padding_independence(model, tokenizer, bundled_docs):
 
 def test_loss_msp_uniform_model(tiny_config, msp_instance):
     uniform = Seq2SeqModel(tiny_config, seed=0)
-    uniform.params["lm.w"][:] = 0.0
+    uniform.params["embed.tok"][:] = 0.0
     uniform.params["lm.b"][:] = 0.0
     k = len(msp_instance.target_ids)
     expected = k * math.log(tiny_config.vocab_size)
@@ -202,6 +202,17 @@ def test_param_partition_covers_everything(model):
             continue
         assert is_encoder_param(name) or is_decoder_param(name), name
     assert not any(is_encoder_param(n) and is_decoder_param(n) for n in model.params)
+
+
+def test_lm_head_is_tied_to_the_token_embedding():
+    """One C-contiguous (d_model, vocab) matrix is the token embedding and the
+    LM head, drawn as the (vocab, d_model) table it is the transpose of."""
+    model = Seq2SeqModel(ModelConfig(vocab_size=8000), seed=0)
+    assert "lm.w" not in model.params
+    tok = model.params["embed.tok"]
+    assert tok.shape == (128, 8000) and tok.flags.c_contiguous
+    assert np.array_equal(tok.T, np.random.default_rng(0).normal(0.0, 0.02, (8000, 128)))
+    assert sum(p.size for p in model.params.values()) == 2_053_569
 
 
 def test_make_batch_rejects_bad_ids(tiny_config):

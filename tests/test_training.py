@@ -180,7 +180,7 @@ def _reference_generate(model, source_ids, max_len, beam=1, eos_id=None):
     def logits_after(dec_in):
         tgt = np.asarray([dec_in], dtype=np.int64)
         hidden, _ = decoder_forward(model, tgt, np.asarray([len(dec_in)]), enc_out, src_len)
-        return hidden[-1] @ model.params["lm.w"] + model.params["lm.b"]
+        return hidden[-1] @ model.params["embed.tok"] + model.params["lm.b"]
 
     if beam <= 1:
         out = []
