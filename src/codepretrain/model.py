@@ -36,7 +36,7 @@ from .objectives import IT, MIP, MSP, TrainingInstance
 NEG_INF = -1e30
 LN_EPS = 1e-6
 
-CHECKPOINT_VERSION = 2  # 2: the LM head is tied to the token embedding
+CHECKPOINT_VERSION = 2
 
 
 class InstanceObjectiveError(ValueError):
