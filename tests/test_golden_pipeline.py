@@ -1,0 +1,130 @@
+"""Golden values of the README training, generation and evaluation stages.
+
+On the artifacts of ``test_golden_prep.prepare`` (the bundled corpus), a
+tiny model (d_model 32, 2+2 layers, dropout 0.1) runs through
+``cli.dispatch``: ``pretrain``, ``pretrain --phase dual``, a multi-task
+``finetune`` with a validation set, ``generate --beam 4`` and ``eval``.  The
+golden file ``golden_pipeline.json`` beside this test pins
+
+- the sha256 of the generated ``hyp.txt``;
+- every metrics-log value and every ``eval`` report value, within 1e-9
+  relative: numerics may move in the last bits;
+- each checkpoint parameter's sum and sum of squares, keyed by name in
+  order, within 1e-9 relative.
+
+A seeded change to initialisation, dropout, sampling, the layers or the
+optimizer moves these values.  A change that means to move them regenerates
+the golden file with
+
+    PYTHONPATH=src python tests/test_golden_pipeline.py
+
+and says in CHANGES.md which values moved and why.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from codepretrain import corpus
+from codepretrain.cli import dispatch
+from test_golden_prep import prepare
+
+GOLDEN = Path(__file__).with_name("golden_pipeline.json")
+REL_TOL = 1e-9
+
+MODEL = ["--d-model", "32", "--num-heads", "2", "--encoder-layers", "2", "--decoder-layers", "2",
+         "--feedforward-dim", "64", "--max-src-len", "160", "--max-tgt-len", "64", "--dropout", "0.1"]
+
+
+def _task_files(root: Path) -> tuple[Path, Path, Path]:
+    """A summarize dataset, its validation set and a test set with references,
+    from disjoint documented records of the bundled corpus; then the mixture."""
+    records = [r for r in corpus.ingest(corpus.bundled_corpus_path()) if r.docstring]
+    parts = {"train": records[:24], "val": records[24:30], "test": records[30:34]}
+    for name, rows in parts.items():
+        (root / f"{name}.jsonl").write_text(
+            "".join(json.dumps({"source": r.code[:200], "target": r.docstring}) + "\n" for r in rows),
+            encoding="utf-8",
+        )
+    ref = root / "ref.txt"
+    ref.write_text("".join(" ".join(r.docstring.split()) + "\n" for r in parts["test"]), encoding="utf-8")
+    mixture = root / "mixture.json"
+    mixture.write_text(json.dumps({"alpha": 0.7, "tasks": [
+        {"name": "summarize", "path": str(root / "train.jsonl"), "control_code": "Summarize:",
+         "validation": str(root / "val.jsonl")},
+        {"name": "dual", "path": str(root / "dual.jsonl")},
+    ]}), encoding="utf-8")
+    return mixture, root / "test.jsonl", ref
+
+
+def run_pipeline(root: Path) -> dict:
+    """Prepare, train, generate and evaluate in ``root``; the values to pin."""
+    prepare(root)
+    tok = str(root / "tok")
+    mixture, test, ref = _task_files(root)
+    stages = {
+        "pretrain": ["pretrain", "--instances", str(root / "denoise.jsonl"), "--tokenizer", tok,
+                     "--steps", "12", "--batch-size", "4", "--seed", "0", *MODEL],
+        "pretrain-dual": ["pretrain", "--instances", str(root / "dual.jsonl"), "--tokenizer", tok,
+                          "--phase", "dual", "--init", str(root / "pretrain" / "checkpoint.npz"),
+                          "--steps", "6", "--batch-size", "4", "--seed", "1"],
+        "finetune": ["finetune", "--mixture", str(mixture), "--tokenizer", tok,
+                     "--init", str(root / "pretrain-dual" / "checkpoint.npz"),
+                     "--steps", "6", "--batch-size", "4", "--seed", "2"],
+    }
+    for name, argv in stages.items():
+        assert dispatch(argv + ["--out", str(root / name)]) == 0, name
+    hyp = root / "hyp.txt"
+    assert dispatch(["generate", "--checkpoint", str(root / "finetune" / "checkpoint.npz"), "--tokenizer", tok,
+                     "--input", str(test), "--control-code", "Summarize:", "--max-len", "12", "--beam", "4",
+                     "--out", str(hyp)]) == 0
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        assert dispatch(["eval", "--task", "summarize", "--hyp", str(hyp), "--ref", str(ref)]) == 0
+    metrics = {name: [json.loads(line) for line in (root / name / "metrics.jsonl").read_text().splitlines()]
+               for name in stages}
+    metrics["eval"] = [json.loads(line) for line in report.getvalue().splitlines()]
+    params = {}
+    for path in sorted(root.glob("*/checkpoint*.npz")):
+        with np.load(path) as data:
+            params[str(path.relative_to(root))] = {
+                key[len("param::"):]: [float(data[key].sum()), float((data[key] ** 2).sum())]
+                for key in data.files if key.startswith("param::")
+            }
+    return {"metrics": metrics, "params": params, "hyp_sha256": hashlib.sha256(hyp.read_bytes()).hexdigest()}
+
+
+def _assert_close(got, want, where: str) -> None:
+    """``got`` equals ``want`` in structure, key order and strings, and every
+    number within ``REL_TOL`` relative."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), where
+        for key in want:
+            _assert_close(got[key], want[key], f"{where}/{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=REL_TOL, abs_tol=0.0), f"{where}: {got!r} != {want!r}"
+    else:
+        assert got == want, f"{where}: {got!r} != {want!r}"
+
+
+def test_pipeline_matches_golden(tmp_path):
+    _assert_close(run_pipeline(tmp_path), json.loads(GOLDEN.read_text(encoding="utf-8")), "golden")
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        values = run_pipeline(Path(tmp))
+    GOLDEN.write_text(json.dumps(values, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN}")
