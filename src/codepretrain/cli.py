@@ -349,6 +349,17 @@ def _read_lines(path: str) -> list[str]:
     return _require_file(path, "file").read_text(encoding="utf-8").splitlines()
 
 
+def _int_labels(path: str, lines: list[str]) -> list[int]:
+    """One integer label per line; a line that is not one names the file and line."""
+    labels = []
+    for n, line in enumerate(lines, start=1):
+        try:
+            labels.append(int(line))
+        except ValueError as exc:
+            raise CommandError(f"{path} line {n}: {exc}")
+    return labels
+
+
 def _cmd_eval(args) -> int:
     hyps = _read_lines(args.hyp)
     refs = _read_lines(args.ref)
@@ -372,15 +383,13 @@ def _cmd_eval(args) -> int:
                 "note: codebleu is not reported (needs language-specific dataflow matching)",
                 file=sys.stderr,
             )
-    elif task == "defect":
-        preds = [int(x) for x in hyps]
-        golds = [int(x) for x in refs]
-        per = [1.0 if p == g else 0.0 for p, g in zip(preds, golds)]
-        reports.append(metrics_mod.EvalReport("accuracy", metrics_mod.accuracy(preds, golds), per))
-    elif task == "clone":
-        preds = [int(x) for x in hyps]
-        golds = [int(x) for x in refs]
-        reports.append(metrics_mod.EvalReport("f1", metrics_mod.f1_binary(preds, golds)))
+    elif task in ("defect", "clone"):
+        preds, golds = _int_labels(args.hyp, hyps), _int_labels(args.ref, refs)
+        if task == "defect":
+            per = [1.0 if p == g else 0.0 for p, g in zip(preds, golds)]
+            reports.append(metrics_mod.EvalReport("accuracy", metrics_mod.accuracy(preds, golds), per))
+        else:
+            reports.append(metrics_mod.EvalReport("f1", metrics_mod.f1_binary(preds, golds)))
     else:
         raise CommandError(f"unknown eval task: {task}")
     for rep in reports:

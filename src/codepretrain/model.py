@@ -17,14 +17,20 @@ checked against central finite differences.  Training uses a packed layout:
 a batch's real tokens are (rows, d_model) arrays with per-sequence offsets
 (``Packing``), so every per-token op skips padding, attention runs per
 sequence on views of those rows, and dropout masks are drawn at the padded
-shape with their real rows kept.  One decoder stack serves teacher-forced
-training and KV-cached decoding (one row per hypothesis and step).
+shape with their real rows kept.
+
+One table, ``_SUBLAYERS``, defines the layer layout: each layer of a stack
+runs its residual sublayers in order, each as layer norm, sublayer, dropout
+and add, and a final layer norm closes the stack.  Parameter init, the one
+stack forward (teacher forced, and KV-cached decoding with one row per
+hypothesis and step) and the one stack backward all read it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from itertools import cycle
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -70,6 +76,14 @@ class ModelConfig:
             raise ValueError("dropout must be in [0, 1)")
 
 
+# (layer norm, sublayer) of each layer, in order: "attn" is self-attention,
+# "self" causal self-attention, "cross" attention over the encoder output
+_SUBLAYERS = {
+    "enc": (("ln1", "attn"), ("ln2", "ffn")),
+    "dec": (("ln1", "self"), ("ln2", "cross"), ("ln3", "ffn")),
+}
+
+
 def _init_params(config: ModelConfig, normal: Callable[..., np.ndarray]) -> dict[str, np.ndarray]:
     """Every parameter, in a fixed order; each weight matrix is ``normal(0.0, 0.02, shape)``."""
     d, ff, v = config.d_model, config.feedforward_dim, config.vocab_size
@@ -96,20 +110,12 @@ def _init_params(config: ModelConfig, normal: Callable[..., np.ndarray]) -> dict
     params["embed.tok"] = np.ascontiguousarray(normal(0.0, 0.02, (v, d)).T)
     w("embed.src_pos", (config.max_src_len, d))
     w("embed.tgt_pos", (config.max_tgt_len, d))
-    for i in range(config.encoder_layers):
-        ln(f"enc{i}.ln1")
-        attn(f"enc{i}.attn")
-        ln(f"enc{i}.ln2")
-        ffn(f"enc{i}.ffn")
-    ln("enc.ln_f")
-    for i in range(config.decoder_layers):
-        ln(f"dec{i}.ln1")
-        attn(f"dec{i}.self")
-        ln(f"dec{i}.ln2")
-        attn(f"dec{i}.cross")
-        ln(f"dec{i}.ln3")
-        ffn(f"dec{i}.ffn")
-    ln("dec.ln_f")
+    for stack, depth in (("enc", config.encoder_layers), ("dec", config.decoder_layers)):
+        for i in range(depth):
+            for norm, sub in _SUBLAYERS[stack]:
+                ln(f"{stack}{i}.{norm}")
+                (ffn if sub == "ffn" else attn)(f"{stack}{i}.{sub}")
+        ln(f"{stack}.ln_f")
     params["lm.b"] = np.zeros(v)
     w("tag.w", (d,))
     params["tag.b"] = np.zeros(())
@@ -327,51 +333,9 @@ def _dropout_fwd(x, p, rng, rows: Packing | None):
     return x * keep, keep
 
 
-def _dropout_bwd(dy, keep):
-    return dy if keep is None else dy * keep
-
-
 # --------------------------------------------------------------------------
 # encoder / decoder stacks
 # --------------------------------------------------------------------------
-
-
-def encoder_forward(model: Seq2SeqModel, src: np.ndarray, src_len: np.ndarray, drop_rng=None):
-    """The encoder over padded ``src`` (batch, S), row b holding ``src_len[b]``
-    real ids.  Returns the final-norm states of the real tokens as packed
-    rows (sum(src_len), d_model) and the cache ``encoder_backward`` consumes."""
-    cfg, params = model.config, model.params
-    rows = Packing.of(src_len, src.shape[1])
-    x, tok = _embed(params, "embed.src_pos", src, rows)
-    spans = [(s, s) for s in rows.spans]
-    caches = []
-    for i in range(cfg.encoder_layers):
-        h, c_ln1 = _ln_fwd(params, f"enc{i}.ln1", x)
-        a, c_attn = _attn_fwd(params, f"enc{i}.attn", h, h, spans, cfg.num_heads)
-        a, k1 = _dropout_fwd(a, cfg.dropout, drop_rng, rows)
-        x = x + a
-        h2, c_ln2 = _ln_fwd(params, f"enc{i}.ln2", x)
-        f, c_ffn = _ffn_fwd(params, f"enc{i}.ffn", h2)
-        f, k2 = _dropout_fwd(f, cfg.dropout, drop_rng, rows)
-        x = x + f
-        caches.append((c_ln1, c_attn, k1, c_ln2, c_ffn, k2))
-    out, c_lnf = _ln_fwd(params, "enc.ln_f", x)
-    return out, (tok, rows, caches, c_lnf)
-
-
-def encoder_backward(model: Seq2SeqModel, dout: np.ndarray, cache, grads) -> None:
-    cfg, params = model.config, model.params
-    tok, rows, caches, c_lnf = cache
-    dx = _ln_bwd(dout, c_lnf, grads)
-    for i in reversed(range(cfg.encoder_layers)):
-        c_ln1, c_attn, k1, c_ln2, c_ffn, k2 = caches[i]
-        df = _dropout_bwd(dx, k2)
-        dh2 = _ffn_bwd(df, c_ffn, params, grads)
-        dx = dx + _ln_bwd(dh2, c_ln2, grads)
-        da = _dropout_bwd(dx, k1)
-        dq, dkv = _attn_bwd(da, c_attn, params, grads)
-        dx = dx + _ln_bwd(dq + dkv, c_ln1, grads)
-    _embed_bwd(grads, "embed.src_pos", tok, rows, dx)
 
 
 @dataclass
@@ -411,39 +375,70 @@ class DecodeState:
                 bufs[i] = new
 
 
-def _decoder_layers(model: Seq2SeqModel, x: np.ndarray, enc: np.ndarray | None, spans, state=None,
-                    rows: Packing | None = None, drop_rng=None):
-    """The decoder stack over the embedded rows ``x`` (rows, d_model).  Teacher
-    forced (no ``state``), ``x`` holds the packed target sequences of ``rows``
+def _stack_fwd(model: Seq2SeqModel, stack: str, x: np.ndarray, spans, enc: np.ndarray | None = None,
+               state: DecodeState | None = None, rows: Packing | None = None, drop_rng=None):
+    """The ``stack`` ("enc" or "dec") over the embedded rows ``x`` as ``_SUBLAYERS``
+    lays it out.  Without ``state``, ``x`` holds the packed sequences of ``rows``
     and ``spans`` pairs each one's rows with itself and with its rows of the
     packed encoder output ``enc``.  In a decode step ``spans`` is (None, None):
     row r is the next position of ``state`` row r, whose caches it extends and
-    attends over.  Returns the final-norm hidden states, that norm's cache and
-    each layer's backward cache."""
+    attends over.  Returns the final-norm rows, that norm's cache and each sublayer's."""
     cfg, params = model.config, model.params
-    heads = cfg.num_heads
-    self_spans, cross_spans = spans
     caches = []
-    for i in range(cfg.decoder_layers):
-        h, c_ln1 = _ln_fwd(params, f"dec{i}.ln1", x)
-        self_kv = cross_kv = None
-        if state is not None:  # the newest position's keys and values join the cache
-            k_buf, v_buf, t = state.self_k[i], state.self_v[i], state.length
-            k_buf[:, :, t], v_buf[:, :, t] = _project_kv(params, f"dec{i}.self", h, heads)
-            self_kv, cross_kv = (k_buf[:, :, : t + 1], v_buf[:, :, : t + 1]), state.cross_kv[i]
-        a, c_self = _attn_fwd(params, f"dec{i}.self", h, h, self_spans, heads, True, self_kv)
-        a, k1 = _dropout_fwd(a, cfg.dropout, drop_rng, rows)
-        x = x + a
-        h2, c_ln2 = _ln_fwd(params, f"dec{i}.ln2", x)
-        c_out, c_cross = _attn_fwd(params, f"dec{i}.cross", h2, enc, cross_spans, heads, kv=cross_kv)
-        c_out, k2 = _dropout_fwd(c_out, cfg.dropout, drop_rng, rows)
-        x = x + c_out
-        h3, c_ln3 = _ln_fwd(params, f"dec{i}.ln3", x)
-        f, c_ffn = _ffn_fwd(params, f"dec{i}.ffn", h3)
-        f, k3 = _dropout_fwd(f, cfg.dropout, drop_rng, rows)
-        x = x + f
-        caches.append((c_ln1, c_self, k1, c_ln2, c_cross, k2, c_ln3, c_ffn, k3))
-    return (*_ln_fwd(params, "dec.ln_f", x), caches)
+    for i in range(cfg.encoder_layers if stack == "enc" else cfg.decoder_layers):
+        for norm, sub in _SUBLAYERS[stack]:
+            prefix = f"{stack}{i}.{sub}"
+            h, c_ln = _ln_fwd(params, f"{stack}{i}.{norm}", x)
+            if sub == "ffn":
+                y, c = _ffn_fwd(params, prefix, h)
+            elif sub == "cross":
+                y, c = _attn_fwd(params, prefix, h, enc, spans[1], cfg.num_heads, kv=state and state.cross_kv[i])
+            else:
+                kv = None
+                if state is not None:  # the newest position's keys and values join the cache
+                    k_buf, v_buf, t = state.self_k[i], state.self_v[i], state.length
+                    k_buf[:, :, t], v_buf[:, :, t] = _project_kv(params, prefix, h, cfg.num_heads)
+                    kv = k_buf[:, :, : t + 1], v_buf[:, :, : t + 1]
+                y, c = _attn_fwd(params, prefix, h, h, spans[0], cfg.num_heads, sub == "self", kv)
+            y, keep = _dropout_fwd(y, cfg.dropout, drop_rng, rows)
+            x = x + y
+            caches.append((c_ln, c, keep))
+    return (*_ln_fwd(params, f"{stack}.ln_f", x), caches)
+
+
+def _stack_bwd(model: Seq2SeqModel, stack: str, dout: np.ndarray, cache, grads):
+    """The backward of ``_stack_fwd`` given a ``(tok, rows, caches, c_lnf)`` cache: returns
+    the gradients of its input rows and of the encoder rows it read (None in the encoder)."""
+    _, _, caches, c_lnf = cache
+    dx, denc = _ln_bwd(dout, c_lnf, grads), None
+    for (_, sub), (c_ln, c, keep) in zip(cycle(reversed(_SUBLAYERS[stack])), reversed(caches)):
+        dy = dx if keep is None else dx * keep
+        if sub == "ffn":
+            dh = _ffn_bwd(dy, c, model.params, grads)
+        else:
+            dh, dkv = _attn_bwd(dy, c, model.params, grads)
+            if sub == "cross":
+                denc = dkv if denc is None else denc + dkv
+            else:
+                dh = dh + dkv
+        dx = dx + _ln_bwd(dh, c_ln, grads)
+    return dx, denc
+
+
+def encoder_forward(model: Seq2SeqModel, src: np.ndarray, src_len: np.ndarray, drop_rng=None):
+    """The encoder over padded ``src`` (batch, S), row b holding ``src_len[b]``
+    real ids.  Returns the final-norm states of the real tokens as packed
+    rows (sum(src_len), d_model) and the cache ``encoder_backward`` consumes."""
+    rows = Packing.of(src_len, src.shape[1])
+    x, tok = _embed(model.params, "embed.src_pos", src, rows)
+    spans = [(s, s) for s in rows.spans], None
+    out, c_lnf, caches = _stack_fwd(model, "enc", x, spans, rows=rows, drop_rng=drop_rng)
+    return out, (tok, rows, caches, c_lnf)
+
+
+def encoder_backward(model: Seq2SeqModel, dout: np.ndarray, cache, grads) -> None:
+    dx, _ = _stack_bwd(model, "enc", dout, cache, grads)
+    _embed_bwd(grads, "embed.src_pos", cache[0], cache[1], dx)
 
 
 def decoder_forward(model: Seq2SeqModel, tgt_in: np.ndarray, tgt_len: np.ndarray, enc_out: np.ndarray,
@@ -455,29 +450,14 @@ def decoder_forward(model: Seq2SeqModel, tgt_in: np.ndarray, tgt_len: np.ndarray
     rows = Packing.of(tgt_len, tgt_in.shape[1])
     x, tok = _embed(model.params, "embed.tgt_pos", tgt_in, rows)
     spans = [(s, s) for s in rows.spans], list(zip(rows.spans, _spans(src_len)))
-    hidden, c_lnf, caches = _decoder_layers(model, x, enc_out, spans, None, rows, drop_rng)
+    hidden, c_lnf, caches = _stack_fwd(model, "dec", x, spans, enc_out, rows=rows, drop_rng=drop_rng)
     return hidden, (tok, rows, caches, c_lnf)
 
 
 def decoder_backward(model: Seq2SeqModel, dhidden: np.ndarray, cache, grads) -> np.ndarray:
     """Returns the gradient with respect to the (packed) encoder output."""
-    cfg, params = model.config, model.params
-    tok, rows, caches, c_lnf = cache
-    dx = _ln_bwd(dhidden, c_lnf, grads)
-    denc = None
-    for i in reversed(range(cfg.decoder_layers)):
-        c_ln1, c_self, k1, c_ln2, c_cross, k2, c_ln3, c_ffn, k3 = caches[i]
-        df = _dropout_bwd(dx, k3)
-        dh3 = _ffn_bwd(df, c_ffn, params, grads)
-        dx = dx + _ln_bwd(dh3, c_ln3, grads)
-        dc = _dropout_bwd(dx, k2)
-        dq, dkv = _attn_bwd(dc, c_cross, params, grads)
-        denc = dkv if denc is None else denc + dkv
-        dx = dx + _ln_bwd(dq, c_ln2, grads)
-        da = _dropout_bwd(dx, k1)
-        dq2, dkv2 = _attn_bwd(da, c_self, params, grads)
-        dx = dx + _ln_bwd(dq2 + dkv2, c_ln1, grads)
-    _embed_bwd(grads, "embed.tgt_pos", tok, rows, dx)
+    dx, denc = _stack_bwd(model, "dec", dhidden, cache, grads)
+    _embed_bwd(grads, "embed.tgt_pos", cache[0], cache[1], dx)
     return denc
 
 
@@ -491,7 +471,7 @@ def decoder_step(model: Seq2SeqModel, state: DecodeState, tokens) -> np.ndarray:
         raise ValueError(f"decode state is full after {max_len} steps")
     params = model.params
     x = params["embed.tok"].T[np.asarray(tokens, dtype=np.int64)] + params["embed.tgt_pos"][state.length]
-    hidden = _decoder_layers(model, x, None, (None, None), state)[0]
+    hidden = _stack_fwd(model, "dec", x, (None, None), state=state)[0]
     state.length += 1
     return _logits(params, hidden)
 

@@ -59,7 +59,7 @@ class TrainSchedule:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("steps", 0), ("batch_size", 1), ("warmup_steps", 0), ("clip_norm", 0)):
+        for name, low in (("steps", 0), ("batch_size", 1), ("peak_lr", 0), ("warmup_steps", 0), ("clip_norm", 0)):
             if not getattr(self, name) >= low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
 

@@ -567,6 +567,17 @@ def test_eval_defect_and_clone(tmp_path, capsys):
     assert f1["value"] == pytest.approx(2 * (2 / 3) * 1.0 / (2 / 3 + 1.0))
 
 
+@pytest.mark.parametrize("task", ["defect", "clone"])
+@pytest.mark.parametrize("bad", ["hyp", "ref"])
+def test_eval_non_integer_label_names_file_and_line(tmp_path, capsys, task, bad):
+    files = {name: tmp_path / f"{name}.txt" for name in ("hyp", "ref")}
+    for name, path in files.items():
+        path.write_text("1\nfoo\n0\n" if name == bad else "1\n0\n0\n", encoding="utf-8")
+    assert dispatch(["eval", "--task", task, "--hyp", str(files["hyp"]), "--ref", str(files["ref"])]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {files[bad]} line 2: invalid literal for int() with base 10: 'foo'"]
+
+
 def test_eval_unknown_task(tmp_path):
     hyp = tmp_path / "h.txt"
     hyp.write_text("x\n", encoding="utf-8")
@@ -656,7 +667,7 @@ def test_generate_on_version_1_checkpoint_is_clean_error(pipeline, tmp_path, cap
     "flag, value, field",
     [("--num-heads", "0", "num_heads"), ("--batch-size", "0", "batch_size"),
      ("--encoder-layers", "-1", "encoder_layers"), ("--steps", "-1", "steps"),
-     ("--warmup-steps", "-1", "warmup_steps")],
+     ("--warmup-steps", "-1", "warmup_steps"), ("--lr", "nan", "peak_lr"), ("--lr", "-1", "peak_lr")],
 )
 def test_invalid_model_or_schedule_value_is_clean_error(pipeline, tmp_path, capsys, flag, value, field):
     out = tmp_path / "run"
