@@ -1,7 +1,8 @@
 """Golden digests of the data-preparation artifacts on the bundled corpus.
 
-The README's preparation commands run through ``cli.dispatch``: ingest,
-train-tokenizer, and build-instances for the denoise and the dual phase.
+The README's preparation commands run through ``cli.dispatch``: ingest (with
+and without ``--keep-comments``), train-tokenizer, and build-instances for the
+denoise and the dual phase.
 Each artifact's sha256 is pinned, so a change to the lexer, the tokenizer or
 the instance builders that moves a single byte of output fails here.
 
@@ -25,6 +26,7 @@ from codepretrain.cli import dispatch
 
 GOLDEN_SHA256 = {
     "docs.jsonl": "50818b382cd95fb58409bd17821a325d4812a0770265434e10962fab3a647e6e",
+    "docs-keep-comments.jsonl": "50818b382cd95fb58409bd17821a325d4812a0770265434e10962fab3a647e6e",
     "tok/vocab.txt": "e9ffce79246143265febac02101e4adcba02983403a23c368cf0c7d1130c132d",
     "tok/merges.txt": "12bc7a1a751f03c8b9f6852b526a0811ecc86286a1b628ecf0d367531baf81e8",
     "denoise.jsonl": "274de59a562a35da576d315408d3a2f40a9d3788ff9534b7aff13be914aa7f91",
@@ -38,6 +40,7 @@ def prepare(root: Path) -> dict[str, str]:
     docs, tok = str(root / "docs.jsonl"), str(root / "tok")
     for argv in (
         ["ingest", "--input", src, "--out", docs],
+        ["ingest", "--input", src, "--keep-comments", "--out", str(root / "docs-keep-comments.jsonl")],
         ["train-tokenizer", "--input", src, "--vocab-size", "8000", "--min-freq", "3", "--out", tok],
         ["build-instances", "--input", docs, "--tokenizer", tok, "--phase", "denoise",
          "--seed", "0", "--rate", "0.15", "--out", str(root / "denoise.jsonl")],

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codepretrain import corpus
 from codepretrain import lexer as lx
 
 
@@ -170,3 +173,27 @@ def test_lex_covers_non_whitespace(src):
     tokens = lx.lex(src, lexer)
     covered = "".join(t.text for t in tokens)
     assert [c for c in covered if not c.isspace()] == [c for c in src if not c.isspace()]
+
+
+@pytest.mark.parametrize("source, want", [
+    ("x" + " " * 200_000, [("x", "identifier", (0, 1))]),
+    (" " * 200_000 + "x", [("x", "identifier", (200_000, 200_001))]),
+    (" " * 200_000, []),
+])
+def test_long_whitespace_runs_lex_in_linear_time(mini_lexer, source, want):
+    """A run of whitespace is consumed in one step wherever it sits, so a long
+    one before, after or instead of the code stays cheap."""
+    start = time.perf_counter()
+    tokens = lx.lex(source, mini_lexer)
+    record = corpus.RawRecord(code=source, language="mini")
+    try:
+        doc = corpus.normalize(record, mini_lexer)
+    except corpus.EmptyDocumentError:
+        doc = None
+    elapsed = time.perf_counter() - start
+    assert [(t.text, t.kind, t.span) for t in tokens] == want
+    if want:
+        assert (doc.code_tokens, doc.identifier_labels) == (("x",), (1,))
+    else:
+        assert doc is None
+    assert elapsed < 2.0
