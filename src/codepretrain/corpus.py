@@ -152,20 +152,21 @@ def normalize(
     lexer: lx.LanguageLexer,
     strip_comments: bool = True,
 ) -> CodeDocument:
-    """Turn a raw record into a CodeDocument with identifier labels."""
+    """Turn a raw record into a CodeDocument with identifier labels.
+
+    The code's token texts and labels are read in one scan of the lexer's
+    matches, with no token objects."""
     if lexer.language != record.language:
         raise lx.UnsupportedLanguageError(record.language)
-    tokens = lx.lex(record.code, lexer)
-    if strip_comments:
-        tokens = [t for t in tokens if t.kind != "comment"]
-    if not tokens:
+    texts, labels = lx.code_texts(record.code, lexer, keep_comments=not strip_comments)
+    if not texts:
         raise EmptyDocumentError(f"no code tokens after lexing {record.language} source")
     nl_tokens = tuple(record.docstring.split()) if record.docstring else ()
     return CodeDocument(
         nl_tokens=nl_tokens,
-        code_tokens=tuple(t.text for t in tokens),
+        code_tokens=tuple(texts),
         language=record.language,
-        identifier_labels=tuple(lx.label_identifiers(tokens)),
+        identifier_labels=tuple(labels),
     )
 
 

@@ -2,12 +2,15 @@
 
 Each supported language is described by a small JSON table (keyword set,
 identifier pattern, comment and string delimiters).  A table compiles into
-one scanner: an alternation of named groups in priority order (whitespace,
-line comments, block comments, strings with the longest delimiter first,
-the identifier pattern, numbers, punctuation, operators with the longest
-first, any other printable ASCII character as an operator, anything else as
-``unknown``), walked with ``finditer``.  The lexer is total: every
-character of input ends up in some token or in skipped whitespace.
+one scanner: an alternation of named groups in priority order (line
+comments, block comments, strings with the longest delimiter first, the
+identifier pattern, numbers, punctuation, operators with the longest first,
+any other printable ASCII character as an operator, anything else as
+``unknown``), walked with ``finditer``.  Each match carries the whitespace
+before its token, and an empty end-of-input alternative takes trailing
+whitespace; since ``unknown`` matches any character, the leading whitespace
+never backtracks.  The lexer is total: every character of input ends up in
+some token or in skipped whitespace.
 Identifier labeling is purely lexical: a token is an identifier iff it
 matches the language's identifier pattern and is not a reserved keyword.
 """
@@ -40,7 +43,7 @@ _NUMBER = (
 )
 
 # Token kind of each scanner group named otherwise; "word" is decided by the
-# keyword set and "space" is skipped.
+# keyword set and "end" holds no token.
 _GROUP_KIND = {"string": "literal", "number": "literal"}
 
 
@@ -98,7 +101,6 @@ class LanguageLexer:
         if "" in delimiters + [r.delimiter for r in self.strings]:
             raise ValueError("comment and string delimiters must be non-empty")
         groups = {
-            "space": r"\s+",
             "comment": "|".join([rf"{re.escape(s)}[^\n]*" for s in self.line_comments] + [
                 rf"{re.escape(s)}[\s\S]*?(?:{re.escape(e)}|\Z)" for s, e in self.block_comments]),
             "string": "|".join(r.pattern() for r in sorted(self.strings, key=lambda r: -len(r.delimiter))),
@@ -110,7 +112,8 @@ class LanguageLexer:
         }
         try:
             empty_word = re.match(self.identifier_pattern, "")
-            scanner = re.compile("|".join(f"(?P<{g}>{p})" for g, p in groups.items() if p))
+            alternation = "|".join(f"(?P<{g}>{p})" for g, p in groups.items() if p)
+            scanner = re.compile(rf"\s*(?:{alternation}|(?P<end>\Z))")
         except re.error as exc:
             raise ValueError(f"identifier pattern {self.identifier_pattern!r}: {exc}") from None
         if empty_word:
@@ -141,23 +144,46 @@ class LanguageLexer:
             raise ValueError(f"malformed table: {exc}") from None
 
 
+def _scan(source: str, lexer: LanguageLexer):
+    """Each token of ``source`` as ``(text, kind, match)``, in order.
+
+    This is the one loop over the scanner.  A match is the whitespace before
+    a token followed by the token, which is the match's last group; the empty
+    ``end`` match that takes trailing whitespace yields nothing."""
+    keywords = lexer.keyword_set
+    for m in lexer._scanner.finditer(source):
+        group = m.lastgroup
+        text = m[group]
+        if group == "word":
+            yield text, "keyword" if text in keywords else "identifier", m
+        elif group != "end":
+            yield text, _GROUP_KIND.get(group, group), m
+
+
 def lex(source: str, lexer: LanguageLexer) -> list[LexToken]:
     """Tokenize ``source`` into classified lexemes covering all non-whitespace input."""
+    if source.isascii():
+        return [LexToken(text, kind, m.span(m.lastindex)) for text, kind, m in _scan(source, lexer)]
     tokens: list[LexToken] = []
-    ascii_only = source.isascii()
-    end = 0  # byte offset where the previous match ended
-    for m in lexer._scanner.finditer(source):
-        group, text = m.lastgroup, m.group()
-        if ascii_only:
-            span = m.span()
-        else:
-            span = (end, end + len(text.encode("utf-8")))
-            end = span[1]
-        if group == "word":
-            tokens.append(LexToken(text, "keyword" if text in lexer.keyword_set else "identifier", span))
-        elif group != "space":
-            tokens.append(LexToken(text, _GROUP_KIND.get(group, group), span))
+    end = 0  # byte offset where the previous token ended
+    for text, kind, m in _scan(source, lexer):
+        start = end + len(source[m.start():m.start(m.lastindex)].encode("utf-8"))
+        end = start + len(text.encode("utf-8"))
+        tokens.append(LexToken(text, kind, (start, end)))
     return tokens
+
+
+def code_texts(source: str, lexer: LanguageLexer, keep_comments: bool = False) -> tuple[list[str], list[int]]:
+    """The token texts of ``source`` and their identifier labels (1 for an
+    identifier, 0 otherwise), in one scan with no token objects.  Comments
+    are dropped unless ``keep_comments``."""
+    texts: list[str] = []
+    labels: list[int] = []
+    for text, kind, _ in _scan(source, lexer):
+        if keep_comments or kind != "comment":
+            texts.append(text)
+            labels.append(1 if kind == "identifier" else 0)
+    return texts, labels
 
 
 def label_identifiers(tokens: list[LexToken]) -> list[int]:
