@@ -6,7 +6,7 @@
 Each DIR is a source checkout of one commit (``git clone`` then ``git
 checkout``).  For every workload and seed, ``python3 bench/run.py --workload W
 --seed S --seconds 20 --trace 0`` runs once in each checkout, one process at a
-time: the parent first for odd seeds, the change first for even ones.  The
+time, for the ``run_seconds`` of ``BENCHMARK.json``: the parent first for odd seeds, the change first for even ones.  The
 output file holds every run's result and detail lines and, per workload and
 metric, both sides' medians and quartiles, the parent's interquartile range,
 how much worse the change's median is (a fraction of the parent's, negative
@@ -115,19 +115,19 @@ def main(argv=None) -> int:
     p.add_argument("--change", type=Path, required=True, help="source checkout of the change")
     p.add_argument("--workloads", nargs="+", required=True)
     p.add_argument("--seeds", type=parse_seeds, required=True, help="A-B, inclusive")
-    p.add_argument("--seconds", type=float, default=20.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = benchmark["per_layer" if args.trace else "end_to_end"]
+    seconds = benchmark["run_seconds"]
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for workload in args.workloads:
         for seed in args.seeds:
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for side in order:
-                run = run_once(getattr(args, side), workload, seed, args.seconds, args.trace)
+                run = run_once(getattr(args, side), workload, seed, seconds, args.trace)
                 runs[side].append(run)
                 status = "failed" if run["result"] is None else f"correct={run['result']['correct']}"
                 print(f"{workload} seed {seed} {side}: {status}", file=sys.stderr, flush=True)
@@ -137,7 +137,7 @@ def main(argv=None) -> int:
         "what": "bench/run.py records of the parent commit and of the change, same seeds, run "
                 "alternately (odd seeds parent first, even seeds change first), one process at a time",
         "command": f"python3 bench/run.py --workload <workload> --seed <seed> "
-                   f"--seconds {args.seconds:g} --trace {args.trace}",
+                   f"--seconds {seconds} --trace {args.trace}",
         "seeds": [args.seeds[0], args.seeds[-1]],
         "parent_commit": _commit(args.parent),
         "change_commit": _commit(args.change),
