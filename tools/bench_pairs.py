@@ -5,14 +5,15 @@
 
 Each DIR is a source checkout of one commit (``git clone`` then ``git
 checkout``).  For every workload and seed, ``python3 bench/run.py --workload W
---seed S --seconds 20 --trace 0`` runs once in each checkout, one process at a
-time, for the ``run_seconds`` of ``BENCHMARK.json``: the parent first for odd seeds, the change first for even ones.  The
-output file holds every run's result and detail lines and, per workload and
-metric, both sides' medians and quartiles, the parent's interquartile range,
-how much worse the change's median is (a fraction of the parent's, negative
-when better) and in how many seed pairs the change did better.  With
-``--trace 1`` the per-layer metrics of ``BENCHMARK.json`` are summarised in
-place of the end-to-end ones, which carry their bounds.
+--seed S --seconds 20 --trace 0`` (the ``run_seconds`` of ``BENCHMARK.json``)
+runs once in each checkout, one process at a time: the parent first for odd
+seeds, the change first for even ones.  The output file holds every run's
+result and detail lines and, per workload and metric, both sides' medians and
+quartiles, the parent's interquartile range, how much worse the change's
+median is (a fraction of the parent's, negative when better) and in how many
+seed pairs the change did better.  With ``--trace 1`` the per-layer metrics of
+``BENCHMARK.json`` are summarised in place of the end-to-end ones, which carry
+their bounds.
 """
 
 from __future__ import annotations
