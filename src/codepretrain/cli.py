@@ -5,13 +5,13 @@ Each artifact-producing command is a ``Stage`` that declares its default
 output name and its input files once.  ``dispatch`` runs every stage the same
 way: it resolves the output, digests the inputs and writes a snapshot next to
 the output that records every flag of the stage, a sha256 of every input
-the stage reads and the checkpoint and tokenizer format versions.  When the
-output already exists with an identical snapshot the stage is skipped, so
-re-running a pipeline only redoes stages whose flags, inputs or formats
-changed.  A run directory made before the snapshot recorded every flag and
-both versions redoes each stage once.  All randomness flows from explicit
-seeds; rerunning a stage with the same configuration reproduces its
-artifacts byte for byte.
+the stage reads, the checkpoint and tokenizer format versions and the
+training dtype.  When the output already exists with an identical snapshot
+the stage is skipped, so re-running a pipeline only redoes stages whose
+flags, inputs, formats or training arithmetic changed.  A run directory made
+before the snapshot recorded all of these redoes each stage once.  All
+randomness flows from explicit seeds; rerunning a stage with the same
+configuration reproduces its artifacts byte for byte.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -124,7 +124,8 @@ def _run_stage(args: argparse.Namespace) -> int:
     if stage.more_inputs is not None:
         files += stage.more_inputs(args)
     inputs = {str(path): _digest(_require_file(path, what)) for path, what in files if path is not None}
-    versions = {"checkpoint": mdl.CHECKPOINT_VERSION, "tokenizer": bpe.FORMAT_VERSION}
+    versions = {"checkpoint": mdl.CHECKPOINT_VERSION, "tokenizer": bpe.FORMAT_VERSION,
+                "training_dtype": tr.TRAIN_DTYPE.__name__}
     config = {**flags, "stage": args.command, "out": str(out), "inputs": inputs, "versions": versions}
     if _stage_up_to_date(out, config):
         print(f"{args.command}: up to date ({out})")

@@ -1,6 +1,9 @@
 """Desk-scale encoder-decoder transformer in numpy with hand-written backprop.
 
-Float64 throughout, pre-norm residual blocks, learned absolute positions,
+Every array a pass makes takes the dtype of the parameters it reads.
+Parameters, checkpoints, decoding and gradient checks are float64; the
+training loop runs forward and backward on a float32 working copy (see
+``training``).  Pre-norm residual blocks, learned absolute positions,
 multi-head attention without biases, ReLU feed-forward blocks.  Two loss
 heads sit on top:
 
@@ -29,6 +32,7 @@ hypothesis and step) and the one stack backward all read it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from itertools import cycle
 from pathlib import Path
@@ -234,7 +238,7 @@ def _attend(q, k, v, mask):
     keys, with an optional additive mask; returns (context, attention weights).
     Score-sized steps run in place: a fresh array of that size costs more than its arithmetic."""
     scores = q @ k.swapaxes(-1, -2)
-    scores *= 1.0 / np.sqrt(q.shape[-1])
+    scores *= 1.0 / math.sqrt(q.shape[-1])
     if mask is not None:
         scores += mask
     scores -= scores.max(axis=-1, keepdims=True)
@@ -269,7 +273,7 @@ def _attn_fwd(params, prefix, q_in, kv_in, spans, num_heads, causal=False, kv=No
         for qs, ks in spans:
             if qs.stop > qs.start:
                 # causal: query i sees keys up to i
-                mask = np.where(np.tri(qs.stop - qs.start, dtype=bool), 0.0, NEG_INF) if causal else None
+                mask = np.where(np.tri(qs.stop - qs.start, dtype=bool), 0.0, NEG_INF).astype(q.dtype, copy=False) if causal else None
                 c, attn = _attend(q[qs].transpose(1, 0, 2), k[ks].transpose(1, 0, 2), v[ks].transpose(1, 0, 2), mask)
                 ctx[qs] = c.transpose(1, 0, 2)
                 weights.append((qs, ks, attn))
@@ -280,10 +284,10 @@ def _attn_fwd(params, prefix, q_in, kv_in, spans, num_heads, causal=False, kv=No
 def _attn_bwd(dy, cache, params, grads):
     prefix, q_in, kv_in, q, k, v, weights, merged = cache
     wq, wk, wv, wo = (params[f"{prefix}.{p}"] for p in ("wq", "wk", "wv", "wo"))
-    scale = 1.0 / np.sqrt(q.shape[-1])
+    scale = 1.0 / math.sqrt(q.shape[-1])
     grads[f"{prefix}.wo"] += merged.T @ dy
     dctx = (dy @ wo.T).reshape(q.shape)
-    dq, dk, dv = np.zeros(q.shape), np.zeros(k.shape), np.zeros(v.shape)
+    dq, dk, dv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
     ctx = merged.reshape(q.shape)
     for qs, ks, attn in weights:
         dc, c, qh, kh, vh = (x[s].transpose(1, 0, 2) for x, s in ((dctx, qs), (ctx, qs), (q, qs), (k, ks), (v, ks)))
@@ -326,10 +330,11 @@ def _ffn_bwd(dy, cache, params, grads):
 def _dropout_fwd(x, p, rng, rows: Packing | None):
     """Inverted dropout on the packed rows ``x``.  The mask is drawn at the
     padded (batch, width, d) shape of ``rows`` and its real rows kept, so each
-    draw is the one the padded layout made."""
+    draw is the one the padded layout made; the float64 draws give a mask of
+    ``x``'s dtype."""
     if p <= 0.0 or rng is None:
         return x, None
-    keep = (rng.random((*rows.real.shape, x.shape[-1])) >= p)[rows.real] / (1.0 - p)
+    keep = ((rng.random((*rows.real.shape, x.shape[-1])) >= p)[rows.real] / (1.0 - p)).astype(x.dtype, copy=False)
     return x * keep, keep
 
 
@@ -352,7 +357,7 @@ class DecodeState:
     @classmethod
     def for_source(cls, model: Seq2SeqModel, source_ids, max_len: int) -> "DecodeState":
         """Run the encoder once, project the cross-attention keys and values
-        and allocate caches for ``max_len`` steps of one row."""
+        and allocate caches of the parameters' dtype for ``max_len`` steps of one row."""
         cfg, params = model.config, model.params
         src = source_array(source_ids, cfg)
         if not 0 < max_len <= cfg.max_tgt_len:
@@ -362,7 +367,8 @@ class DecodeState:
         cross_kv = [tuple(x.transpose(1, 0, 2)[None] for x in _project_kv(params, f"dec{i}.cross", enc_out, heads))
                     for i in range(cfg.decoder_layers)]
         shape = (1, heads, max_len, cfg.d_model // heads)
-        return cls(cross_kv, [np.empty(shape) for _ in cross_kv], [np.empty(shape) for _ in cross_kv])
+        dtype = enc_out.dtype
+        return cls(cross_kv, [np.empty(shape, dtype) for _ in cross_kv], [np.empty(shape, dtype) for _ in cross_kv])
 
     def reorder(self, parents) -> None:
         """Make new row r continue old row ``parents[r]``; the row count may change."""
@@ -370,7 +376,7 @@ class DecodeState:
         t = self.length
         for bufs in (self.self_k, self.self_v):
             for i, buf in enumerate(bufs):
-                new = np.empty((idx.size, *buf.shape[1:]))
+                new = np.empty((idx.size, *buf.shape[1:]), buf.dtype)
                 new[:, :, :t] = buf[idx, :, :t]
                 bufs[i] = new
 
@@ -624,7 +630,7 @@ def tagging_loss_and_grads(model: Seq2SeqModel, instances: list[TrainingInstance
     # the head runs on the labelled rows only
     real = enc_cache[1].real
     labelled = np.flatnonzero(batch.tag_mask[real])
-    h, y = enc_out[labelled], batch.tag_labels[real][labelled]
+    h, y = enc_out[labelled], batch.tag_labels[real][labelled].astype(enc_out.dtype, copy=False)
     z = h @ params["tag.w"] + params["tag.b"]
     # log sigmoid pieces, numerically stable
     loss = float(-(y * -np.logaddexp(0.0, -z) + (1.0 - y) * -np.logaddexp(0.0, z)).sum())
@@ -688,7 +694,7 @@ def forward_lm_batch(model: Seq2SeqModel, instances: list[TrainingInstance]) -> 
     batch = make_batch(instances, model.config)
     enc_out, _ = encoder_forward(model, batch.src, batch.src_len)
     hidden, dec_cache = decoder_forward(model, batch.tgt_in, batch.tgt_len, enc_out, batch.src_len)
-    probs = np.zeros((*batch.tgt.shape, model.config.vocab_size))
+    probs = np.zeros((*batch.tgt.shape, model.config.vocab_size), hidden.dtype)
     probs[dec_cache[1].real] = np.exp(_log_softmax(_logits(model.params, hidden)))
     return probs
 

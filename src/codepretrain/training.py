@@ -6,6 +6,11 @@ three denoising objectives per step with equal probability, and a dual phase
 over the paired NL<->code generation instances.  All randomness flows from
 the schedule seed; with a fixed seed the metrics log is bit-identical across
 runs.
+
+Training is mixed precision: each step's forward and backward run on a
+``TRAIN_DTYPE`` working copy of the parameters, while the model's float64
+parameters stay the master copy that Adam updates (with float64 moments),
+checkpoints save, and validation and decoding read.
 """
 
 from __future__ import annotations
@@ -47,6 +52,8 @@ from .objectives import (
 DUAL_TASKS = (DUAL_NL2PL, DUAL_PL2NL)
 
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+TRAIN_DTYPE = np.float32  # the dtype of every training step's forward and backward
 
 
 @dataclass(frozen=True)
@@ -160,23 +167,28 @@ def _train(
     label and batch; the loss follows the batch's objective.  Dropout, when
     the model config asks for it, draws from its own generator.  A non-finite
     loss or gradient norm stops the run before that step's update; numpy's
-    floating-point warnings are silenced, since that check reports them."""
+    floating-point warnings are silenced, since that check reports them.
+    Each step's loss and gradients come from a ``TRAIN_DTYPE`` copy of the
+    parameters, refreshed from ``model.params`` after every update."""
     rng = np.random.default_rng(schedule.seed)
     drop_rng = np.random.default_rng(schedule.seed + 1) if model.config.dropout > 0 else None
     opt = Adam(model.params, schedule)
+    work = Seq2SeqModel(model.config, {k: v.astype(TRAIN_DTYPE) for k, v in model.params.items()})
     records: list[StepRecord] = []
     for step in range(1, schedule.steps + 1):
         label, batch = draw(rng)
         objective = batch[0].objective
         try:
             with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-                loss, count, grads = loss_and_grads(model, batch, objective, drop_rng)
+                loss, count, grads = loss_and_grads(work, batch, objective, drop_rng)
                 if not math.isfinite(loss):
                     raise NonFiniteError(f"loss is {loss}")
                 opt.step(model.params, grads)
         except NonFiniteError as exc:
             task = "" if label == objective else f"task {label}, "
             raise NonFiniteError(f"step {step} ({task}objective {objective}): {exc}") from None
+        for k, p in model.params.items():
+            work.params[k][...] = p
         records.append(StepRecord(step, label, loss / max(count, 1)))
         if after_step is not None:
             after_step(step)

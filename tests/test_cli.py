@@ -286,6 +286,28 @@ def test_stage_reruns_when_a_format_version_changes(pipeline, tmp_path, capsys, 
     assert "up to date" in capsys.readouterr().out
 
 
+def test_pretrain_made_before_the_training_dtype_was_recorded_reruns(pipeline, tmp_path, capsys):
+    """A snapshot without the training dtype vouches for float64-trained
+    output, so that output is redone."""
+    out = tmp_path / "run"
+    argv = [
+        "pretrain", "--instances", str(pipeline["inst"]), "--tokenizer", str(pipeline["tok"]),
+        "--steps", "1", "--batch-size", "2", "--d-model", "16", "--num-heads", "2", "--encoder-layers", "1",
+        "--decoder-layers", "1", "--feedforward-dim", "32", "--max-src-len", "160", "--max-tgt-len", "64",
+        "--out", str(out),
+    ]
+    assert dispatch(argv) == 0
+    snapshot = json.loads((out / "config.json").read_text(encoding="utf-8"))
+    assert snapshot["versions"]["training_dtype"] == "float32"
+    del snapshot["versions"]["training_dtype"]
+    (out / "config.json").write_text(json.dumps(snapshot), encoding="utf-8")
+    capsys.readouterr()
+    assert dispatch(argv) == 0
+    assert "up to date" not in capsys.readouterr().out
+    assert dispatch(argv) == 0
+    assert "up to date" in capsys.readouterr().out
+
+
 def test_pretrain_generate_eval_end_to_end(pipeline, tmp_path, capsys):
     run = tmp_path / "run"
     assert dispatch(

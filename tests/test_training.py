@@ -404,10 +404,15 @@ def test_finetune_multitask_tracks_best_checkpoints(tokenizer, tiny_config):
 # --------------------------------------------------------------------------
 
 
+def _float32_copy(model):
+    """Each step computes on a float32 cast of the float64 master parameters."""
+    return Seq2SeqModel(model.config, {k: v.astype(np.float32) for k, v in model.params.items()})
+
+
 def _reference_loss_for(model, batch, objective, drop_rng):
     if objective == obj.IT:
-        return mdl.tagging_loss_and_grads(model, batch, drop_rng=drop_rng)
-    return mdl.seq2seq_loss_and_grads(model, batch, drop_rng=drop_rng)
+        return mdl.tagging_loss_and_grads(_float32_copy(model), batch, drop_rng=drop_rng)
+    return mdl.seq2seq_loss_and_grads(_float32_copy(model), batch, drop_rng=drop_rng)
 
 
 def _reference_pretrain(model, instances, schedule, phase="denoise"):
@@ -443,7 +448,7 @@ def _reference_finetune_seq2seq(model, instances, schedule):
     records = []
     for step in range(1, schedule.steps + 1):
         batch = tr._draw_batch(pool, schedule.batch_size, rng)
-        loss, count, grads = mdl.seq2seq_loss_and_grads(model, batch)
+        loss, count, grads = mdl.seq2seq_loss_and_grads(_float32_copy(model), batch)
         opt.step(model.params, grads)
         records.append(tr.StepRecord(step, batch[0].objective, loss / max(count, 1)))
     return records
@@ -456,7 +461,7 @@ def _reference_finetune_tagging(model, instances, schedule):
     records = []
     for step in range(1, schedule.steps + 1):
         batch = tr._draw_batch(pool, schedule.batch_size, rng)
-        loss, count, grads = mdl.tagging_loss_and_grads(model, batch)
+        loss, count, grads = mdl.tagging_loss_and_grads(_float32_copy(model), batch)
         opt.step(model.params, grads)
         records.append(tr.StepRecord(step, obj.IT, loss / max(count, 1)))
     return records
@@ -488,7 +493,7 @@ def _reference_finetune_multitask(model, mixture, datasets, tokenizer, schedule,
     for step in range(1, schedule.steps + 1):
         task = mx.sample_task(mixture, rng)
         batch = tr._draw_batch(prepared[task], schedule.batch_size, rng)
-        loss, count, grads = mdl.seq2seq_loss_and_grads(model, batch)
+        loss, count, grads = mdl.seq2seq_loss_and_grads(_float32_copy(model), batch)
         opt.step(model.params, grads)
         records.append(tr.StepRecord(step, task, loss / max(count, 1)))
         if validation and (step % eval_every == 0 or step == schedule.steps):
