@@ -272,8 +272,9 @@ def _attn_fwd(params, prefix, q_in, kv_in, spans, num_heads, causal=False, kv=No
         ctx = np.empty_like(q)
         for qs, ks in spans:
             if qs.stop > qs.start:
-                # causal: query i sees keys up to i
-                mask = np.where(np.tri(qs.stop - qs.start, dtype=bool), 0.0, NEG_INF).astype(q.dtype, copy=False) if causal else None
+                mask = None
+                if causal:  # query i sees keys up to i
+                    mask = np.where(np.tri(qs.stop - qs.start, dtype=bool), 0.0, NEG_INF).astype(q.dtype, copy=False)
                 c, attn = _attend(q[qs].transpose(1, 0, 2), k[ks].transpose(1, 0, 2), v[ks].transpose(1, 0, 2), mask)
                 ctx[qs] = c.transpose(1, 0, 2)
                 weights.append((qs, ks, attn))
