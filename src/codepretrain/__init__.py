@@ -18,10 +18,10 @@ from .corpus import (
     normalize,
     normalize_corpus,
 )
-from .lexer import LanguageLexer, LexToken, label_identifiers, lex, load_lexers, unique_identifiers
+from .lexer import LanguageLexer, LexToken, label_identifiers, lex, load_lexers
 from .metrics import EvalReport, accuracy, exact_match, f1_binary, pred_count_match, smoothed_bleu4
 from .mixture import TaskMixture, TaskSpec, apply_control_code, mixture_probs, sample_task
-from .model import ModelConfig, Seq2SeqModel, forward_lm, loss_it, loss_mip, loss_msp
+from .model import ModelConfig, Seq2SeqModel, forward_lm
 from .objectives import (
     SpanPlan,
     TrainingInstance,
@@ -41,7 +41,6 @@ from .training import (
     evaluate_mask_instances,
     finetune_multitask,
     finetune_seq2seq,
-    finetune_tagging,
     generate,
     grad_check,
     pretrain,
@@ -82,7 +81,6 @@ __all__ = [
     "f1_binary",
     "finetune_multitask",
     "finetune_seq2seq",
-    "finetune_tagging",
     "forward_lm",
     "generate",
     "grad_check",
@@ -90,9 +88,6 @@ __all__ = [
     "label_identifiers",
     "lex",
     "load_lexers",
-    "loss_it",
-    "loss_mip",
-    "loss_msp",
     "mixture_probs",
     "normalize",
     "normalize_corpus",
@@ -103,5 +98,4 @@ __all__ = [
     "sample_task",
     "smoothed_bleu4",
     "train_tokenizer",
-    "unique_identifiers",
 ]

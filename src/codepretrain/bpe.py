@@ -195,9 +195,6 @@ class SubwordTokenizer:
             raise DecodeIdError(f"id out of range: {token_id}")
         return self._id_to_token[token_id]
 
-    def id_for_token(self, token: str) -> int | None:
-        return self._token_to_id.get(token)
-
     # -- encode / decode ----------------------------------------------------
 
     def _merge_pretoken(self, pretoken: str) -> tuple[int, ...]:

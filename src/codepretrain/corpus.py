@@ -98,16 +98,6 @@ class LanguageStats:
 class CorpusStats:
     per_language: dict[str, LanguageStats] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            lang: {
-                "with_nl": s.with_nl,
-                "without_nl": s.without_nl,
-                "identifier_rate": s.identifier_rate,
-            }
-            for lang, s in sorted(self.per_language.items())
-        }
-
 
 @dataclass(frozen=True)
 class IngestError:

@@ -24,8 +24,6 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-TOKEN_KINDS = ("identifier", "keyword", "literal", "operator", "punctuation", "comment", "unknown")
-
 # Longest-first so that the scanner never splits a compound operator.
 _DEFAULT_OPERATORS = [
     ">>>=", "<<<=",
@@ -58,7 +56,7 @@ class LexToken(NamedTuple):
     """One token; a tuple, so building the many a corpus lexes into stays cheap."""
 
     text: str
-    kind: str
+    kind: str  # identifier, keyword, literal, operator, punctuation, comment or unknown
     span: tuple[int, int]  # byte offsets into the UTF-8 encoding of the source
 
 
@@ -189,15 +187,6 @@ def code_texts(source: str, lexer: LanguageLexer, keep_comments: bool = False) -
 def label_identifiers(tokens: list[LexToken]) -> list[int]:
     """Binary labels aligned to ``tokens``: 1 for identifiers, 0 otherwise."""
     return [1 if t.kind == "identifier" else 0 for t in tokens]
-
-
-def unique_identifiers(tokens: list[LexToken]) -> list[str]:
-    """Distinct identifier lexemes in first-occurrence order."""
-    seen: dict[str, None] = {}
-    for t in tokens:
-        if t.kind == "identifier" and t.text not in seen:
-            seen[t.text] = None
-    return list(seen)
 
 
 def _builtin_table_dir():

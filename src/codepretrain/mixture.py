@@ -60,19 +60,8 @@ class TaskMixture:
         object.__setattr__(self, "_probs", tuple(probs))
 
     @property
-    def rates(self) -> list[float]:
-        total = sum(t.size for t in self.tasks)
-        return [t.size / total for t in self.tasks]
-
-    @property
     def probs(self) -> list[float]:
         return list(self._probs)
-
-    def task_named(self, name: str) -> TaskSpec:
-        for t in self.tasks:
-            if t.name == name:
-                return t
-        raise KeyError(name)
 
     @classmethod
     def from_config(cls, path: str | Path) -> "TaskMixture":
@@ -80,21 +69,28 @@ class TaskMixture:
         validation?, size?}]}.
 
         When ``size`` is omitted it is counted from the dataset file.  A config
-        that is not JSON, lacks ``tasks`` or has a task without ``name`` or
-        ``path`` raises ``ValueError`` naming the file and the cause.
+        that is not JSON, lacks ``tasks``, has a task without ``name`` or
+        ``path``, a ``size`` that is not a positive int or an ``alpha`` that is
+        not a finite non-negative number raises ``ValueError`` naming the file
+        and the cause.
         """
+        def malformed(cause) -> ValueError:
+            return ValueError(f"malformed mixture config {path}: {cause}")
+
         with open(path, encoding="utf-8") as f:
             try:
                 cfg = json.load(f)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"malformed mixture config {path}: {exc}") from exc
+                raise malformed(exc) from exc
         try:
             entries = [(entry, entry["name"], entry["path"]) for entry in cfg["tasks"]]
             alpha = cfg.get("alpha", DEFAULT_ALPHA)
         except KeyError as exc:
-            raise ValueError(f"malformed mixture config {path}: missing key {exc}") from exc
+            raise malformed(f"missing key {exc}") from exc
         except (TypeError, AttributeError) as exc:
-            raise ValueError(f"malformed mixture config {path}: {exc}") from exc
+            raise malformed(exc) from exc
+        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 <= alpha < np.inf:
+            raise malformed(f"alpha must be a finite non-negative number, got {alpha!r}")
         tasks = []
         for entry, name, data in entries:
             size = entry.get("size")
@@ -103,6 +99,8 @@ class TaskMixture:
                     raise ValueError(f"task dataset not found: {data}")
                 with open(data, encoding="utf-8") as df:
                     size = sum(1 for line in df if line.strip())
+            elif isinstance(size, bool) or not isinstance(size, int) or size <= 0:
+                raise malformed(f"task {name!r} size must be a positive int, got {size!r}")
             tasks.append(
                 TaskSpec(
                     name=name,

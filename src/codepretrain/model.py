@@ -41,16 +41,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import artifacts
-from .objectives import IT, MIP, MSP, TrainingInstance
+from .objectives import IT, MSP, TrainingInstance
 
 NEG_INF = -1e30
 LN_EPS = 1e-6
 
 CHECKPOINT_VERSION = 2
-
-
-class InstanceObjectiveError(ValueError):
-    """A loss was called on an instance built for a different objective."""
 
 
 @dataclass(frozen=True)
@@ -124,12 +120,6 @@ def _init_params(config: ModelConfig, normal: Callable[..., np.ndarray]) -> dict
     w("tag.w", (d,))
     params["tag.b"] = np.zeros(())
     return params
-
-
-def is_encoder_param(name: str) -> bool:
-    """Parameters reachable from the encoder-side losses (token and source
-    position embeddings included)."""
-    return name.startswith(("enc", "embed.tok", "embed.src_pos"))
 
 
 def is_decoder_param(name: str) -> bool:
@@ -616,6 +606,11 @@ def seq2seq_loss_and_grads(model: Seq2SeqModel, instances: list[TrainingInstance
     return loss, len(hidden), grads
 
 
+def _require_tag_labels(instances: list[TrainingInstance]) -> None:
+    if any(i.tag_labels is None for i in instances):
+        raise ValueError("tagging loss needs instances with tag labels")
+
+
 def tagging_loss_and_grads(model: Seq2SeqModel, instances: list[TrainingInstance], drop_rng=None,
                            compute_grads: bool = True):
     """Binary cross entropy of the tagging head over code-segment positions.
@@ -623,8 +618,7 @@ def tagging_loss_and_grads(model: Seq2SeqModel, instances: list[TrainingInstance
     Runs the encoder only, so decoder parameters receive no gradient.
     Returns (loss_sum, position_count, grads or None).
     """
-    if any(i.tag_labels is None for i in instances):
-        raise ValueError("tagging loss needs instances with tag labels")
+    _require_tag_labels(instances)
     batch = make_batch(instances, model.config)
     params = model.params
     enc_out, enc_cache = encoder_forward(model, batch.src, batch.src_len, drop_rng)
@@ -655,32 +649,6 @@ def loss_and_grads(model: Seq2SeqModel, instances: list[TrainingInstance], objec
     return loss_fn(model, instances, drop_rng=drop_rng, compute_grads=compute_grads)
 
 
-def _single_loss(model, instance, objective, reduction):
-    if instance.objective != objective:
-        raise InstanceObjectiveError(
-            f"expected a {objective} instance, got {instance.objective}"
-        )
-    loss, count, _ = loss_and_grads(model, [instance], objective, compute_grads=False)
-    if reduction == "mean":
-        return loss / max(count, 1)
-    return loss
-
-
-def loss_msp(model: Seq2SeqModel, instance: TrainingInstance, reduction: str = "sum") -> float:
-    """Span-denoising loss: summed token cross entropy of the target."""
-    return _single_loss(model, instance, MSP, reduction)
-
-
-def loss_mip(model: Seq2SeqModel, instance: TrainingInstance, reduction: str = "sum") -> float:
-    """Identifier-denoising loss: summed token cross entropy of the target."""
-    return _single_loss(model, instance, MIP, reduction)
-
-
-def loss_it(model: Seq2SeqModel, instance: TrainingInstance, reduction: str = "sum") -> float:
-    """Identifier-tagging loss: summed binary cross entropy over the code segment."""
-    return _single_loss(model, instance, IT, reduction)
-
-
 def forward_lm(model: Seq2SeqModel, source_ids, target_ids) -> np.ndarray:
     """Next-token distributions at each target position, teacher forced.
 
@@ -702,6 +670,7 @@ def forward_lm_batch(model: Seq2SeqModel, instances: list[TrainingInstance]) -> 
 
 def tag_probabilities(model: Seq2SeqModel, instance: TrainingInstance) -> np.ndarray:
     """Per-position identifier probabilities for the instance's code segment."""
+    _require_tag_labels([instance])
     batch = make_batch([instance], model.config)
     enc_out, _ = encoder_forward(model, batch.src, batch.src_len)
     z = enc_out[batch.tag_mask[0]] @ model.params["tag.w"] + model.params["tag.b"]

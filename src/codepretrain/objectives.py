@@ -99,8 +99,6 @@ class TrainingInstance:
 @dataclass(frozen=True)
 class SpanPlan:
     spans: tuple[tuple[int, int], ...]  # (start, length) over whole-word positions
-    corruption_rate: float
-    seed: int | None = None
 
     @property
     def masked_words(self) -> int:
@@ -160,8 +158,7 @@ def _sample_gaps(free: int, num_gaps: int, rng: np.random.Generator) -> list[int
 def sample_spans(
     num_words: int,
     rate: float,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
+    rng: np.random.Generator,
     min_budget: int = 0,
 ) -> SpanPlan:
     """Plan disjoint whole-word mask spans covering round(rate * num_words) words.
@@ -169,18 +166,17 @@ def sample_spans(
     Spans are kept non-adjacent whenever enough unmasked words remain to
     separate them, so distinct sentinels stand for genuinely distinct spans.
     ``min_budget`` lets the instance pipeline force at least one masked word
-    on very short documents where the budget would round to zero.
+    on very short documents where the budget would round to zero.  Every draw
+    comes from ``rng``.
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"rate must be in [0, 1], got {rate}")
     if num_words < 0:
         raise ValueError(f"num_words must be nonnegative, got {num_words}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
     budget = round_half_up(rate * num_words)
     budget = min(max(budget, min_budget), num_words)
     if budget == 0:
-        return SpanPlan(spans=(), corruption_rate=rate, seed=seed)
+        return SpanPlan(spans=())
 
     num_spans = round_half_up(budget / TARGET_MEAN_SPAN)
     num_spans = max(num_spans, math.ceil(budget / MAX_SPAN), 1)
@@ -198,7 +194,7 @@ def sample_spans(
         cursor += length + gaps[i + 1]
         if i < num_spans - 1 and separators:
             cursor += 1
-    return SpanPlan(spans=tuple(spans), corruption_rate=rate, seed=seed)
+    return SpanPlan(spans=tuple(spans))
 
 
 WordIds = list[tuple[int, ...]]  # the subword ids of each whole word
@@ -400,20 +396,6 @@ def clip_document(doc: CodeDocument, max_nl: int, max_code: int) -> CodeDocument
         code_tokens=doc.code_tokens[:max_code],
         language=doc.language,
         identifier_labels=doc.identifier_labels[:max_code],
-    )
-
-
-def clip_document_to_subwords(
-    doc: CodeDocument,
-    tokenizer: SubwordTokenizer,
-    max_nl_subwords: int,
-    max_code_subwords: int,
-) -> CodeDocument:
-    """Drop trailing whole words until each segment fits its subword budget."""
-    return clip_document(
-        doc,
-        len(_encode_words(doc.nl_tokens, tokenizer, max_nl_subwords)),
-        len(_encode_words(doc.code_tokens, tokenizer, max_code_subwords)),
     )
 
 

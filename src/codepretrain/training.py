@@ -30,12 +30,10 @@ from .bpe import SubwordTokenizer
 from .mixture import TaskMixture, apply_control_code, sample_task
 from .model import (
     DecodeState,
-    InstanceObjectiveError,
     Seq2SeqModel,
     decoder_forward,
     decoder_step,
     encoder_forward,
-    is_decoder_param,
     loss_and_grads,
     source_array,
     _log_softmax,
@@ -50,6 +48,11 @@ from .objectives import (
 )
 
 DUAL_TASKS = (DUAL_NL2PL, DUAL_PL2NL)
+
+
+class InstanceObjectiveError(ValueError):
+    """An instance was passed to a training phase that does not take its objective."""
+
 
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -253,10 +256,6 @@ def finetune_seq2seq(
     return _train(model, schedule, draw)
 
 
-# IT instances select the tagging loss, so tagging fine-tuning is the same loop.
-finetune_tagging = finetune_seq2seq
-
-
 @dataclass
 class TaskCheckpoint:
     task: str
@@ -431,15 +430,14 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 def grad_check(
     model: Seq2SeqModel,
-    loss_op: Callable[[Seq2SeqModel, TrainingInstance], float],
     instance: TrainingInstance,
     coords_per_param: int = 4,
     h_base: float = 1e-4,
     floor: float = 1e-6,
     seed: int = 0,
 ) -> float:
-    """Max relative error between analytic gradients and central differences
-    over a random coordinate subset of every parameter array."""
+    """Max relative error between analytic gradients and central differences of
+    the instance's own objective loss over a random coordinate subset of every parameter."""
     _, _, grads = loss_and_grads(model, [instance], instance.objective)
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -449,9 +447,9 @@ def grad_check(
             orig = p[idx]
             h = h_base * (1.0 + abs(orig))
             p[idx] = orig + h
-            up = loss_op(model, instance)
+            up = loss_and_grads(model, [instance], instance.objective, compute_grads=False)[0]
             p[idx] = orig - h
-            down = loss_op(model, instance)
+            down = loss_and_grads(model, [instance], instance.objective, compute_grads=False)[0]
             p[idx] = orig
             if not (np.isfinite(up) and np.isfinite(down)):
                 raise FloatingPointError("non-finite loss during finite differences")
@@ -460,13 +458,6 @@ def grad_check(
             rel = abs(fd - an) / max(abs(fd), abs(an), floor)
             worst = max(worst, rel)
     return worst
-
-
-def decoder_grad_norm(model: Seq2SeqModel, instance: TrainingInstance) -> float:
-    """Largest absolute analytic gradient on any decoder-side parameter."""
-    _, _, grads = loss_and_grads(model, [instance], instance.objective)
-    vals = [np.abs(g).max() for k, g in grads.items() if is_decoder_param(k)]
-    return float(max(vals)) if vals else 0.0
 
 
 def evaluate_mask_instances(

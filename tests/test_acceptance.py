@@ -17,9 +17,6 @@ from codepretrain import objectives as obj
 from codepretrain import training as tr
 from codepretrain.model import (
     Seq2SeqModel,
-    loss_it,
-    loss_mip,
-    loss_msp,
     tag_probabilities,
     tagging_loss_and_grads,
 )
@@ -70,7 +67,7 @@ def test_criterion_2_msp_reconstruction_fuzz(tokenizer, lexers):
         words = len(doc.nl_tokens) + len(doc.code_tokens)
         plan = obj.sample_spans(words, 0.15, rng, min_budget=1)
         inst = obj.build_msp(doc, tokenizer, plan)
-        ref = obj.build_msp(doc, tokenizer, obj.SpanPlan((), 0.0))
+        ref = obj.build_msp(doc, tokenizer, obj.SpanPlan(()))
         if obj.splice_msp(inst, tokenizer) != list(ref.source_ids):
             failures += 1
     elapsed = time.time() - start
@@ -126,17 +123,20 @@ def test_criterion_4_gradient_checks(tokenizer, tiny_config, bundled_docs):
     model = Seq2SeqModel(tiny_config, seed=7)
     doc = obj.clip_document(bundled_docs[0], 12, 20)
     words = len(doc.nl_tokens) + len(doc.code_tokens)
-    msp_inst = obj.build_msp(doc, tokenizer, obj.sample_spans(words, 0.15, seed=0, min_budget=1))
+    plan = obj.sample_spans(words, 0.15, np.random.default_rng(0), min_budget=1)
+    msp_inst = obj.build_msp(doc, tokenizer, plan)
     it_inst = obj.build_it(doc, tokenizer)
     mip_doc = next(d for d in bundled_docs if any(d.identifier_labels))
     mip_inst = obj.build_mip(obj.clip_document(mip_doc, 12, 20), tokenizer)
 
-    err_msp = tr.grad_check(model, loss_msp, msp_inst, coords_per_param=3, seed=1)
-    err_it = tr.grad_check(model, loss_it, it_inst, coords_per_param=3, seed=2)
-    err_mip = tr.grad_check(model, loss_mip, mip_inst, coords_per_param=3, seed=3)
+    err_msp = tr.grad_check(model, msp_inst, coords_per_param=3, seed=1)
+    err_it = tr.grad_check(model, it_inst, coords_per_param=3, seed=2)
+    err_mip = tr.grad_check(model, mip_inst, coords_per_param=3, seed=3)
 
     # finite differences on decoder parameters under the tagging loss
-    base = loss_it(model, it_inst)
+    def it_loss():
+        return tagging_loss_and_grads(model, [it_inst], compute_grads=False)[0]
+
     fd_decoder = 0.0
     rng = np.random.default_rng(4)
     for name, p in model.params.items():
@@ -146,9 +146,9 @@ def test_criterion_4_gradient_checks(tokenizer, tiny_config, bundled_docs):
         orig = p[idx]
         h = 1e-4 * (1.0 + abs(orig))
         p[idx] = orig + h
-        up = loss_it(model, it_inst)
+        up = it_loss()
         p[idx] = orig - h
-        down = loss_it(model, it_inst)
+        down = it_loss()
         p[idx] = orig
         fd_decoder = max(fd_decoder, abs(up - down) / (2 * h))
     _, _, grads = tagging_loss_and_grads(model, [it_inst])
@@ -277,7 +277,7 @@ def test_criterion_8_identifier_tagging_f1(tokenizer, small_config, lexers):
     instances = [obj.build_it(d, tokenizer) for d in docs]
     train, held = instances[:500], instances[500:]
     model = Seq2SeqModel(small_config, seed=1)
-    tr.finetune_tagging(model, train, tr.TrainSchedule(steps=400, batch_size=16, peak_lr=1e-3, seed=0))
+    tr.finetune_seq2seq(model, train, tr.TrainSchedule(steps=400, batch_size=16, peak_lr=1e-3, seed=0))
     preds: list[int] = []
     golds: list[int] = []
     for inst in held:

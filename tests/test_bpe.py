@@ -14,7 +14,7 @@ GOLDEN_MEAN_RATIO = 0.6043053939109967
 def test_train_learns_repeated_unit():
     tok = bpe.train(["aaaa aaaa aaaa"], vocab_size=380, min_freq=3)
     assert ("a", "a") in tok.merges
-    assert tok.id_for_token("aaaa") is not None
+    assert tok.token_for_id(*tok.encode_word("aaaa")) == "aaaa"
 
 
 def test_min_freq_excludes_rare_tokens():

@@ -55,18 +55,6 @@ def test_function_snippet_labels(mini_lexer):
     assert by_text["return"] == "keyword"
 
 
-def test_unique_identifiers_order(mini_lexer):
-    assert lx.unique_identifiers(lx.lex("a = a + b", mini_lexer)) == ["a", "b"]
-
-
-def test_unique_identifiers_empty(mini_lexer):
-    assert lx.unique_identifiers(lx.lex("return 1 + 2;", mini_lexer)) == []
-
-
-def test_unique_identifiers_nested_call(mini_lexer):
-    assert lx.unique_identifiers(lx.lex("f(f(x))", mini_lexer)) == ["f", "x"]
-
-
 def test_lex_deterministic(mini_lexer):
     src = 'int a = "s"; // c\nfloat b2 = a * 2.5e3;'
     assert lx.lex(src, mini_lexer) == lx.lex(src, mini_lexer)

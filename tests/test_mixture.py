@@ -157,10 +157,9 @@ def test_mixture_from_config(tmp_path, tokenizer):
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     mixture = mx.TaskMixture.from_config(cfg_path)
     assert mixture.alpha == 0.5
-    assert mixture.task_named("a").size == 7  # counted from the file
-    assert mixture.task_named("b").size == 100  # explicit override
-    assert abs(sum(mixture.probs) - 1.0) < 1e-12
-    assert mixture.rates == pytest.approx([7 / 107, 100 / 107])
+    # "a" is counted from the file, "b" takes its explicit size
+    assert [(t.name, t.size) for t in mixture.tasks] == [("a", 7), ("b", 100)]
+    assert mixture.probs == pytest.approx(mx.mixture_probs([7, 100], 0.5), abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -170,6 +169,14 @@ def test_mixture_from_config(tmp_path, tokenizer):
         ('{"alpha": 0.5}', "missing key 'tasks'"),
         ('{"tasks": [{"name": "a"}]}', "missing key 'path'"),
         ('{"tasks": [{"path": "a.jsonl", "size": 3}]}', "missing key 'name'"),
+        ('{"tasks": [{"name": "a", "path": "a.jsonl", "size": "7"}]}', "size must be a positive int, got '7'"),
+        ('{"tasks": [{"name": "a", "path": "a.jsonl", "size": true}]}', "size must be a positive int, got True"),
+        ('{"tasks": [{"name": "a", "path": "a.jsonl", "size": 2.5}]}', "size must be a positive int, got 2.5"),
+        ('{"tasks": [{"name": "a", "path": "a.jsonl", "size": 0}]}', "size must be a positive int, got 0"),
+        ('{"alpha": "0.5", "tasks": []}', "alpha must be a finite non-negative number, got '0.5'"),
+        ('{"alpha": true, "tasks": []}', "alpha must be a finite non-negative number, got True"),
+        ('{"alpha": -1, "tasks": []}', "alpha must be a finite non-negative number, got -1"),
+        ('{"alpha": NaN, "tasks": []}', "alpha must be a finite non-negative number, got nan"),
     ],
 )
 def test_mixture_from_config_rejects_malformed_config(tmp_path, text, cause):

@@ -10,20 +10,21 @@ from codepretrain import model as mdl
 from codepretrain import objectives as obj
 from codepretrain import training as tr
 from codepretrain.model import (
-    InstanceObjectiveError,
     ModelConfig,
     Seq2SeqModel,
     forward_lm,
     is_decoder_param,
-    is_encoder_param,
-    loss_it,
-    loss_mip,
-    loss_msp,
+    loss_and_grads,
     make_batch,
     seq2seq_loss_and_grads,
     tag_probabilities,
     tagging_loss_and_grads,
 )
+
+
+def _loss(model, instance):
+    """The summed loss of the instance's own objective, as training computes it."""
+    return loss_and_grads(model, [instance], instance.objective, compute_grads=False)[0]
 
 
 @pytest.fixture(scope="module")
@@ -107,10 +108,9 @@ def test_loss_msp_uniform_model(tiny_config, msp_instance):
     uniform.params["lm.b"][:] = 0.0
     k = len(msp_instance.target_ids)
     expected = k * math.log(tiny_config.vocab_size)
-    assert loss_msp(uniform, msp_instance) == pytest.approx(expected, rel=1e-12)
-    assert loss_msp(uniform, msp_instance, reduction="mean") == pytest.approx(
-        math.log(tiny_config.vocab_size), rel=1e-12
-    )
+    loss, count, _ = loss_and_grads(uniform, [msp_instance], obj.MSP, compute_grads=False)
+    assert loss == pytest.approx(expected, rel=1e-12)
+    assert loss / count == pytest.approx(math.log(tiny_config.vocab_size), rel=1e-12)
 
 
 def test_loss_is_zero_when_model_is_certain(msp_instance):
@@ -119,7 +119,7 @@ def test_loss_is_zero_when_model_is_certain(msp_instance):
                       decoder_layers=1, feedforward_dim=16, max_src_len=64, max_tgt_len=32)
     certain = Seq2SeqModel(cfg, seed=0)
     inst = obj.TrainingInstance((0, 0, 0), (0, 0), obj.MSP)
-    assert loss_msp(certain, inst) == pytest.approx(0.0, abs=1e-12)
+    assert _loss(certain, inst) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_loss_msp_matches_independent_recomputation(model, msp_instance):
@@ -128,7 +128,7 @@ def test_loss_msp_matches_independent_recomputation(model, msp_instance):
     expected = 0.0
     for t, gold in enumerate(msp_instance.target_ids):
         expected += -math.log(probs[t, gold])
-    assert loss_msp(model, msp_instance) == pytest.approx(expected, abs=1e-6)
+    assert _loss(model, msp_instance) == pytest.approx(expected, abs=1e-6)
 
 
 def test_loss_mip_matches_independent_recomputation(model, mip_instance):
@@ -136,7 +136,7 @@ def test_loss_mip_matches_independent_recomputation(model, mip_instance):
     expected = -sum(
         math.log(probs[t, gold]) for t, gold in enumerate(mip_instance.target_ids)
     )
-    assert loss_mip(model, mip_instance) == pytest.approx(expected, abs=1e-6)
+    assert _loss(model, mip_instance) == pytest.approx(expected, abs=1e-6)
 
 
 def test_loss_it_uniform_head(tiny_config, it_instance):
@@ -144,7 +144,7 @@ def test_loss_it_uniform_head(tiny_config, it_instance):
     m.params["tag.w"][:] = 0.0
     m.params["tag.b"] = np.zeros(())
     n = len(it_instance.tag_labels)
-    assert loss_it(m, it_instance) == pytest.approx(n * math.log(2), rel=1e-12)
+    assert _loss(m, it_instance) == pytest.approx(n * math.log(2), rel=1e-12)
 
 
 def test_loss_it_saturated_head_is_clamped_zero(tiny_config, tokenizer):
@@ -154,37 +154,42 @@ def test_loss_it_saturated_head_is_clamped_zero(tiny_config, tokenizer):
         (tokenizer.cls_id, tokenizer.sep_id, 5, 6, tokenizer.sep_id), (), obj.IT, tag_labels=(1, 1)
     )
     m.params["tag.b"] = np.asarray(40.0)
-    assert loss_it(m, inst_ones) == pytest.approx(0.0, abs=1e-12)
+    assert _loss(m, inst_ones) == pytest.approx(0.0, abs=1e-12)
     inst_zero = obj.TrainingInstance(
         (tokenizer.cls_id, tokenizer.sep_id, 5, 6, tokenizer.sep_id), (), obj.IT, tag_labels=(0, 0)
     )
     m.params["tag.b"] = np.asarray(-40.0)
-    assert loss_it(m, inst_zero) == pytest.approx(0.0, abs=1e-12)
+    assert _loss(m, inst_zero) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_loss_objective_mismatch(model, msp_instance, it_instance):
-    with pytest.raises(InstanceObjectiveError):
-        loss_mip(model, msp_instance)
-    with pytest.raises(InstanceObjectiveError):
-        loss_msp(model, it_instance)
+    with pytest.raises(ValueError, match="tagging loss needs instances with tag labels"):
+        loss_and_grads(model, [msp_instance], obj.IT)
+    with pytest.raises(ValueError, match="sequence loss needs non-empty targets"):
+        loss_and_grads(model, [it_instance], obj.MSP)
 
 
 def test_empty_target_rejected(model, tokenizer):
     inst = obj.TrainingInstance((tokenizer.cls_id, tokenizer.sep_id), (), obj.MSP)
     with pytest.raises(ValueError):
-        loss_msp(model, inst)
+        _loss(model, inst)
 
 
 def test_missing_tag_labels_rejected(model, tokenizer):
     inst = obj.TrainingInstance((tokenizer.cls_id, tokenizer.sep_id), (), obj.IT)
     with pytest.raises(ValueError):
-        loss_it(model, inst)
+        _loss(model, inst)
+
+
+def test_tag_probabilities_need_tag_labels(model, msp_instance):
+    with pytest.raises(ValueError, match="tagging loss needs instances with tag labels"):
+        tag_probabilities(model, msp_instance)
 
 
 def test_grad_check_quick(model, msp_instance, it_instance):
-    err = tr.grad_check(model, loss_msp, msp_instance, coords_per_param=1, seed=1)
+    err = tr.grad_check(model, msp_instance, coords_per_param=1, seed=1)
     assert err < 1e-4
-    err = tr.grad_check(model, loss_it, it_instance, coords_per_param=1, seed=1)
+    err = tr.grad_check(model, it_instance, coords_per_param=1, seed=1)
     assert err < 1e-4
 
 
@@ -193,15 +198,13 @@ def test_it_decoder_gradients_vanish(model, it_instance):
     for name, g in grads.items():
         if is_decoder_param(name):
             assert np.abs(g).max() == 0.0
-    assert tr.decoder_grad_norm(model, it_instance) == 0.0
 
 
-def test_param_partition_covers_everything(model):
-    for name in model.params:
-        if name.startswith("tag."):
-            continue
-        assert is_encoder_param(name) or is_decoder_param(name), name
-    assert not any(is_encoder_param(n) and is_decoder_param(n) for n in model.params)
+def test_param_partition_covers_everything(model, it_instance):
+    """The decoder-side parameters are exactly those the IT loss leaves without gradient."""
+    _, _, grads = tagging_loss_and_grads(model, [it_instance])
+    for name, g in grads.items():
+        assert is_decoder_param(name) == (np.abs(g).max() == 0.0), name
 
 
 def test_lm_head_is_tied_to_the_token_embedding():
@@ -252,7 +255,7 @@ def test_checkpoint_roundtrip(model, msp_instance, tmp_path):
     assert set(back.params) == set(model.params)
     for k in model.params:
         assert np.array_equal(back.params[k], model.params[k])
-    assert loss_msp(back, msp_instance) == loss_msp(model, msp_instance)
+    assert _loss(back, msp_instance) == _loss(model, msp_instance)
 
 
 def test_seq2seq_step_never_holds_padded_logits():

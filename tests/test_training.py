@@ -561,7 +561,7 @@ def test_pretrain_matches_reference_loop(tiny_config, oracle_pools, pool, phase,
     [
         ("finetune", tr.finetune_seq2seq, _reference_finetune_seq2seq),
         ("dual", tr.finetune_seq2seq, _reference_finetune_seq2seq),
-        ("tagging", tr.finetune_tagging, _reference_finetune_tagging),
+        ("tagging", tr.finetune_seq2seq, _reference_finetune_tagging),
     ],
 )
 def test_single_pool_finetune_matches_reference_loop(tiny_config, oracle_pools, pool, new, reference):
