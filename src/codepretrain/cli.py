@@ -1,6 +1,11 @@
 """Command-line pipeline: ingest -> stats -> train-tokenizer -> build-instances
 -> pretrain -> finetune -> generate -> eval.
 
+Each input has one format.  ``ingest``, ``stats`` and ``train-tokenizer`` read
+a raw corpus, skip its malformed lines and print each one once on stderr as
+``line N: <cause>``; ``build-instances`` reads the documents ``ingest``
+writes, and a line that is not a document ends it with an error.
+
 Each artifact-producing command is a ``Stage`` that declares its default
 output name and its input files once.  ``dispatch`` runs every stage the same
 way: it resolves the output, digests the inputs and writes a snapshot next to
@@ -142,29 +147,27 @@ def _run_stage(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
+def _read_corpus(path: str, errors: list[corpus.IngestError]):
+    """Stream the records of the raw corpus ``path``.  Its malformed lines are
+    collected into ``errors`` and, once the file is read, each is printed on
+    stderr as ``line N: <cause>``."""
+    yield from corpus.ingest(Path(path), errors=errors)
+    for err in errors:
+        print(f"line {err.line_number}: {err.message}", file=sys.stderr)
+
+
 def _cmd_ingest(args, out: Path) -> None:
     lexers = lx.load_lexers(args.lang_config)
     errors: list[corpus.IngestError] = []
-    records = corpus.ingest(Path(args.input), errors=errors)
+    records = _read_corpus(args.input, errors)
     docs = corpus.normalize_corpus(records, lexers, strip_comments=not args.keep_comments)
     count = corpus.write_documents(docs, out)
-    for err in errors:
-        print(f"line {err.line_number}: {err.message}", file=sys.stderr)
     print(f"ingest: wrote {count} documents to {out} ({len(errors)} malformed lines)")
 
 
-def _read_any_documents(path: Path, lang_config: str | None):
-    """Accept either normalized documents or a raw corpus file, told apart by
-    the first row; a raw corpus skips malformed lines as ``ingest`` does."""
-    first = next(artifacts.read_jsonl(path, lambda row: row), None)
-    if first is None or (isinstance(first, dict) and "code_tokens" in first):
-        return list(corpus.read_documents(path))
-    return list(corpus.normalize_corpus(corpus.ingest(path), lx.load_lexers(lang_config)))
-
-
 def _cmd_stats(args) -> int:
-    src = _require_file(args.input, "input file")
-    docs = _read_any_documents(src, args.lang_config)
+    _require_file(args.input, "input file")
+    docs = corpus.normalize_corpus(_read_corpus(args.input, []), lx.load_lexers(args.lang_config))
     stats = corpus.compute_stats(docs)
     for lang, s in sorted(stats.per_language.items()):
         print(
@@ -184,25 +187,16 @@ def _cmd_lex(args) -> int:
     return 0
 
 
-def _iter_corpus_texts(path: Path, fields: tuple[str, ...]):
-    errors: list[corpus.IngestError] = []
-    for rec in corpus.ingest(path, errors=errors):
-        if "code" in fields:
-            yield rec.code
-        if "docstring" in fields and rec.docstring:
-            yield rec.docstring
-
-
 def _cmd_train_tokenizer(args, out: Path) -> None:
-    fields = tuple(args.text_fields.split(","))
-    tok = bpe.train(_iter_corpus_texts(Path(args.input), fields), args.vocab_size, args.min_freq)
+    texts = (text for rec in _read_corpus(args.input, []) for text in (rec.code, rec.docstring) if text)
+    tok = bpe.train(texts, args.vocab_size, args.min_freq)
     tok.save(out)
     print(f"train-tokenizer: vocab size {tok.vocab_size} ({len(tok.merges)} merges) -> {out}")
 
 
 def _cmd_build_instances(args, out: Path) -> None:
     tok = _load("tokenizer", bpe.SubwordTokenizer.load, args.tokenizer)
-    docs = _read_any_documents(Path(args.input), args.lang_config)
+    docs = corpus.read_documents(args.input)
     if args.phase == "denoise":
         instances = obj.build_denoising_instances(
             docs, tok, rate=args.rate, seed=args.seed,
@@ -418,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=Stage(_cmd_ingest, "documents.jsonl",
                              (("input", "corpus file"), ("lang_config", "language config"))))
 
-    p = sub.add_parser("stats", help="per-language document counts and identifier rates")
+    p = sub.add_parser("stats", help="per-language document counts and identifier rates of a raw corpus")
     p.add_argument("--input", required=True)
     p.add_argument("--lang-config", default=None, dest="lang_config")
     p.set_defaults(func=_cmd_stats)
@@ -429,18 +423,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lang-config", default=None, dest="lang_config")
     p.set_defaults(func=_cmd_lex)
 
-    p = sub.add_parser("train-tokenizer", help="learn a byte-level BPE vocabulary")
+    p = sub.add_parser("train-tokenizer", help="learn a byte-level BPE vocabulary from a raw corpus")
     p.add_argument("--input", required=True)
     p.add_argument("--vocab-size", type=int, default=8000, dest="vocab_size")
     p.add_argument("--min-freq", type=int, default=3, dest="min_freq")
-    p.add_argument("--text-fields", default="code,docstring", dest="text_fields")
     p.add_argument("--out", default=None)
     p.set_defaults(func=Stage(_cmd_train_tokenizer, "tokenizer", (("input", "corpus file"),)))
 
-    p = sub.add_parser("build-instances", help="materialize training instances")
+    p = sub.add_parser("build-instances", help="materialize training instances from ingest's documents")
     p.add_argument("--input", required=True)
     p.add_argument("--tokenizer", required=True)
-    p.add_argument("--lang-config", default=None, dest="lang_config")
     p.add_argument("--phase", choices=("denoise", "dual"), default="denoise")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rate", type=float, default=0.15)
@@ -448,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-tgt-len", type=int, default=256, dest="max_tgt_len")
     p.add_argument("--out", default=None)
     p.set_defaults(func=Stage(_cmd_build_instances, "instances-{phase}.jsonl", (
-        ("input", "documents file"), ("tokenizer", "tokenizer directory"), ("lang_config", "language config"),
+        ("input", "documents file"), ("tokenizer", "tokenizer directory"),
     )))
 
     p = sub.add_parser("pretrain", help="train the sequence-to-sequence model")

@@ -108,8 +108,9 @@ class IngestError:
 def ingest(path: str | Path, errors: list[IngestError] | None = None) -> Iterator[RawRecord]:
     """Yield raw records from the JSONL corpus ``path`` in file order.
 
-    Malformed lines are reported into ``errors`` (and logged) with their
-    1-based line number; processing continues.  An unreadable file raises.
+    Malformed lines are reported with their 1-based line number into
+    ``errors``, or logged when no list is given; processing continues.  An
+    unreadable file raises.
     """
     with open(path, encoding="utf-8") as f:
         yield from _ingest_lines(f, errors)
@@ -129,10 +130,10 @@ def _ingest_lines(lines: Iterable[str], errors: list[IngestError] | None) -> Ite
                 docstring=obj.get("docstring"),
             ).validate()
         except (json.JSONDecodeError, CorpusFormatError) as exc:
-            err = IngestError(lineno, str(exc))
-            if errors is not None:
-                errors.append(err)
-            log.warning("line %d: %s", err.line_number, err.message)
+            if errors is None:
+                log.warning("line %d: %s", lineno, exc)
+            else:
+                errors.append(IngestError(lineno, str(exc)))
             continue
         yield record
 

@@ -32,8 +32,8 @@ def mixture_probs(sizes: list[int], alpha: float) -> list[float]:
     """Sampling probabilities from dataset sizes, tempered by ``alpha``."""
     if any(n <= 0 for n in sizes):
         raise EmptyTaskError(f"all task sizes must be positive, got {sizes}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be a finite non-negative number, got {alpha!r}")
     n = np.asarray(sizes, dtype=np.float64)
     r = n / n.sum()
     w = r**alpha
@@ -68,11 +68,12 @@ class TaskMixture:
         """Mixture config: {"alpha": float, "tasks": [{name, path, control_code?,
         validation?, size?}]}.
 
-        When ``size`` is omitted it is counted from the dataset file.  A config
-        that is not JSON, lacks ``tasks``, has a task without ``name`` or
-        ``path``, a ``size`` that is not a positive int or an ``alpha`` that is
-        not a finite non-negative number raises ``ValueError`` naming the file
-        and the cause.
+        When ``size`` is omitted it is counted from the dataset file, and an
+        empty file raises ``EmptyTaskError`` naming the task and the file.  A
+        config that is not JSON, lacks ``tasks``, has a task without ``name``
+        or ``path``, a ``size`` that is not a positive int or an ``alpha`` that
+        ``mixture_probs`` rejects raises ``ValueError`` naming the config and
+        the cause.
         """
         def malformed(cause) -> ValueError:
             return ValueError(f"malformed mixture config {path}: {cause}")
@@ -89,8 +90,6 @@ class TaskMixture:
             raise malformed(f"missing key {exc}") from exc
         except (TypeError, AttributeError) as exc:
             raise malformed(exc) from exc
-        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 <= alpha < np.inf:
-            raise malformed(f"alpha must be a finite non-negative number, got {alpha!r}")
         tasks = []
         for entry, name, data in entries:
             size = entry.get("size")
@@ -99,6 +98,8 @@ class TaskMixture:
                     raise ValueError(f"task dataset not found: {data}")
                 with open(data, encoding="utf-8") as df:
                     size = sum(1 for line in df if line.strip())
+                if size == 0:
+                    raise EmptyTaskError(f"task {name!r} dataset {data} is empty: task sizes must be positive")
             elif isinstance(size, bool) or not isinstance(size, int) or size <= 0:
                 raise malformed(f"task {name!r} size must be a positive int, got {size!r}")
             tasks.append(
@@ -110,7 +111,10 @@ class TaskMixture:
                     validation=entry.get("validation") or None,
                 )
             )
-        return cls(tasks=tuple(tasks), alpha=alpha)
+        try:
+            return cls(tasks=tuple(tasks), alpha=alpha)
+        except ValueError as exc:
+            raise malformed(exc) from exc
 
 
 def sample_task(mixture: TaskMixture, rng: np.random.Generator) -> str:

@@ -3,6 +3,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from codepretrain import bpe, corpus
 from codepretrain import model as mdl
 from codepretrain.cli import Stage, build_parser, dispatch
 from codepretrain.model import ModelConfig, Seq2SeqModel
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 GOLDEN_STATS_LINES = [
     # Frozen from the first audited run over the bundled corpus; the rates were
@@ -179,7 +185,6 @@ def test_build_instances_reproducible(pipeline, tmp_path):
     assert _sha(a) == _sha(pipeline["inst"])
 
 
-@pytest.mark.parametrize("command", ["stats", "build-instances"])
 @pytest.mark.parametrize(
     "bad_line_number, bad_line, message",
     [
@@ -187,22 +192,56 @@ def test_build_instances_reproducible(pipeline, tmp_path):
         (3, '{"bad json', "not JSON"),
         (3, json.dumps({"code_tokens": ["x"], "language": "mini", "identifier_labels": [0]}),
          "missing key 'nl_tokens'"),
+        (1, json.dumps({"nl_tokens": [], "language": "mini", "identifier_labels": [0]}),
+         "missing key 'code_tokens'"),
     ],
-    ids=["line1-not-json", "line3-not-json", "line3-not-a-document"],
+    ids=["line1-not-json-build-instances", "line3-not-json-build-instances",
+         "line3-not-a-document-build-instances", "line1-not-a-document-build-instances"],
 )
-def test_malformed_documents_file_is_clean_error(
-    pipeline, tmp_path, capsys, command, bad_line_number, bad_line, message
-):
+def test_malformed_documents_file_is_clean_error(pipeline, tmp_path, capsys, bad_line_number, bad_line, message):
     lines = pipeline["docs"].read_text(encoding="utf-8").splitlines()[:4]
     lines[bad_line_number - 1] = bad_line
     docs = tmp_path / "docs.jsonl"
     docs.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    argv = [command, "--input", str(docs)]
-    if command == "build-instances":
-        argv += ["--tokenizer", str(pipeline["tok"]), "--out", str(tmp_path / "inst.jsonl")]
+    out = tmp_path / "inst.jsonl"
+    argv = ["build-instances", "--input", str(docs), "--tokenizer", str(pipeline["tok"]), "--out", str(out)]
     assert dispatch(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {docs} line {bad_line_number}: {message}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_build_instances_on_raw_corpus_is_clean_error(pipeline, tmp_path, capsys):
+    """build-instances reads only ingest's documents; a raw corpus fails at its first line."""
+    raw = tmp_path / "corpus.jsonl"
+    rows = corpus.bundled_corpus_path().read_text(encoding="utf-8").splitlines(keepends=True)
+    raw.write_text("".join(rows[:4]), encoding="utf-8")
+    out = tmp_path / "inst.jsonl"
+    argv = ["build-instances", "--input", str(raw), "--tokenizer", str(pipeline["tok"]), "--out", str(out)]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == f"error: {raw} line 1: missing key 'nl_tokens'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "stats", "train-tokenizer"])
+def test_raw_corpus_malformed_line_printed_once(tmp_path, command):
+    """Run as a program, so no test log handler hides a second report of the line."""
+    raw = tmp_path / "corpus.jsonl"
+    rows = corpus.bundled_corpus_path().read_text(encoding="utf-8").splitlines(keepends=True)
+    raw.write_text('{"bad json\n' + "".join(rows), encoding="utf-8")
+    argv = {
+        "ingest": ["ingest", "--input", str(raw), "--out", str(tmp_path / "docs.jsonl")],
+        "stats": ["stats", "--input", str(raw)],
+        "train-tokenizer": ["train-tokenizer", "--input", str(raw), "--vocab-size", "400", "--min-freq", "2",
+                            "--out", str(tmp_path / "tok")],
+    }[command]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "codepretrain.cli", *argv],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.startswith("line 1: ") and result.stderr.count("\n") == 1
 
 
 def test_dual_instances_at_tight_target_cap(pipeline, tmp_path, capsys):
@@ -440,6 +479,17 @@ def test_finetune_bad_task_is_clean_error(pipeline, tmp_path, capsys, rows, mess
     assert not (tmp_path / "ft").exists()
 
 
+def test_finetune_non_finite_alpha_is_clean_error(pipeline, tmp_path, capsys):
+    task_data = tmp_path / "task.jsonl"
+    task_data.write_text(json.dumps({"source": "int x ;", "target": "declare"}) + "\n", encoding="utf-8")
+    mixture = tmp_path / "mixture.json"
+    mixture.write_text(json.dumps({"tasks": [{"name": "t", "path": str(task_data)}]}), encoding="utf-8")
+    assert dispatch(_finetune_argv(pipeline, tmp_path, mixture) + ["--alpha", "nan"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: alpha must be a finite non-negative number, got nan"]
+    assert not (tmp_path / "ft").exists()
+
+
 @pytest.mark.parametrize("command", ["finetune", "generate"])
 @pytest.mark.parametrize(
     "bad_line, message",
@@ -473,11 +523,37 @@ def test_mixture_task_without_name_is_clean_error(pipeline, tmp_path, capsys):
     assert err.startswith(f"error: malformed mixture config {mixture}: ") and "'name'" in err
 
 
+COMMAND_FLAGS = {
+    "ingest": {"input", "lang_config", "keep_comments", "out"},
+    "stats": {"input", "lang_config"},
+    "lex": {"lang", "input", "lang_config"},
+    "train-tokenizer": {"input", "vocab_size", "min_freq", "out"},
+    "build-instances": {"input", "tokenizer", "phase", "seed", "rate", "max_src_len", "max_tgt_len", "out"},
+    "pretrain": {"instances", "tokenizer", "phase", "init", "steps", "batch_size", "lr", "warmup_steps", "seed",
+                 "d_model", "num_heads", "encoder_layers", "decoder_layers", "feedforward_dim", "max_src_len",
+                 "max_tgt_len", "dropout", "out"},
+    "finetune": {"multi_task", "mixture", "tokenizer", "init", "alpha", "steps", "batch_size", "lr",
+                 "warmup_steps", "seed", "out"},
+    "generate": {"checkpoint", "tokenizer", "input", "control_code", "max_len", "beam", "out"},
+    "eval": {"task", "hyp", "ref"},
+}
+
+
+def _subparsers():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_every_command_has_exactly_its_pinned_flags():
+    """Adding or dropping a flag of any command is a deliberate edit of this table."""
+    got = {name: {a.dest for a in p._actions if a.dest != "help"} for name, p in _subparsers().items()}
+    assert got == COMMAND_FLAGS
+
+
 def test_snapshot_records_every_flag(pipeline, tmp_path):
     """Every flag of an artifact stage reaches its snapshot, so changing any
     flag re-runs the stage."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    stages = {name: p for name, p in sub.choices.items() if isinstance(p.get_default("func"), Stage)}
+    stages = {name: p for name, p in _subparsers().items() if isinstance(p.get_default("func"), Stage)}
     assert set(stages) == {"ingest", "train-tokenizer", "build-instances", "pretrain", "finetune", "generate"}
 
     task_data = tmp_path / "task.jsonl"

@@ -184,3 +184,19 @@ def test_mixture_from_config_rejects_malformed_config(tmp_path, text, cause):
     cfg_path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=f"malformed mixture config {cfg_path}: .*{cause}"):
         mx.TaskMixture.from_config(cfg_path)
+
+
+def test_mixture_from_config_empty_dataset_names_task_and_file(tmp_path):
+    data = tmp_path / "empty.jsonl"
+    data.write_text("\n", encoding="utf-8")
+    cfg_path = tmp_path / "mixture.json"
+    cfg_path.write_text(json.dumps({"tasks": [{"name": "a", "path": str(data)}]}), encoding="utf-8")
+    with pytest.raises(mx.EmptyTaskError) as exc:
+        mx.TaskMixture.from_config(cfg_path)
+    assert str(exc.value) == f"task 'a' dataset {data} is empty: task sizes must be positive"
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), "0.7", True])
+def test_every_mixture_rejects_a_bad_alpha(alpha):
+    with pytest.raises(ValueError, match=f"alpha must be a finite non-negative number, got {alpha!r}"):
+        mx.TaskMixture(tasks=(mx.TaskSpec("a", 3), mx.TaskSpec("b", 5)), alpha=alpha)
