@@ -6,17 +6,18 @@ a raw corpus, skip its malformed lines and print each one once on stderr as
 ``line N: <cause>``; ``build-instances`` reads the documents ``ingest``
 writes, and a line that is not a document ends it with an error.
 
-Each artifact-producing command is a ``Stage`` that declares its default
-output name and its input files once.  ``dispatch`` runs every stage the same
-way: it resolves the output, digests the inputs and writes a snapshot next to
-the output that records every flag of the stage, a sha256 of every input
-the stage reads, the checkpoint and tokenizer format versions and the
-training dtype.  When the output already exists with an identical snapshot
-the stage is skipped, so re-running a pipeline only redoes stages whose
-flags, inputs, formats or training arithmetic changed.  A run directory made
-before the snapshot recorded all of these redoes each stage once.  All
-randomness flows from explicit seeds; rerunning a stage with the same
-configuration reproduces its artifacts byte for byte.
+Each artifact-producing command is a ``Stage`` that declares its input files
+once and writes the output its required ``--out`` names, a file or a
+directory.  ``dispatch`` runs every stage the same way: it digests the inputs
+and writes a snapshot ``<out>.config.json`` beside the output that records
+every flag of the stage, a sha256 of every input the stage reads, the
+checkpoint and tokenizer format versions and the training dtype.  When the
+output already exists with an identical snapshot the stage is skipped, so
+re-running a pipeline only redoes stages whose flags, inputs, formats or
+training arithmetic changed.  A run directory made before the snapshot
+recorded all of these, or before every snapshot sat beside its output, redoes
+each such stage once.  All randomness flows from explicit seeds; rerunning a
+stage with the same configuration reproduces its artifacts byte for byte.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -26,10 +27,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -40,9 +40,6 @@ from . import objectives as obj
 from . import training as tr
 from .model import ModelConfig, Seq2SeqModel
 
-RUN_DIR_ENV = "CODEPRETRAIN_RUN_DIR"
-
-
 class CommandError(Exception):
     """Categorized failure reported to stderr with exit status 1."""
 
@@ -50,30 +47,18 @@ class CommandError(Exception):
 @dataclass(frozen=True)
 class Stage:
     """An artifact-producing command.  ``run(args, out)`` does the work;
-    ``default_out`` is the output name used without ``--out``, formatted with
-    the parsed flags; ``inputs`` are (flag, description) pairs naming the
-    files the stage reads, and ``more_inputs`` lists further (path,
-    description) pairs found inside those files."""
+    ``inputs`` are (flag, description) pairs naming the files the stage
+    reads, and ``more_inputs`` lists further (path, description) pairs found
+    inside those files."""
 
     run: Callable[[argparse.Namespace, Path], None]
-    default_out: str
     inputs: tuple[tuple[str, str], ...]
     more_inputs: Callable[[argparse.Namespace], list[tuple[str | None, str]]] | None = None
 
 
-def _resolve_out(args_out: str | None, default_name: str) -> Path:
-    if args_out:
-        return Path(args_out)
-    root = os.environ.get(RUN_DIR_ENV)
-    if not root:
-        raise CommandError(
-            f"--out not given and {RUN_DIR_ENV} is not set"
-        )
-    return Path(root) / default_name
-
-
 def _snapshot_path(out: Path) -> Path:
-    return out / "config.json" if out.suffix == "" else out.with_suffix(out.suffix + ".config.json")
+    """The snapshot of a file or directory output, beside it and outside it."""
+    return out.with_name(out.name + ".config.json")
 
 
 def _stage_up_to_date(out: Path, config: dict) -> bool:
@@ -123,8 +108,10 @@ def _run_stage(args: argparse.Namespace) -> int:
     """Skip the stage when its snapshot matches; otherwise run it and write
     the snapshot after it succeeds."""
     stage: Stage = args.func
+    out = Path(args.out)
+    if out.name in ("", ".."):
+        raise CommandError(f"--out {args.out} names no file or directory of its own")
     flags = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
-    out = _resolve_out(args.out, stage.default_out.format(**flags))
     files = [(getattr(args, flag), what) for flag, what in stage.inputs]
     if stage.more_inputs is not None:
         files += stage.more_inputs(args)
@@ -197,52 +184,51 @@ def _cmd_train_tokenizer(args, out: Path) -> None:
 def _cmd_build_instances(args, out: Path) -> None:
     tok = _load("tokenizer", bpe.SubwordTokenizer.load, args.tokenizer)
     docs = corpus.read_documents(args.input)
+    caps = {"max_src_len": args.max_src_len, "max_tgt_len": args.max_tgt_len}
     if args.phase == "denoise":
-        instances = obj.build_denoising_instances(
-            docs, tok, rate=args.rate, seed=args.seed,
-            max_src_len=args.max_src_len, max_tgt_len=args.max_tgt_len,
-        )
+        instances = obj.build_denoising_instances(docs, tok, rate=args.rate, seed=args.seed, **caps)
     else:
-        instances = obj.build_dual_instances(
-            docs, tok, max_src_len=args.max_src_len, max_tgt_len=args.max_tgt_len
-        )
+        instances = obj.build_dual_instances(docs, tok, **caps)
     count = obj.write_instances(instances, out)
     print(f"build-instances: wrote {count} {args.phase} instances to {out}")
 
 
+# pretrain's model flags, by ModelConfig field, with that field's default
+_MODEL_FLAGS = {f.name: f.default for f in fields(ModelConfig) if f.name not in ("vocab_size", "pad_id")}
+
+
 def _model_config_from_args(args, vocab_size: int) -> ModelConfig:
-    return ModelConfig(
-        vocab_size=vocab_size,
-        d_model=args.d_model,
-        num_heads=args.num_heads,
-        encoder_layers=args.encoder_layers,
-        decoder_layers=args.decoder_layers,
-        feedforward_dim=args.feedforward_dim,
-        max_src_len=args.max_src_len,
-        max_tgt_len=args.max_tgt_len,
-        dropout=args.dropout,
-    )
+    return ModelConfig(vocab_size=vocab_size, **{name: getattr(args, name) for name in _MODEL_FLAGS})
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d-model", type=int, default=128, dest="d_model")
-    p.add_argument("--num-heads", type=int, default=4, dest="num_heads")
-    p.add_argument("--encoder-layers", type=int, default=2, dest="encoder_layers")
-    p.add_argument("--decoder-layers", type=int, default=2, dest="decoder_layers")
-    p.add_argument("--feedforward-dim", type=int, default=512, dest="feedforward_dim")
-    p.add_argument("--max-src-len", type=int, default=512, dest="max_src_len")
-    p.add_argument("--max-tgt-len", type=int, default=256, dest="max_tgt_len")
-    p.add_argument("--dropout", type=float, default=0.0)
+    for name, default in _MODEL_FLAGS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), dest=name,
+                       help=f"default {default}; not with --init")
+
+
+def _check_model_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """``pretrain --init`` continues a checkpoint, whose model is fixed, so a
+    model flag beside it is a usage error.  Without ``--init`` a model flag
+    left out takes its default, so the snapshot records the value each took."""
+    for name, default in _MODEL_FLAGS.items():
+        if getattr(args, name) is None:
+            if not args.init:
+                setattr(args, name, default)
+        elif args.init:
+            parser.error(f"--{name.replace('_', '-')} cannot be given with --init: the checkpoint fixes the model")
+
+
+def _positive_int(text: str) -> int:
+    """An int flag that must be at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an int of at least 1, got {text!r}")
+    return int(text)
 
 
 def _schedule_from_args(args) -> tr.TrainSchedule:
-    return tr.TrainSchedule(
-        steps=args.steps,
-        batch_size=args.batch_size,
-        peak_lr=args.lr,
-        warmup_steps=args.warmup_steps,
-        seed=args.seed,
-    )
+    return tr.TrainSchedule(steps=args.steps, batch_size=args.batch_size, peak_lr=args.lr,
+                            warmup_steps=args.warmup_steps, seed=args.seed)
 
 
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
@@ -265,9 +251,7 @@ def _cmd_pretrain(args, out: Path) -> None:
     model.save(out / "checkpoint.npz")
     tr.write_metrics_log(log, out / "metrics.jsonl")
     if log:
-        first = log[0].loss
-        last = log[-1].loss
-        print(f"pretrain: {args.steps} steps, loss {first:.4f} -> {last:.4f} ({out})")
+        print(f"pretrain: {args.steps} steps, loss {log[0].loss:.4f} -> {log[-1].loss:.4f} ({out})")
     else:
         print(f"pretrain: 0 steps, parameters unchanged ({out})")
 
@@ -309,12 +293,9 @@ def _cmd_finetune(args, out: Path) -> None:
     mix = _mixture(args)
     model = _load("checkpoint", Seq2SeqModel.load, args.init)
     datasets = {spec.name: _load_task_instances(spec.path, tok) for spec in mix.tasks}
-    validation = {
-        spec.name: _load_task_instances(spec.validation, tok) for spec in mix.tasks if spec.validation
-    }
-    log, best = tr.finetune_multitask(
-        model, mix, datasets, tok, _schedule_from_args(args), validation=validation or None
-    )
+    validation = {spec.name: _load_task_instances(spec.validation, tok) for spec in mix.tasks if spec.validation}
+    log, best = tr.finetune_multitask(model, mix, datasets, tok, _schedule_from_args(args),
+                                      validation=validation or None)
     out.mkdir(parents=True, exist_ok=True)
     model.save(out / "checkpoint.npz")
     tr.write_metrics_log(log, out / "metrics.jsonl")
@@ -408,9 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--lang-config", default=None, dest="lang_config")
     p.add_argument("--keep-comments", action="store_true", dest="keep_comments")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=Stage(_cmd_ingest, "documents.jsonl",
-                             (("input", "corpus file"), ("lang_config", "language config"))))
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=Stage(_cmd_ingest, (("input", "corpus file"), ("lang_config", "language config"))))
 
     p = sub.add_parser("stats", help="per-language document counts and identifier rates of a raw corpus")
     p.add_argument("--input", required=True)
@@ -427,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--vocab-size", type=int, default=8000, dest="vocab_size")
     p.add_argument("--min-freq", type=int, default=3, dest="min_freq")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=Stage(_cmd_train_tokenizer, "tokenizer", (("input", "corpus file"),)))
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=Stage(_cmd_train_tokenizer, (("input", "corpus file"),)))
 
     p = sub.add_parser("build-instances", help="materialize training instances from ingest's documents")
     p.add_argument("--input", required=True)
@@ -438,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=0.15)
     p.add_argument("--max-src-len", type=int, default=512, dest="max_src_len")
     p.add_argument("--max-tgt-len", type=int, default=256, dest="max_tgt_len")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=Stage(_cmd_build_instances, "instances-{phase}.jsonl", (
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=Stage(_cmd_build_instances, (
         ("input", "documents file"), ("tokenizer", "tokenizer directory"),
     )))
 
@@ -450,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", default=None, help="checkpoint to continue from")
     _add_schedule_flags(p)
     _add_model_flags(p)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=Stage(_cmd_pretrain, "pretrain-{phase}", (
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=Stage(_cmd_pretrain, (
         ("instances", "instances file"), ("tokenizer", "tokenizer directory"), ("init", "checkpoint"),
     )))
 
@@ -465,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", required=True)
     p.add_argument("--alpha", type=float, default=None)
     _add_schedule_flags(p)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=Stage(_cmd_finetune, "finetune", (
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=Stage(_cmd_finetune, (
         ("mixture", "mixture config"), ("tokenizer", "tokenizer directory"), ("init", "checkpoint"),
     ), more_inputs=_mixture_files))
 
@@ -475,10 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tokenizer", required=True)
     p.add_argument("--input", required=True, help="task dataset: instances or {source, target} pairs")
     p.add_argument("--control-code", default="", dest="control_code")
-    p.add_argument("--max-len", type=int, default=128, dest="max_len")
-    p.add_argument("--beam", type=int, default=1)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=Stage(_cmd_generate, "hyp.txt", (
+    p.add_argument("--max-len", type=_positive_int, default=128, dest="max_len")
+    p.add_argument("--beam", type=_positive_int, default=1)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=Stage(_cmd_generate, (
         ("checkpoint", "checkpoint"), ("tokenizer", "tokenizer directory"), ("input", "task dataset"),
     )))
 
@@ -495,6 +475,8 @@ def dispatch(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "pretrain":
+            _check_model_flags(parser, args)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

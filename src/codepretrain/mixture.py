@@ -34,6 +34,8 @@ def mixture_probs(sizes: list[int], alpha: float) -> list[float]:
         raise EmptyTaskError(f"all task sizes must be positive, got {sizes}")
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 <= alpha < np.inf:
         raise ValueError(f"alpha must be a finite non-negative number, got {alpha!r}")
+    if not sizes:
+        raise ValueError("a mixture needs at least one task")
     n = np.asarray(sizes, dtype=np.float64)
     r = n / n.sum()
     w = r**alpha
@@ -71,9 +73,9 @@ class TaskMixture:
         When ``size`` is omitted it is counted from the dataset file, and an
         empty file raises ``EmptyTaskError`` naming the task and the file.  A
         config that is not JSON, lacks ``tasks``, has a task without ``name``
-        or ``path``, a ``size`` that is not a positive int or an ``alpha`` that
-        ``mixture_probs`` rejects raises ``ValueError`` naming the config and
-        the cause.
+        or ``path``, a ``size`` that is not a positive int, an ``alpha`` that
+        ``mixture_probs`` rejects or no task at all raises ``ValueError``
+        naming the config and the cause.
         """
         def malformed(cause) -> ValueError:
             return ValueError(f"malformed mixture config {path}: {cause}")

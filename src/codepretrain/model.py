@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import artifacts
-from .objectives import IT, MSP, TrainingInstance
+from .objectives import IT, MAX_SRC_LEN, MAX_TGT_LEN, MSP, TrainingInstance
 
 NEG_INF = -1e30
 LN_EPS = 1e-6
@@ -70,8 +70,8 @@ class ModelConfig:
                 raise ValueError(f"{name} must be a positive int, got {value!r}")
         if self.d_model % self.num_heads != 0:
             raise ValueError("d_model must be divisible by num_heads")
-        if self.max_src_len > 512 or self.max_tgt_len > 256:
-            raise ValueError("length caps are 512 (source) and 256 (target)")
+        if self.max_src_len > MAX_SRC_LEN or self.max_tgt_len > MAX_TGT_LEN:
+            raise ValueError(f"length caps are {MAX_SRC_LEN} (source) and {MAX_TGT_LEN} (target)")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
 

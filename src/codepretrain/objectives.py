@@ -48,6 +48,8 @@ TARGET_MEAN_SPAN = 3
 
 NL_LANGUAGE_TAG = "en"
 
+MAX_SRC_LEN, MAX_TGT_LEN = 512, 256  # the model's length caps, which ModelConfig enforces
+
 
 class SentinelExhaustedError(ValueError):
     """More sentinels are needed than the tokenizer reserves."""
@@ -404,6 +406,15 @@ def document_rng(global_seed: int, doc_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([global_seed, doc_index]))
 
 
+def _check_length_caps(max_src_len: int, max_tgt_len: int) -> None:
+    """A source needs room for [CLS], one id and two [SEP]s, a target for one
+    id and [SEP]; tighter caps would build instances with no payload."""
+    for name, value, low, high in (("max_src_len", max_src_len, 4, MAX_SRC_LEN),
+                                   ("max_tgt_len", max_tgt_len, 2, MAX_TGT_LEN)):
+        if not low <= value <= high:
+            raise ValueError(f"{name} must be in {low}..{high}, got {value!r}")
+
+
 def build_denoising_instances(
     docs: Iterable[CodeDocument],
     tokenizer: SubwordTokenizer,
@@ -419,6 +430,7 @@ def build_denoising_instances(
     identifier-heavy ones whose obfuscation target would overflow
     ``max_tgt_len``, fall back from identifier masking to span masking.
     """
+    _check_length_caps(max_src_len, max_tgt_len)
     # [CLS] + two [SEP]s frame the source; NL takes at most half the payload
     # budget and code gets whatever NL leaves unused.
     payload = max_src_len - 3
@@ -456,6 +468,7 @@ def build_dual_instances(
     smaller of the two budgets; documents left with no NL word (unimodal
     ones, or ones whose first NL word alone overflows) are skipped.
     """
+    _check_length_caps(max_src_len, max_tgt_len)
     budget = min(max_src_len - 3, max_tgt_len - 1)
     instances: list[TrainingInstance] = []
     for doc in docs:

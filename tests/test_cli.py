@@ -4,6 +4,9 @@ import argparse
 import hashlib
 import json
 import os
+import re
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,11 +15,13 @@ import numpy as np
 import pytest
 
 from codepretrain import bpe, corpus
+from codepretrain import objectives as obj
 from codepretrain import model as mdl
 from codepretrain.cli import Stage, build_parser, dispatch
 from codepretrain.model import ModelConfig, Seq2SeqModel
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 
 GOLDEN_STATS_LINES = [
     # Frozen from the first audited run over the bundled corpus; the rates were
@@ -245,12 +250,24 @@ def test_raw_corpus_malformed_line_printed_once(tmp_path, command):
 
 
 def test_dual_instances_at_tight_target_cap(pipeline, tmp_path, capsys):
+    """At the tightest target cap a model can take, every target is one id and [SEP]."""
     out = tmp_path / "dual.jsonl"
     argv = ["build-instances", "--input", str(pipeline["docs"]), "--tokenizer", str(pipeline["tok"]),
-            "--phase", "dual", "--max-tgt-len", "1", "--out", str(out)]
+            "--phase", "dual", "--max-tgt-len", "2", "--out", str(out)]
     assert dispatch(argv) == 0
-    assert "wrote 0 dual instances" in capsys.readouterr().out
-    assert out.read_text(encoding="utf-8") == ""
+    instances = list(obj.read_instances(out))
+    assert f"wrote {len(instances)} dual instances" in capsys.readouterr().out
+    assert all(len(inst.target_ids) == 2 for inst in instances)
+
+
+def test_build_instances_cap_a_model_cannot_take_is_clean_error(pipeline, tmp_path, capsys):
+    """A source cap with no room for a payload writes no instances file."""
+    out = tmp_path / "inst.jsonl"
+    argv = ["build-instances", "--input", str(pipeline["docs"]), "--tokenizer", str(pipeline["tok"]),
+            "--max-src-len", "2", "--out", str(out)]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == "error: max_src_len must be in 4..512, got 2\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_stage_skipped_when_up_to_date(pipeline, capsys):
@@ -265,6 +282,62 @@ def test_stage_skipped_when_up_to_date(pipeline, capsys):
     )
     assert rc == 0
     assert "up to date" in capsys.readouterr().out
+
+
+def test_file_output_without_suffix_is_up_to_date_on_rerun(tmp_path, capsys):
+    out = tmp_path / "docs"
+    argv = ["ingest", "--input", str(corpus.bundled_corpus_path()), "--out", str(out)]
+    assert dispatch(argv) == 0
+    assert len(list(corpus.read_documents(out))) == 200
+    assert (tmp_path / "docs.config.json").exists()
+    capsys.readouterr()
+    assert dispatch(argv) == 0
+    assert capsys.readouterr().out == f"ingest: up to date ({out})\n"
+
+
+def test_tokenizer_retrained_from_identical_corpus_keeps_instances_up_to_date(pipeline, tmp_path, capsys):
+    """The tokenizer's snapshot sits beside its directory, so the digest
+    build-instances takes of the directory covers only vocab and merges."""
+    copy = tmp_path / "corpus.jsonl"
+    shutil.copyfile(pipeline["src"], copy)
+    tok, inst = tmp_path / "tok", tmp_path / "inst.jsonl"
+    tok_argv = ["train-tokenizer", "--input", pipeline["src"], "--vocab-size", "600", "--min-freq", "2",
+                "--out", str(tok)]
+    inst_argv = ["build-instances", "--input", str(pipeline["docs"]), "--tokenizer", str(tok), "--out", str(inst)]
+    assert dispatch(tok_argv) == 0 and dispatch(inst_argv) == 0
+    assert sorted(p.name for p in tok.iterdir()) == ["merges.txt", "vocab.txt"]
+    capsys.readouterr()
+    assert dispatch([*tok_argv[:2], str(copy), *tok_argv[3:]]) == 0
+    assert capsys.readouterr().out.startswith("train-tokenizer: vocab size")
+    assert dispatch(inst_argv) == 0
+    assert capsys.readouterr().out == f"build-instances: up to date ({inst})\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--input", "corpus.jsonl"],
+    ["train-tokenizer", "--input", "corpus.jsonl"],
+    ["build-instances", "--input", "docs.jsonl", "--tokenizer", "tok"],
+    ["pretrain", "--instances", "inst.jsonl", "--tokenizer", "tok"],
+    ["finetune", "--mixture", "mixture.json", "--tokenizer", "tok", "--init", "init.npz"],
+    ["generate", "--checkpoint", "init.npz", "--tokenizer", "tok", "--input", "task.jsonl"],
+], ids=lambda argv: argv[0])
+def test_stage_without_out_is_usage_error(capsys, argv):
+    assert dispatch(argv) == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", [".", ".."])
+def test_out_without_a_name_of_its_own_is_clean_error(pipeline, tmp_path, capsys, monkeypatch, out):
+    """An output that names no file or directory of its own has no place
+    beside it for the snapshot; the stage fails before any work."""
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    argv = ["pretrain", "--instances", str(pipeline["inst"]), "--tokenizer", str(pipeline["tok"]),
+            "--steps", "0", "--out", out]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == f"error: --out {out} names no file or directory of its own\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["work"] and list(work.iterdir()) == []
 
 
 def test_stage_reruns_when_input_content_changes(tmp_path, capsys):
@@ -336,15 +409,54 @@ def test_pretrain_made_before_the_training_dtype_was_recorded_reruns(pipeline, t
         "--out", str(out),
     ]
     assert dispatch(argv) == 0
-    snapshot = json.loads((out / "config.json").read_text(encoding="utf-8"))
+    snapshot = json.loads((tmp_path / "run.config.json").read_text(encoding="utf-8"))
     assert snapshot["versions"]["training_dtype"] == "float32"
     del snapshot["versions"]["training_dtype"]
-    (out / "config.json").write_text(json.dumps(snapshot), encoding="utf-8")
+    (tmp_path / "run.config.json").write_text(json.dumps(snapshot), encoding="utf-8")
     capsys.readouterr()
     assert dispatch(argv) == 0
     assert "up to date" not in capsys.readouterr().out
     assert dispatch(argv) == 0
     assert "up to date" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value", [("--d-model", "64"), ("--dropout", "0.1"), ("--max-src-len", "512")])
+def test_pretrain_model_flag_with_init_is_usage_error(pipeline, tmp_path, capsys, flag, value):
+    """The checkpoint fixes the model, so a model flag beside ``--init`` would be silently ignored."""
+    out = tmp_path / "run"
+    argv = ["pretrain", "--instances", str(pipeline["inst"]), "--tokenizer", str(pipeline["tok"]),
+            "--init", str(_tiny_checkpoint(pipeline["tok"], tmp_path / "init.npz")), flag, value,
+            "--out", str(out)]
+    assert dispatch(argv) == 2
+    assert f"error: {flag} cannot be given with --init" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pretrain_snapshot_records_the_model_flag_values(pipeline, tmp_path):
+    """Without ``--init`` each model flag's value is recorded, given or
+    default; with it, none is, since the checkpoint's model is used."""
+    common = ["pretrain", "--instances", str(pipeline["inst"]), "--tokenizer", str(pipeline["tok"]),
+              "--steps", "1", "--batch-size", "2"]
+    model = ["--d-model", "16", "--num-heads", "2", "--encoder-layers", "1", "--decoder-layers", "1",
+             "--feedforward-dim", "32", "--max-src-len", "160"]
+    assert dispatch(common + model + ["--out", str(tmp_path / "run")]) == 0
+    snapshot = json.loads((tmp_path / "run.config.json").read_text(encoding="utf-8"))
+    assert {k: snapshot[k] for k in ("d_model", "max_src_len", "max_tgt_len", "dropout")} == {
+        "d_model": 16, "max_src_len": 160, "max_tgt_len": 256, "dropout": 0.0}
+    init = ["--init", str(tmp_path / "run" / "checkpoint.npz")]
+    assert dispatch(common + init + ["--out", str(tmp_path / "more")]) == 0
+    snapshot = json.loads((tmp_path / "more.config.json").read_text(encoding="utf-8"))
+    assert [snapshot[k] for k in ("d_model", "num_heads", "max_tgt_len", "dropout")] == [None] * 4
+
+
+@pytest.mark.parametrize("flag, value", [("--beam", "0"), ("--beam", "-3"), ("--max-len", "-5"),
+                                         ("--max-len", "x")])
+def test_generate_decode_setting_below_one_is_usage_error(tmp_path, capsys, flag, value):
+    argv = ["generate", "--checkpoint", "init.npz", "--tokenizer", "tok", "--input", "task.jsonl",
+            flag, value, "--out", str(tmp_path / "hyp.txt")]
+    assert dispatch(argv) == 2
+    assert f"error: argument {flag}: must be an int of at least 1, got '{value}'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_pretrain_generate_eval_end_to_end(pipeline, tmp_path, capsys):
@@ -401,7 +513,7 @@ def test_pretrain_writes_artifacts(pipeline):
     assert rc == 0
     assert (run / "checkpoint.npz").exists()
     assert (run / "metrics.jsonl").exists()
-    assert (run / "config.json").exists()
+    assert (pipeline["root"] / "run.config.json").exists()
     records = [json.loads(l) for l in (run / "metrics.jsonl").read_text().splitlines()]
     assert len(records) == 3
     assert all({"step", "objective", "loss"} <= set(r) for r in records)
@@ -539,8 +651,8 @@ COMMAND_FLAGS = {
 }
 
 
-def _subparsers():
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+def _subparsers(parser=None):
+    sub = next(a for a in (parser or build_parser())._actions if isinstance(a, argparse._SubParsersAction))
     return sub.choices
 
 
@@ -548,6 +660,21 @@ def test_every_command_has_exactly_its_pinned_flags():
     """Adding or dropping a flag of any command is a deliberate edit of this table."""
     got = {name: {a.dest for a in p._actions if a.dest != "help"} for name, p in _subparsers().items()}
     assert got == COMMAND_FLAGS
+
+
+def test_readme_cli_block_parses():
+    """Every command of the README's CLI block parses, so a flag change that
+    leaves the README behind fails here."""
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    block = block.replace("\\\n", " ").replace("$CORPUS", re.search(r"^CORPUS=(\S+)$", block, re.M).group(1))
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("codepretrain ")]
+    parser = build_parser()
+    subparsers = _subparsers(parser)
+    assert {argv[0] for argv in commands} == set(subparsers)
+    for sub in subparsers.values():
+        sub.allow_abbrev = False  # a renamed flag must not still parse as an abbreviation of its new name
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_snapshot_records_every_flag(pipeline, tmp_path):
@@ -583,10 +710,10 @@ def test_snapshot_records_every_flag(pipeline, tmp_path):
     ) == 0
     snapshots = {
         "ingest": pipeline["docs"].with_name(pipeline["docs"].name + ".config.json"),
-        "train-tokenizer": pipeline["tok"] / "config.json",
+        "train-tokenizer": pipeline["tok"].with_name(pipeline["tok"].name + ".config.json"),
         "build-instances": pipeline["inst"].with_name(pipeline["inst"].name + ".config.json"),
-        "pretrain": run / "config.json",
-        "finetune": tmp_path / "ft" / "config.json",
+        "pretrain": tmp_path / "run.config.json",
+        "finetune": tmp_path / "ft.config.json",
         "generate": tmp_path / "hyp.txt.config.json",
     }
     for name, parser in stages.items():

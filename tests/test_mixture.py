@@ -177,6 +177,7 @@ def test_mixture_from_config(tmp_path, tokenizer):
         ('{"alpha": true, "tasks": []}', "alpha must be a finite non-negative number, got True"),
         ('{"alpha": -1, "tasks": []}', "alpha must be a finite non-negative number, got -1"),
         ('{"alpha": NaN, "tasks": []}', "alpha must be a finite non-negative number, got nan"),
+        ('{"tasks": []}', "a mixture needs at least one task"),
     ],
 )
 def test_mixture_from_config_rejects_malformed_config(tmp_path, text, cause):

@@ -602,9 +602,20 @@ def test_batch_builders_encode_each_word_at_most_once(
         assert misses == 0
 
 
+@pytest.mark.parametrize("build", [obj.build_denoising_instances, obj.build_dual_instances])
+@pytest.mark.parametrize("caps, message", [
+    ((3, 256), "max_src_len must be in 4..512, got 3"),
+    ((513, 256), "max_src_len must be in 4..512, got 513"),
+    ((512, 1), "max_tgt_len must be in 2..256, got 1"),
+    ((512, 257), "max_tgt_len must be in 2..256, got 257"),
+], ids=["src-3", "src-513", "tgt-1", "tgt-257"])
+def test_builders_reject_caps_a_model_cannot_take(bundled_docs, tokenizer, build, caps, message):
+    """A cap with no room for one payload id would build instances with no payload."""
+    with pytest.raises(ValueError, match=message):
+        build(bundled_docs, tokenizer, max_src_len=caps[0], max_tgt_len=caps[1])
+
+
 def test_dual_instances_skip_documents_clipped_to_no_nl(bundled_docs, tokenizer):
-    # a one-id target budget leaves no room for any NL word
-    assert obj.build_dual_instances(bundled_docs, tokenizer, max_tgt_len=1) == []
     assert len(tokenizer.encode("x" * 200, use_specials=False)) > 19  # the budget at max_tgt_len 20
     long_word = _doc(["int", "a", ";"], [0, 1, 0], nl=("x" * 200, "it"), language="java")
     short = _doc(["int", "a", ";"], [0, 1, 0], nl=("store", "it"), language="java")
