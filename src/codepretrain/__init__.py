@@ -39,8 +39,7 @@ from .training import (
     classify_unigram,
     embed_last_state,
     evaluate_mask_instances,
-    finetune_multitask,
-    finetune_seq2seq,
+    finetune,
     generate,
     grad_check,
     pretrain,
@@ -79,8 +78,7 @@ __all__ = [
     "evaluate_mask_instances",
     "exact_match",
     "f1_binary",
-    "finetune_multitask",
-    "finetune_seq2seq",
+    "finetune",
     "forward_lm",
     "generate",
     "grad_check",

@@ -294,8 +294,7 @@ def _cmd_finetune(args, out: Path) -> None:
     model = _load("checkpoint", Seq2SeqModel.load, args.init)
     datasets = {spec.name: _load_task_instances(spec.path, tok) for spec in mix.tasks}
     validation = {spec.name: _load_task_instances(spec.validation, tok) for spec in mix.tasks if spec.validation}
-    log, best = tr.finetune_multitask(model, mix, datasets, tok, _schedule_from_args(args),
-                                      validation=validation or None)
+    log, best = tr.finetune(model, mix, datasets, tok, _schedule_from_args(args), validation=validation or None)
     out.mkdir(parents=True, exist_ok=True)
     model.save(out / "checkpoint.npz")
     tr.write_metrics_log(log, out / "metrics.jsonl")
@@ -382,6 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="codepretrain",
         description="Identifier-aware denoising pre-training pipeline for source code.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -468,6 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", required=True)
     p.set_defaults(func=_cmd_eval)
 
+    for p in sub.choices.values():
+        p.allow_abbrev = False  # an abbreviated flag is a usage error, not the flag it abbreviates
     return parser
 
 

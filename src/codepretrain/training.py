@@ -3,9 +3,11 @@
 Every phase runs one loop and differs only in how a step draws its batch.
 Pre-training runs in two phases: a denoising phase that draws one of the
 three denoising objectives per step with equal probability, and a dual phase
-over the paired NL<->code generation instances.  All randomness flows from
-the schedule seed; with a fixed seed the metrics log is bit-identical across
-runs.
+over the paired NL<->code generation instances.  Fine-tuning (``finetune``)
+draws a task from a mixture, then a batch of that task; a single pool is a
+one-task mixture, and a task of IT instances trains the tagging head.  All
+randomness flows from the schedule seed; with a fixed seed the metrics log is
+bit-identical across runs.
 
 Training is mixed precision: each step's forward and backward run on a
 ``TRAIN_DTYPE`` working copy of the parameters, while the model's float64
@@ -42,6 +44,7 @@ from .objectives import (
     DENOISING_TASKS,
     DUAL_NL2PL,
     DUAL_PL2NL,
+    IT,
     TrainingInstance,
     parse_sentinel_segments,
     pick_denoising_task,
@@ -238,24 +241,6 @@ def pretrain(
     return _train(model, schedule, draw)
 
 
-def finetune_seq2seq(
-    model: Seq2SeqModel,
-    instances: Sequence[TrainingInstance],
-    schedule: TrainSchedule,
-) -> list[StepRecord]:
-    """Fine-tune on one pool of instances.  The loss follows their objective:
-    teacher-forced generation, or the encoder and tagging head for IT."""
-    pool = _filter_to_caps(list(instances), model)
-    if not pool and schedule.steps > 0:
-        raise ValueError("no training instances fit the model's length caps")
-
-    def draw(rng):
-        batch = _draw_batch(pool, schedule.batch_size, rng)
-        return batch[0].objective, batch
-
-    return _train(model, schedule, draw)
-
-
 @dataclass
 class TaskCheckpoint:
     task: str
@@ -275,7 +260,7 @@ def _mean_loss(model: Seq2SeqModel, instances: list[TrainingInstance], chunk: in
     return loss / max(count, 1)
 
 
-def finetune_multitask(
+def finetune(
     model: Seq2SeqModel,
     mixture: TaskMixture,
     datasets: dict[str, list[TrainingInstance]],
@@ -284,12 +269,17 @@ def finetune_multitask(
     validation: dict[str, list[TrainingInstance]] | None = None,
     eval_every: int = 50,
 ) -> tuple[list[StepRecord], dict[str, TaskCheckpoint]]:
-    """Balanced multi-task fine-tuning with one best checkpoint per task.
+    """Fine-tune on a task mixture, with one best checkpoint per task; a single
+    pool is a one-task mixture.
 
-    Control codes are prepended and the length caps applied once per dataset
-    and validation set up front.  When validation sets are given, per-task
-    validation loss is tracked in batches of the schedule's size and the best
-    parameter snapshot per task is returned.
+    Each step draws a task by the mixture's probabilities, then a batch from
+    its dataset.  The loss follows the batch's objective: the tagging head for
+    IT, teacher-forced generation for every other objective.  So a task whose
+    instances (training or validation) mix IT with other objectives is
+    rejected before step 1.  Control codes are prepended and the length caps
+    applied once per dataset and validation set up front.  When validation
+    sets are given, per-task validation loss is tracked in batches of the
+    schedule's size and the best parameter snapshot per task is returned.
     """
     def prepare(spec, instances):
         return _filter_to_caps([apply_control_code(i, spec, tokenizer) for i in instances], model)
@@ -297,10 +287,15 @@ def finetune_multitask(
     prepared: dict[str, list[TrainingInstance]] = {}
     held_out: dict[str, list[TrainingInstance]] = {}
     for spec in mixture.tasks:
+        val = (validation or {}).get(spec.name) or []
+        objectives = {i.objective for i in (*datasets[spec.name], *val)}
+        if IT in objectives and len(objectives) > 1:
+            raise ValueError(f"task {spec.name!r} mixes the tagging and sequence losses: its instances "
+                             f"have objectives {', '.join(sorted(objectives))}")
         prepared[spec.name] = prepare(spec, datasets[spec.name])
         if not prepared[spec.name] and schedule.steps > 0:
             raise ValueError(f"no instances of task {spec.name!r} fit the model's length caps")
-        val = prepare(spec, (validation or {}).get(spec.name) or [])
+        val = prepare(spec, val)
         if val:
             held_out[spec.name] = val
     best: dict[str, TaskCheckpoint] = {}

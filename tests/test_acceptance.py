@@ -277,7 +277,9 @@ def test_criterion_8_identifier_tagging_f1(tokenizer, small_config, lexers):
     instances = [obj.build_it(d, tokenizer) for d in docs]
     train, held = instances[:500], instances[500:]
     model = Seq2SeqModel(small_config, seed=1)
-    tr.finetune_seq2seq(model, train, tr.TrainSchedule(steps=400, batch_size=16, peak_lr=1e-3, seed=0))
+    tagging = mixture.TaskMixture((mixture.TaskSpec("tagging", len(train)),))
+    tr.finetune(model, tagging, {"tagging": train}, tokenizer,
+                tr.TrainSchedule(steps=400, batch_size=16, peak_lr=1e-3, seed=0))
     preds: list[int] = []
     golds: list[int] = []
     for inst in held:

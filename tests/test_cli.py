@@ -541,7 +541,7 @@ def test_finetune_multitask_cli(pipeline, tmp_path):
     rc = dispatch(
         [
             "finetune",
-            "--multi-task",
+            "--multi-task",  # a no-op kept because the bench's bundled-cli argv still passes it
             "--mixture", str(mixture),
             "--tokenizer", str(pipeline["tok"]),
             "--init", str(_tiny_checkpoint(pipeline["tok"], tmp_path / "init.npz", max_len=64)),
@@ -589,6 +589,21 @@ def test_finetune_bad_task_is_clean_error(pipeline, tmp_path, capsys, rows, mess
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "ft").exists()
+
+
+def test_finetune_task_mixing_tagging_with_sequence_instances_is_clean_error(pipeline, tmp_path, capsys):
+    """The denoise instances hold IT (tagging loss) beside MSP and MIP
+    (sequence loss); such a task ends finetune before its first step, even
+    where the instances fit the model and a run would start."""
+    mixture = tmp_path / "mixture.json"
+    mixture.write_text(json.dumps({"tasks": [{"name": "denoise", "path": str(pipeline["inst"])}]}), encoding="utf-8")
+    argv = _finetune_argv(pipeline, tmp_path, mixture)
+    argv[argv.index("--init") + 1] = str(_tiny_checkpoint(pipeline["tok"], tmp_path / "init.npz", max_len=160))
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: task 'denoise' mixes the tagging and sequence losses: "
+                   "its instances have objectives IT, MIP, MSP"]
+    assert not (tmp_path / "ft").exists() and not (tmp_path / "ft.config.json").exists()
 
 
 def test_finetune_non_finite_alpha_is_clean_error(pipeline, tmp_path, capsys):
@@ -669,12 +684,19 @@ def test_readme_cli_block_parses():
     block = block.replace("\\\n", " ").replace("$CORPUS", re.search(r"^CORPUS=(\S+)$", block, re.M).group(1))
     commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("codepretrain ")]
     parser = build_parser()
-    subparsers = _subparsers(parser)
-    assert {argv[0] for argv in commands} == set(subparsers)
-    for sub in subparsers.values():
-        sub.allow_abbrev = False  # a renamed flag must not still parse as an abbreviation of its new name
+    assert {argv[0] for argv in commands} == set(_subparsers(parser))
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_abbreviated_flag_is_usage_error(pipeline, tmp_path, capsys):
+    """A prefix of a flag is not that flag, so a renamed flag cannot keep
+    parsing as an abbreviation of its new name."""
+    out = tmp_path / "tok"
+    argv = ["train-tokenizer", "--input", pipeline["src"], "--vocab", "600", "--out", str(out)]
+    assert dispatch(argv) == 2
+    assert "unrecognized arguments: --vocab 600" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "tok.config.json").exists()
 
 
 def test_snapshot_records_every_flag(pipeline, tmp_path):

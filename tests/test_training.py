@@ -20,6 +20,11 @@ def denoise_pool(bundled_docs, tokenizer):
     return obj.build_denoising_instances(docs, tokenizer, seed=2)
 
 
+def _one_task(name, instances, control_code=""):
+    """A single pool as ``finetune`` takes it: a one-task mixture and its datasets."""
+    return mx.TaskMixture((mx.TaskSpec(name, len(instances), control_code),)), {name: list(instances)}
+
+
 def test_zero_steps_leaves_parameters_unchanged(tiny_config, denoise_pool):
     model = Seq2SeqModel(tiny_config, seed=4)
     before = {k: v.copy() for k, v in model.params.items()}
@@ -53,7 +58,7 @@ def test_pretrain_filters_overlong_instances(tiny_config, denoise_pool, tokenize
     assert any("exceeding model caps" in r.message for r in caplog.records)
     # nothing left to train on -> clear error instead of a crash mid-run
     with pytest.raises(ValueError):
-        tr.finetune_seq2seq(model, [giant], tr.TrainSchedule(steps=1, seed=0))
+        tr.finetune(model, *_one_task("giant", [giant]), tokenizer, tr.TrainSchedule(steps=1, seed=0))
 
 
 def test_pretrain_rejects_phase_mismatch(tiny_config, tokenizer, bundled_docs):
@@ -127,13 +132,13 @@ def test_adam_step_returns_pre_clip_norm_and_rejects_non_finite():
         assert np.array_equal(opt.m[k], moments[k][0]) and np.array_equal(opt.v[k], moments[k][1])
 
 
-def test_non_finite_loss_stops_training_before_update(tiny_config, denoise_pool):
+def test_non_finite_loss_stops_training_before_update(tiny_config, denoise_pool, tokenizer):
     model = Seq2SeqModel(tiny_config, seed=4)
     model.params["lm.b"][3] = np.inf
     before = {k: v.copy() for k, v in model.params.items()}
     msp = [i for i in denoise_pool if i.objective == obj.MSP]
-    with pytest.raises(tr.NonFiniteError, match=r"^step 1 \(objective MSP\): loss is nan$"):
-        tr.finetune_seq2seq(model, msp, tr.TrainSchedule(steps=3, batch_size=4, seed=0))
+    with pytest.raises(tr.NonFiniteError, match=r"^step 1 \(task spans, objective MSP\): loss is nan$"):
+        tr.finetune(model, *_one_task("spans", msp), tokenizer, tr.TrainSchedule(steps=3, batch_size=4, seed=0))
     for k, v in model.params.items():
         assert np.array_equal(v, before[k])
     assert issubclass(tr.NonFiniteError, ValueError)
@@ -318,7 +323,8 @@ def test_unigram_classifier_separable_set(tokenizer, tiny_config):
         instances.append(obj.TrainingInstance(source, target, obj.FINETUNE))
         golds.append(label)
     model = Seq2SeqModel(tiny_config, seed=3)
-    tr.finetune_seq2seq(model, instances, tr.TrainSchedule(steps=120, batch_size=8, peak_lr=2e-3, seed=0))
+    tr.finetune(model, *_one_task("label", instances), tokenizer,
+                tr.TrainSchedule(steps=120, batch_size=8, peak_lr=2e-3, seed=0))
     preds = [
         0 if tr.classify_unigram(model, inst.source_ids, label_ids) == label_ids[0] else 1
         for inst in instances
@@ -388,7 +394,7 @@ def test_finetune_multitask_tracks_best_checkpoints(tokenizer, tiny_config):
         alpha=0.7,
     )
     model = Seq2SeqModel(tiny_config, seed=5)
-    log, best = tr.finetune_multitask(
+    log, best = tr.finetune(
         model, mixture, datasets, tokenizer, tr.TrainSchedule(steps=30, batch_size=4, seed=0),
         validation=validation, eval_every=10,
     )
@@ -400,7 +406,7 @@ def test_finetune_multitask_tracks_best_checkpoints(tokenizer, tiny_config):
 
 
 # --------------------------------------------------------------------------
-# the four training loops that the one loop replaced, kept as its oracle
+# the pre-training and fine-tuning loops that the one loop replaced, kept as its oracle
 # --------------------------------------------------------------------------
 
 
@@ -409,10 +415,10 @@ def _float32_copy(model):
     return Seq2SeqModel(model.config, {k: v.astype(np.float32) for k, v in model.params.items()})
 
 
-def _reference_loss_for(model, batch, objective, drop_rng):
+def _reference_loss_for(model, batch, objective, drop_rng=None, compute_grads=True):
     if objective == obj.IT:
-        return mdl.tagging_loss_and_grads(_float32_copy(model), batch, drop_rng=drop_rng)
-    return mdl.seq2seq_loss_and_grads(_float32_copy(model), batch, drop_rng=drop_rng)
+        return mdl.tagging_loss_and_grads(model, batch, drop_rng=drop_rng, compute_grads=compute_grads)
+    return mdl.seq2seq_loss_and_grads(model, batch, drop_rng=drop_rng, compute_grads=compute_grads)
 
 
 def _reference_pretrain(model, instances, schedule, phase="denoise"):
@@ -435,35 +441,9 @@ def _reference_pretrain(model, instances, schedule, phase="denoise"):
         if not pools[objective]:
             objective = available[int(rng.integers(len(available)))]
         batch = tr._draw_batch(pools[objective], schedule.batch_size, rng)
-        loss, count, grads = _reference_loss_for(model, batch, objective, drop_rng)
+        loss, count, grads = _reference_loss_for(_float32_copy(model), batch, objective, drop_rng)
         opt.step(model.params, grads)
         records.append(tr.StepRecord(step, objective, loss / max(count, 1)))
-    return records
-
-
-def _reference_finetune_seq2seq(model, instances, schedule):
-    pool = tr._filter_to_caps(list(instances), model)
-    rng = np.random.default_rng(schedule.seed)
-    opt = tr.Adam(model.params, schedule)
-    records = []
-    for step in range(1, schedule.steps + 1):
-        batch = tr._draw_batch(pool, schedule.batch_size, rng)
-        loss, count, grads = mdl.seq2seq_loss_and_grads(_float32_copy(model), batch)
-        opt.step(model.params, grads)
-        records.append(tr.StepRecord(step, batch[0].objective, loss / max(count, 1)))
-    return records
-
-
-def _reference_finetune_tagging(model, instances, schedule):
-    pool = tr._filter_to_caps(list(instances), model)
-    rng = np.random.default_rng(schedule.seed)
-    opt = tr.Adam(model.params, schedule)
-    records = []
-    for step in range(1, schedule.steps + 1):
-        batch = tr._draw_batch(pool, schedule.batch_size, rng)
-        loss, count, grads = mdl.tagging_loss_and_grads(_float32_copy(model), batch)
-        opt.step(model.params, grads)
-        records.append(tr.StepRecord(step, obj.IT, loss / max(count, 1)))
     return records
 
 
@@ -473,6 +453,7 @@ def _reference_finetune_multitask(model, mixture, datasets, tokenizer, schedule,
         pool = [mx.apply_control_code(inst, spec, tokenizer) for inst in datasets[spec.name]]
         prepared[spec.name] = tr._filter_to_caps(pool, model)
     rng = np.random.default_rng(schedule.seed)
+    drop_rng = np.random.default_rng(schedule.seed + 1) if model.config.dropout > 0 else None
     opt = tr.Adam(model.params, schedule)
     records = []
     best = {}
@@ -483,7 +464,7 @@ def _reference_finetune_multitask(model, mixture, datasets, tokenizer, schedule,
             if not val:
                 continue
             prepped = [mx.apply_control_code(inst, spec, tokenizer) for inst in val]
-            loss, count, _ = mdl.seq2seq_loss_and_grads(model, prepped, compute_grads=False)
+            loss, count, _ = _reference_loss_for(model, prepped, prepped[0].objective, compute_grads=False)
             mean = loss / max(count, 1)
             if spec.name not in best or mean < best[spec.name].metric:
                 best[spec.name] = tr.TaskCheckpoint(
@@ -493,7 +474,7 @@ def _reference_finetune_multitask(model, mixture, datasets, tokenizer, schedule,
     for step in range(1, schedule.steps + 1):
         task = mx.sample_task(mixture, rng)
         batch = tr._draw_batch(prepared[task], schedule.batch_size, rng)
-        loss, count, grads = mdl.seq2seq_loss_and_grads(_float32_copy(model), batch)
+        loss, count, grads = _reference_loss_for(_float32_copy(model), batch, batch[0].objective, drop_rng)
         opt.step(model.params, grads)
         records.append(tr.StepRecord(step, task, loss / max(count, 1)))
         if validation and (step % eval_every == 0 or step == schedule.steps):
@@ -522,6 +503,15 @@ def _assert_same_run(got_log, got_model, want_log, want_model):
     assert set(got_model.params) == set(want_model.params)
     for k in want_model.params:
         assert np.array_equal(got_model.params[k], want_model.params[k]), k
+
+
+def _assert_same_best(got_best, want_best):
+    assert set(got_best) == set(want_best)
+    for task, ckpt in want_best.items():
+        assert got_best[task].step == ckpt.step
+        assert got_best[task].metric == pytest.approx(ckpt.metric, rel=1e-12, abs=0)
+        for k, v in ckpt.params.items():
+            assert np.array_equal(got_best[task].params[k], v)
 
 
 @pytest.fixture(scope="module")
@@ -556,20 +546,21 @@ def test_pretrain_matches_reference_loop(tiny_config, oracle_pools, pool, phase,
     _assert_same_run(got, got_model, want, want_model)
 
 
-@pytest.mark.parametrize(
-    "pool, new, reference",
-    [
-        ("finetune", tr.finetune_seq2seq, _reference_finetune_seq2seq),
-        ("dual", tr.finetune_seq2seq, _reference_finetune_seq2seq),
-        ("tagging", tr.finetune_seq2seq, _reference_finetune_tagging),
-    ],
-)
-def test_single_pool_finetune_matches_reference_loop(tiny_config, oracle_pools, pool, new, reference):
+@pytest.mark.parametrize("pool", ["finetune", "dual", "tagging"])
+def test_single_pool_finetune_matches_reference_loop(tiny_config, tokenizer, oracle_pools, pool):
+    """A single pool is a one-task mixture; the tagging pool trains and
+    validates through the tagging head."""
+    mixture, datasets = _one_task(pool, oracle_pools[pool], control_code=f"Do {pool}:")
+    validation = {pool: oracle_pools[pool][:6]}
     sched = tr.TrainSchedule(steps=8, batch_size=4, peak_lr=2e-3, seed=2)
     want_model, got_model = Seq2SeqModel(tiny_config, seed=6), Seq2SeqModel(tiny_config, seed=6)
-    want = reference(want_model, oracle_pools[pool], sched)
-    got = new(got_model, oracle_pools[pool], sched)
+    want, want_best = _reference_finetune_multitask(
+        want_model, mixture, datasets, tokenizer, sched, validation, eval_every=3
+    )
+    got, got_best = tr.finetune(got_model, mixture, datasets, tokenizer, sched, validation=validation, eval_every=3)
     _assert_same_run(got, got_model, want, want_model)
+    assert set(want_best) == {pool}
+    _assert_same_best(got_best, want_best)
 
 
 def test_multitask_matches_reference_loop(tokenizer, tiny_config):
@@ -581,26 +572,23 @@ def test_multitask_matches_reference_loop(tokenizer, tiny_config):
     want, want_best = _reference_finetune_multitask(
         want_model, _two_task_mixture(), datasets, tokenizer, sched, validation, eval_every=5
     )
-    got, got_best = tr.finetune_multitask(
+    got, got_best = tr.finetune(
         got_model, _two_task_mixture(), datasets, tokenizer, sched, validation=validation, eval_every=5
     )
     _assert_same_run(got, got_model, want, want_model)
-    assert set(got_best) == set(want_best) == {"alpha", "beta"}
-    for task, ckpt in want_best.items():
-        assert got_best[task].step == ckpt.step
-        assert got_best[task].metric == pytest.approx(ckpt.metric, rel=1e-12, abs=0)
-        for k, v in ckpt.params.items():
-            assert np.array_equal(got_best[task].params[k], v)
+    assert set(want_best) == {"alpha", "beta"}
+    _assert_same_best(got_best, want_best)
 
 
 def _finetune_run(name, cfg, tokenizer):
     model = Seq2SeqModel(cfg, seed=3)
     sched = tr.TrainSchedule(steps=6, batch_size=4, peak_lr=2e-3, seed=1)
-    if name == "seq2seq":
-        log = tr.finetune_seq2seq(model, _finetune_pairs(tokenizer, "alpha", 10), sched)
+    if name == "seq2seq":  # one pool of generation pairs, as a one-task mixture
+        mixture, datasets = _one_task("alpha", _finetune_pairs(tokenizer, "alpha", 10))
     else:
+        mixture = _two_task_mixture()
         datasets = {"alpha": _finetune_pairs(tokenizer, "alpha", 12), "beta": _finetune_pairs(tokenizer, "beta", 4)}
-        log, _ = tr.finetune_multitask(model, _two_task_mixture(), datasets, tokenizer, sched)
+    log, _ = tr.finetune(model, mixture, datasets, tokenizer, sched)
     return [r.to_dict() for r in log], model.params
 
 
@@ -616,6 +604,26 @@ def test_finetune_honours_dropout(tokenizer, tiny_config, name):
         assert np.array_equal(first_params[k], second_params[k])
 
 
+def test_finetune_rejects_a_task_that_mixes_tagging_with_sequence_instances(tiny_config, tokenizer, oracle_pools):
+    model = Seq2SeqModel(tiny_config, seed=0)
+    before = {k: v.copy() for k, v in model.params.items()}
+    sched = tr.TrainSchedule(steps=2, batch_size=4, seed=0)
+    message = "task 'denoise' mixes the tagging and sequence losses: its instances have objectives IT, MIP, MSP"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tr.finetune(model, *_one_task("denoise", oracle_pools["denoise"]), tokenizer, sched)
+    # a validation set counts as the task's instances too
+    with pytest.raises(ValueError, match="task 'tagging' mixes .* objectives FINETUNE, IT$"):
+        tr.finetune(model, *_one_task("tagging", oracle_pools["tagging"]), tokenizer, sched,
+                    validation={"tagging": oracle_pools["finetune"][:2]})
+    for k, v in model.params.items():
+        assert np.array_equal(v, before[k])
+    # every objective but IT takes the sequence loss, so they may share a task
+    sequence = oracle_pools["span-only"][:4] + oracle_pools["dual"][:4] + oracle_pools["finetune"][:4]
+    sequence += [i for i in oracle_pools["denoise"] if i.objective == obj.MIP][:4]
+    log, _ = tr.finetune(model, *_one_task("sequence", sequence), tokenizer, sched)
+    assert [r.objective for r in log] == ["sequence", "sequence"]
+
+
 def test_multitask_validation_drops_overlong_records(tokenizer, tiny_config, caplog):
     import logging
 
@@ -626,7 +634,7 @@ def test_multitask_validation_drops_overlong_records(tokenizer, tiny_config, cap
     validation = {"alpha": datasets["alpha"][:2] + [overlong], "beta": datasets["beta"][:2]}
     model = Seq2SeqModel(tiny_config, seed=5)
     with caplog.at_level(logging.WARNING):
-        log, best = tr.finetune_multitask(
+        log, best = tr.finetune(
             model, _two_task_mixture(), datasets, tokenizer, tr.TrainSchedule(steps=4, batch_size=2, seed=0),
             validation=validation, eval_every=2,
         )
