@@ -324,15 +324,20 @@ def _read_lines(path: str) -> list[str]:
     return _require_file(path, "file").read_text(encoding="utf-8").splitlines()
 
 
-def _int_labels(path: str, lines: list[str]) -> list[int]:
-    """One integer label per line; a line that is not one names the file and line."""
+_LABELS = {"0": 0, "1": 1}
+
+
+def _reference_labels(path: str, lines: list[str]) -> list[int]:
+    """One 0/1 label per line; a line that is not one names the file and line."""
     labels = []
     for n, line in enumerate(lines, start=1):
-        try:
-            labels.append(int(line))
-        except ValueError as exc:
-            raise CommandError(f"{path} line {n}: {exc}")
+        if line.strip() not in _LABELS:
+            raise CommandError(f"{path} line {n}: label must be 0 or 1, got {line!r}")
+        labels.append(_LABELS[line.strip()])
     return labels
+
+
+EVAL_TASKS = ("summarize", "generate", "translate", "refine", "defect", "clone")
 
 
 def _cmd_eval(args) -> int:
@@ -358,15 +363,19 @@ def _cmd_eval(args) -> int:
                 "note: codebleu is not reported (needs language-specific dataflow matching)",
                 file=sys.stderr,
             )
-    elif task in ("defect", "clone"):
-        preds, golds = _int_labels(args.hyp, hyps), _int_labels(args.ref, refs)
+    else:
+        # a hypothesis that is no label (an early model's, or an empty line
+        # when the first token is [SEP]) matches no reference
+        golds = _reference_labels(args.ref, refs)
+        preds = [_LABELS.get(h.strip()) for h in hyps]
+        unlabelled = preds.count(None)
+        if unlabelled:
+            print(f"note: {unlabelled} of {len(preds)} hypotheses are not 0/1 labels", file=sys.stderr)
         if task == "defect":
             per = [1.0 if p == g else 0.0 for p, g in zip(preds, golds)]
             reports.append(metrics_mod.EvalReport("accuracy", metrics_mod.accuracy(preds, golds), per))
         else:
             reports.append(metrics_mod.EvalReport("f1", metrics_mod.f1_binary(preds, golds)))
-    else:
-        raise CommandError(f"unknown eval task: {task}")
     for rep in reports:
         print(json.dumps(rep.to_dict()))
     return 0
@@ -377,13 +386,28 @@ def _cmd_eval(args) -> int:
 # --------------------------------------------------------------------------
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser.  An abbreviated flag is a usage error, not the
+    flag it abbreviates, and an unknown flag is reported with this command's
+    usage rather than the top-level one."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="codepretrain",
         description="Identifier-aware denoising pre-training pipeline for source code.",
         allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p = sub.add_parser("ingest", help="normalize a raw corpus into labeled documents")
     p.add_argument("--input", required=True)
@@ -463,13 +487,11 @@ def build_parser() -> argparse.ArgumentParser:
     )))
 
     p = sub.add_parser("eval", help="score hypothesis files against references")
-    p.add_argument("--task", required=True)
+    p.add_argument("--task", required=True, choices=EVAL_TASKS)
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
     p.set_defaults(func=_cmd_eval)
 
-    for p in sub.choices.values():
-        p.allow_abbrev = False  # an abbreviated flag is a usage error, not the flag it abbreviates
     return parser
 
 

@@ -74,18 +74,20 @@ def accuracy(preds: Sequence, golds: Sequence) -> float:
     return sum(1 for p, g in zip(preds, golds) if p == g) / len(preds)
 
 
-def precision_recall_f1(preds: Sequence[int], golds: Sequence[int]) -> tuple[float, float, float]:
+def precision_recall_f1(preds: Sequence, golds: Sequence[int]) -> tuple[float, float, float]:
+    """Binary scores with 1 as the positive class; a prediction other than 1,
+    a missing label included, counts as non-positive."""
     _check_lengths(preds, golds)
     tp = sum(1 for p, g in zip(preds, golds) if p == 1 and g == 1)
     fp = sum(1 for p, g in zip(preds, golds) if p == 1 and g == 0)
-    fn = sum(1 for p, g in zip(preds, golds) if p == 0 and g == 1)
+    fn = sum(1 for p, g in zip(preds, golds) if p != 1 and g == 1)
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return precision, recall, f1
 
 
-def f1_binary(preds: Sequence[int], golds: Sequence[int]) -> float:
+def f1_binary(preds: Sequence, golds: Sequence[int]) -> float:
     return precision_recall_f1(preds, golds)[2]
 
 

@@ -78,6 +78,11 @@ def test_f1_all_positive_half_gold():
     assert mx.f1_binary([1, 1, 1, 1], [1, 1, 0, 0]) == pytest.approx(2 / 3)
 
 
+def test_missing_prediction_is_a_false_negative_where_gold_is_positive():
+    assert mx.precision_recall_f1([None, 1, None], [1, 1, 0]) == (1.0, 0.5, pytest.approx(2 / 3))
+    assert mx.accuracy([None, 1, None], [1, 1, 0]) == pytest.approx(1 / 3)
+
+
 def test_f1_equals_harmonic_mean_of_own_pr():
     rng = random.Random(3)
     for _ in range(100):
