@@ -36,8 +36,6 @@ from .objectives import (
 )
 from .training import (
     TrainSchedule,
-    classify_unigram,
-    embed_last_state,
     evaluate_mask_instances,
     finetune,
     generate,
@@ -70,11 +68,9 @@ __all__ = [
     "build_it",
     "build_mip",
     "build_msp",
-    "classify_unigram",
     "compression_ratio",
     "compute_stats",
     "default_specials",
-    "embed_last_state",
     "evaluate_mask_instances",
     "exact_match",
     "f1_binary",

@@ -329,11 +329,10 @@ _LABELS = {"0": 0, "1": 1}
 
 def _reference_labels(path: str, lines: list[str]) -> list[int]:
     """One 0/1 label per line; a line that is not one names the file and line."""
-    labels = []
-    for n, line in enumerate(lines, start=1):
-        if line.strip() not in _LABELS:
-            raise CommandError(f"{path} line {n}: label must be 0 or 1, got {line!r}")
-        labels.append(_LABELS[line.strip()])
+    labels = [_LABELS.get(line.strip()) for line in lines]
+    if None in labels:
+        n = labels.index(None)
+        raise CommandError(f"{path} line {n + 1}: label must be 0 or 1, got {lines[n]!r}")
     return labels
 
 
@@ -388,8 +387,11 @@ def _cmd_eval(args) -> int:
 
 class _CommandParser(argparse.ArgumentParser):
     """A subcommand's parser.  An abbreviated flag is a usage error, not the
-    flag it abbreviates, and an unknown flag is reported with this command's
-    usage rather than the top-level one."""
+    flag it abbreviates.  An unknown flag, and a usage error that ``check``
+    finds among the parsed flags, are reported with this command's usage
+    rather than the top-level one."""
+
+    check: Callable[[argparse.ArgumentParser, argparse.Namespace], None] | None = None
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
@@ -398,6 +400,8 @@ class _CommandParser(argparse.ArgumentParser):
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error(f"unrecognized arguments: {' '.join(extras)}")
+        if self.check is not None:
+            self.check(self, namespace)
         return namespace, extras
 
 
@@ -455,6 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schedule_flags(p)
     _add_model_flags(p)
     p.add_argument("--out", required=True)
+    p.check = _check_model_flags
     p.set_defaults(func=Stage(_cmd_pretrain, (
         ("instances", "instances file"), ("tokenizer", "tokenizer directory"), ("init", "checkpoint"),
     )))
@@ -499,8 +504,6 @@ def dispatch(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "pretrain":
-            _check_model_flags(parser, args)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,4 +1,4 @@
-"""The training loop, decoding, task heads, and the gradient-check harness.
+"""The training loop, decoding, the gradient-check harness, and the mask-task scorer.
 
 Every phase runs one loop and differs only in how a step draws its batch.
 Pre-training runs in two phases: a denoising phase that draws one of the
@@ -33,11 +33,8 @@ from .mixture import TaskMixture, apply_control_code, sample_task
 from .model import (
     DecodeState,
     Seq2SeqModel,
-    decoder_forward,
     decoder_step,
-    encoder_forward,
     loss_and_grads,
-    source_array,
     _log_softmax,
 )
 from .objectives import (
@@ -316,7 +313,7 @@ def finetune(
 
 
 # --------------------------------------------------------------------------
-# decoding and task heads
+# decoding
 # --------------------------------------------------------------------------
 
 
@@ -384,38 +381,6 @@ def generate(
         if all(finished for _, _, finished, _ in hyps):
             break
     return hyps[0][0]
-
-
-def first_step_distribution(model: Seq2SeqModel, source_ids: Sequence[int]) -> np.ndarray:
-    state = DecodeState.for_source(model, source_ids, 1)
-    logits = decoder_step(model, state, [model.config.pad_id])
-    return np.exp(_log_softmax(logits[0]))
-
-
-def classify_unigram(
-    model: Seq2SeqModel, source_ids: Sequence[int], label_ids: Sequence[int]
-) -> int:
-    """Pick the label whose token is most likely as the first generated token."""
-    if not label_ids:
-        raise ValueError("label vocabulary is empty")
-    dist = first_step_distribution(model, source_ids)
-    return int(label_ids[int(np.argmax(dist[list(label_ids)]))])
-
-
-def embed_last_state(model: Seq2SeqModel, source_ids: Sequence[int]) -> np.ndarray:
-    """Sequence embedding: the decoder's final hidden state after teacher
-    forcing the source sequence through it."""
-    cfg = model.config
-    src = source_array(source_ids, cfg)
-    src_len = np.asarray([src.size])
-    enc_out, _ = encoder_forward(model, src[None, :], src_len)
-    dec_in = np.asarray([cfg.pad_id, *src[: cfg.max_tgt_len - 1]], dtype=np.int64)
-    hidden, _ = decoder_forward(model, dec_in[None, :], np.asarray([dec_in.size]), enc_out, src_len)
-    return hidden[-1]
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b) + 1e-12))
 
 
 # --------------------------------------------------------------------------

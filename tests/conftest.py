@@ -87,8 +87,8 @@ def small_config(tokenizer):
 @pytest.fixture(scope="session")
 def mask_protocol(tokenizer, lexers, small_config):
     """Two pre-trained toy models (span-only vs span+identifier) plus held-out
-    evaluation instances for both mask tasks.  Used by the interaction
-    protocol acceptance test and the clone-embedding test."""
+    evaluation instances for both mask tasks, for the interaction protocol
+    acceptance test."""
     rng = np.random.default_rng(9)
     docs = [synth.random_document(rng, lexers, "mini") for _ in range(120)]
     train_docs, eval_docs = docs[:100], docs[100:]
@@ -125,5 +125,4 @@ def mask_protocol(tokenizer, lexers, small_config):
         "joint": joint,
         "msp_eval": msp_eval,
         "mip_eval": mip_eval,
-        "eval_docs": eval_docs,
     }

@@ -428,7 +428,10 @@ def test_pretrain_model_flag_with_init_is_usage_error(pipeline, tmp_path, capsys
             "--init", str(_tiny_checkpoint(pipeline["tok"], tmp_path / "init.npz")), flag, value,
             "--out", str(out)]
     assert dispatch(argv) == 2
-    assert f"error: {flag} cannot be given with --init" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: codepretrain pretrain ")
+    assert err.splitlines()[-1] == (f"codepretrain pretrain: error: {flag} cannot be given with --init: "
+                                    "the checkpoint fixes the model")
     assert not out.exists()
 
 
@@ -881,10 +884,10 @@ def _clone_pairs(rng, lexers, n):
     return pairs
 
 
-def _finetune_generate_eval(pipeline, root, capsys, task, pairs, held_out, steps, max_src_len, seed=0):
+def _finetune_generate_eval(pipeline, root, capsys, task, pairs, held_out, steps, max_src_len):
     """finetune a fresh small checkpoint on all but the last ``held_out``
     pairs, generate one token per held-out source, and eval the hypotheses.
-    Returns the eval report, its stderr and the held-out pairs."""
+    Returns the eval report and eval's stderr."""
     train, test = pairs[:-held_out], pairs[-held_out:]
     for name, rows in (("train", train), ("test", test)):
         (root / f"{name}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
@@ -893,17 +896,17 @@ def _finetune_generate_eval(pipeline, root, capsys, task, pairs, held_out, steps
     mixture.write_text(json.dumps({"tasks": [{"name": task, "path": str(root / "train.jsonl")}]}), encoding="utf-8")
     cfg = ModelConfig(vocab_size=bpe.SubwordTokenizer.load(pipeline["tok"]).vocab_size, d_model=32, num_heads=2,
                       encoder_layers=1, decoder_layers=1, feedforward_dim=64, max_src_len=max_src_len, max_tgt_len=8)
-    Seq2SeqModel(cfg, seed=seed).save(root / "init.npz")
+    Seq2SeqModel(cfg, seed=0).save(root / "init.npz")
     tok = str(pipeline["tok"])
     assert dispatch(["finetune", "--mixture", str(mixture), "--tokenizer", tok, "--init", str(root / "init.npz"),
-                     "--steps", str(steps), "--lr", "2e-3", "--seed", str(seed), "--out", str(root / "ft")]) == 0
+                     "--steps", str(steps), "--lr", "2e-3", "--seed", "0", "--out", str(root / "ft")]) == 0
     assert dispatch(["generate", "--checkpoint", str(root / "ft" / "checkpoint.npz"), "--tokenizer", tok,
                      "--input", str(root / "test.jsonl"), "--max-len", "1", "--out", str(root / "hyp.txt")]) == 0
     assert len((root / "hyp.txt").read_text(encoding="utf-8").splitlines()) == held_out
     capsys.readouterr()
     assert dispatch(["eval", "--task", task, "--hyp", str(root / "hyp.txt"), "--ref", str(root / "ref.txt")]) == 0
     captured = capsys.readouterr()
-    return json.loads(captured.out), captured.err, test
+    return json.loads(captured.out), captured.err
 
 
 def test_defect_detection_through_finetune_generate_eval(pipeline, tmp_path, capsys):
@@ -911,46 +914,20 @@ def test_defect_detection_through_finetune_generate_eval(pipeline, tmp_path, cap
     the majority class scores 0.50; over seeds 0-9 of data, model and
     schedule this run read 0.63-0.90 accuracy (seed 0: 0.77)."""
     pairs = _defect_pairs(np.random.default_rng(0), 260)
-    report, _, _ = _finetune_generate_eval(pipeline, tmp_path, capsys, "defect", pairs, 60, 300, 160)
+    report, _ = _finetune_generate_eval(pipeline, tmp_path, capsys, "defect", pairs, 60, 300, 160)
     assert report["metric"] == "accuracy"
     assert report["value"] >= 0.6
 
 
 def test_clone_detection_through_finetune_generate_eval(pipeline, lexers, tmp_path, capsys):
-    """Clone pairs take the same path.  No score gate: at this size the run
-    is near chance (see CHANGES.md)."""
+    """Clone pairs take the same path.  No score gate: the small model stays
+    near chance on them (held-out accuracy 0.43-0.60 at 300 steps and
+    0.52-0.68 at 1000 over seeds 0-4), and a short run may emit the same
+    label, or an empty line, for every source."""
     pairs = _clone_pairs(np.random.default_rng(0), lexers, 160)
-    report, err, _ = _finetune_generate_eval(pipeline, tmp_path, capsys, "clone", pairs, 40, 100, 320)
+    report, err = _finetune_generate_eval(pipeline, tmp_path, capsys, "clone", pairs, 40, 100, 320)
     assert report["metric"] == "f1" and 0.0 <= report["value"] <= 1.0
     assert err == "" or re.fullmatch(r"note: \d+ of 40 hypotheses are not 0/1 labels\n", err)
-
-
-@pytest.mark.parametrize("task", ["defect", "clone"])
-def test_classify_unigram_agrees_with_generate_max_len_one(pipeline, lexers, tmp_path, capsys, task):
-    """Oracle for the generate path: wherever ``generate --max-len 1`` emits a
-    label, ``classify_unigram`` over the label ids picks the same one."""
-    from codepretrain import training as tr
-
-    rng = np.random.default_rng(0)
-    if task == "defect":
-        pairs = _defect_pairs(rng, 260)
-        _, _, test = _finetune_generate_eval(pipeline, tmp_path, capsys, task, pairs, 60, 300, 160)
-    else:
-        pairs = _clone_pairs(rng, lexers, 160)
-        _, _, test = _finetune_generate_eval(pipeline, tmp_path, capsys, task, pairs, 40, 100, 320)
-    tok = bpe.SubwordTokenizer.load(pipeline["tok"])
-    model = Seq2SeqModel.load(tmp_path / "ft" / "checkpoint.npz")
-    label_ids = {label: tok.encode(label, use_specials=False) for label in ("0", "1")}
-    assert all(len(ids) == 1 for ids in label_ids.values())
-    labelled = 0
-    for pair, hyp in zip(test, (tmp_path / "hyp.txt").read_text(encoding="utf-8").splitlines()):
-        if hyp not in label_ids:
-            continue
-        source = (tok.cls_id, *tok.encode(pair["source"], use_specials=False), tok.sep_id)
-        assert tr.classify_unigram(model, source, [label_ids["0"][0], label_ids["1"][0]]) == label_ids[hyp][0]
-        labelled += 1
-    print(f"{task}: generate emitted a label on {labelled} of {len(test)} sources; classify_unigram agreed on all")
-    assert labelled > 0
 
 
 def _write_bad_checkpoint(pipeline, path, kind):

@@ -23,8 +23,6 @@ PACKAGE_FILES = sorted(p for p in Path(codepretrain.__file__).parent.glob("*.py"
 # exported names that only the tests use, each with its reason
 TEST_ONLY_EXPORTS = {
     "grad_check": "criterion 4's finite-difference harness, a reference the tests compare gradients against",
-    "classify_unigram": "removed once generate --max-len 1 serves the understanding tasks (ROADMAP item 6)",
-    "embed_last_state": "removed once generate --max-len 1 serves the understanding tasks (ROADMAP item 6)",
 }
 
 

@@ -9,9 +9,8 @@ import pytest
 from codepretrain import mixture as mx
 from codepretrain import model as mdl
 from codepretrain import objectives as obj
-from codepretrain import synth
 from codepretrain import training as tr
-from codepretrain.model import ModelConfig, Seq2SeqModel, decoder_forward, encoder_forward, forward_lm
+from codepretrain.model import ModelConfig, Seq2SeqModel, decoder_forward, encoder_forward
 
 
 @pytest.fixture(scope="module")
@@ -261,75 +260,19 @@ def test_top_k_orders_ties_by_id():
     assert tr._top_k(logp, 9).tolist() == [[0, 2, 4, 1, 3], [3, 1, 2, 0, 4]]
 
 
-def test_first_step_distribution_matches_teacher_forcing(tiny_config):
-    model = Seq2SeqModel(tiny_config, seed=4)
-    src = [1, 9, 8, 7, 2]
-    dist = tr.first_step_distribution(model, src)
-    np.testing.assert_allclose(dist, forward_lm(model, src, [5])[0], rtol=0, atol=1e-12)
-
-
 @pytest.mark.parametrize("bad", [-1, 50])
 def test_generate_rejects_out_of_vocabulary_source(bad):
     model = Seq2SeqModel(ModelConfig(vocab_size=50, d_model=16, num_heads=2, encoder_layers=1,
                                      decoder_layers=1, feedforward_dim=32, max_src_len=16, max_tgt_len=16))
     with pytest.raises(ValueError, match=f"source id outside vocabulary: {bad} at position 2"):
         tr.generate(model, [1, 5, bad, 2], max_len=4)
-    with pytest.raises(ValueError, match="source id outside vocabulary"):
-        tr.first_step_distribution(model, [bad])
 
 
-def test_classify_unigram_single_label(tiny_config):
+@pytest.mark.parametrize("length", [0, 161])
+def test_generate_rejects_source_outside_length_caps(tiny_config, length):
     model = Seq2SeqModel(tiny_config, seed=2)
-    assert tr.classify_unigram(model, [1, 4, 2], label_ids=[17]) == 17
-    with pytest.raises(ValueError):
-        tr.classify_unigram(model, [1, 4, 2], label_ids=[])
-
-
-def test_embed_dimension_and_self_similarity(tiny_config):
-    model = Seq2SeqModel(tiny_config, seed=2)
-    e1 = tr.embed_last_state(model, [1, 9, 8, 2])
-    assert e1.shape == (tiny_config.d_model,)
-    e2 = tr.embed_last_state(model, [1, 9, 8, 2])
-    assert tr.cosine_similarity(e1, e2) == pytest.approx(1.0)
-
-
-@pytest.mark.parametrize("source, message", [
-    ([1, -1, 3], "source id outside vocabulary: -1 at position 1"),
-    ([1, 3, 10**6], "source id outside vocabulary: 1000000 at position 2"),
-    ([], "source length 0 outside 1..160"),
-    ([1] * 161, "source length 161 outside 1..160"),
-])
-def test_embed_last_state_rejects_bad_source(tiny_config, source, message):
-    model = Seq2SeqModel(tiny_config, seed=2)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        tr.embed_last_state(model, source)
-
-
-def test_unigram_classifier_separable_set(tokenizer, tiny_config):
-    # 20 synthetic examples, label decided by a marker token in the source
-    zero_id = tokenizer.encode("0", use_specials=False)
-    one_id = tokenizer.encode("1", use_specials=False)
-    assert len(zero_id) == 1 and len(one_id) == 1
-    label_ids = [zero_id[0], one_id[0]]
-    rng = np.random.default_rng(0)
-    instances = []
-    golds = []
-    for i in range(20):
-        label = i % 2
-        marker = "left" if label == 0 else "right"
-        payload = tokenizer.encode(f"{marker} value {int(rng.integers(100))}", use_specials=False)
-        source = (tokenizer.cls_id, *payload, tokenizer.sep_id)
-        target = (label_ids[label], tokenizer.sep_id)
-        instances.append(obj.TrainingInstance(source, target, obj.FINETUNE))
-        golds.append(label)
-    model = Seq2SeqModel(tiny_config, seed=3)
-    tr.finetune(model, *_one_task("label", instances), tokenizer,
-                tr.TrainSchedule(steps=120, batch_size=8, peak_lr=2e-3, seed=0))
-    preds = [
-        0 if tr.classify_unigram(model, inst.source_ids, label_ids) == label_ids[0] else 1
-        for inst in instances
-    ]
-    assert preds == golds
+    with pytest.raises(ValueError, match=re.escape(f"source length {length} outside 1..160")):
+        tr.generate(model, [1] * length, max_len=4)
 
 
 def test_overfit_model_reproduces_memorized_targets(tokenizer, small_config, bundled_docs):
@@ -346,33 +289,6 @@ def test_overfit_model_reproduces_memorized_targets(tokenizer, small_config, bun
             model, inst.source_ids, max_len=len(inst.target_ids) + 8, eos_id=tokenizer.sep_id
         )
         assert out == list(inst.target_ids[:-1])
-
-
-def test_clone_pairs_score_above_random_pairs(mask_protocol, tokenizer):
-    """After identifier-mask-inclusive pre-training, rename-only clones embed
-    closer than unrelated snippets."""
-    model = mask_protocol["joint"]
-    docs = mask_protocol["eval_docs"]
-    rng = np.random.default_rng(12)
-
-    def source_ids(doc):
-        ids = [tokenizer.cls_id, tokenizer.sep_id]
-        for t in doc.code_tokens:
-            ids.extend(tokenizer.encode(t, use_specials=False))
-        ids.append(tokenizer.sep_id)
-        return ids[:60]
-
-    clone_sims = []
-    random_sims = []
-    for i, doc in enumerate(docs[:10]):
-        clone = synth.rename_identifiers(doc, rng)
-        e_doc = tr.embed_last_state(model, source_ids(doc))
-        e_clone = tr.embed_last_state(model, source_ids(clone))
-        clone_sims.append(tr.cosine_similarity(e_doc, e_clone))
-        other = docs[(i + 5) % len(docs)]
-        e_other = tr.embed_last_state(model, source_ids(other))
-        random_sims.append(tr.cosine_similarity(e_doc, e_other))
-    assert np.mean(clone_sims) > np.mean(random_sims)
 
 
 def test_finetune_multitask_tracks_best_checkpoints(tokenizer, tiny_config):
