@@ -308,14 +308,19 @@ def _cmd_generate(args, out: Path) -> None:
     tok = _load("tokenizer", bpe.SubwordTokenizer.load, args.tokenizer)
     model = _load("checkpoint", Seq2SeqModel.load, args.checkpoint)
     spec = mixture_mod.TaskSpec("generate", 1, args.control_code)
-    lines = []
+    lines, overlong, cap = [], 0, model.config.max_src_len
     for n, inst in enumerate(_load_task_instances(args.input, tok), start=1):
         try:
             source = mixture_mod.apply_control_code(inst, spec, tok).source_ids
-            ids = tr.generate(model, source, args.max_len, beam=args.beam, eos_id=tok.sep_id)
+            too_long = len(source) > cap  # an empty hypothesis, which eval scores as a miss
+            ids = [] if too_long else tr.generate(model, source, args.max_len, beam=args.beam, eos_id=tok.sep_id)
         except ValueError as exc:
             raise CommandError(f"{args.input} record {n}: {exc}")
+        overlong += too_long
         lines.append(" ".join(tok.decode(ids).split()))
+    if overlong:
+        print(f"note: {overlong} of {len(lines)} sources exceed max_src_len {cap}; their hypotheses are empty",
+              file=sys.stderr)
     artifacts.write_atomic(out, lambda f: f.writelines(line + "\n" for line in lines))
     print(f"generate: wrote {len(lines)} hypotheses to {out}")
 

@@ -18,6 +18,7 @@ from .bpe import SubwordTokenizer
 from .objectives import TrainingInstance
 
 DEFAULT_ALPHA = 0.7
+_TASK_KEYS = ("name", "path", "control_code", "validation")  # the keys a config task may have
 
 
 class EmptyTaskError(ValueError):
@@ -68,14 +69,13 @@ class TaskMixture:
     @classmethod
     def from_config(cls, path: str | Path) -> "TaskMixture":
         """Mixture config: {"alpha": float, "tasks": [{name, path, control_code?,
-        validation?, size?}]}.
+        validation?}]}.
 
-        When ``size`` is omitted it is counted from the dataset file, and an
-        empty file raises ``EmptyTaskError`` naming the task and the file.  A
-        config that is not JSON, lacks ``tasks``, has a task without ``name``
-        or ``path``, a ``size`` that is not a positive int, an ``alpha`` that
-        ``mixture_probs`` rejects or no task at all raises ``ValueError``
-        naming the config and the cause.
+        A task's size is its dataset file's record count, and an empty file
+        raises ``EmptyTaskError`` naming the task and the file.  A config that
+        is not JSON, lacks ``tasks``, has a task without ``name`` or ``path``
+        or with any other key, an ``alpha`` that ``mixture_probs`` rejects or
+        no task at all raises ``ValueError`` naming the config and the cause.
         """
         def malformed(cause) -> ValueError:
             return ValueError(f"malformed mixture config {path}: {cause}")
@@ -94,16 +94,15 @@ class TaskMixture:
             raise malformed(exc) from exc
         tasks = []
         for entry, name, data in entries:
-            size = entry.get("size")
-            if size is None:
-                if not Path(data).exists():
-                    raise ValueError(f"task dataset not found: {data}")
-                with open(data, encoding="utf-8") as df:
-                    size = sum(1 for line in df if line.strip())
-                if size == 0:
-                    raise EmptyTaskError(f"task {name!r} dataset {data} is empty: task sizes must be positive")
-            elif isinstance(size, bool) or not isinstance(size, int) or size <= 0:
-                raise malformed(f"task {name!r} size must be a positive int, got {size!r}")
+            unknown = [key for key in entry if key not in _TASK_KEYS]
+            if unknown:
+                raise malformed(f"task {name!r} has unknown key {unknown[0]!r}")
+            if not Path(data).exists():
+                raise ValueError(f"task dataset not found: {data}")
+            with open(data, encoding="utf-8") as df:
+                size = sum(1 for line in df if line.strip())
+            if size == 0:
+                raise EmptyTaskError(f"task {name!r} dataset {data} is empty: task sizes must be positive")
             tasks.append(
                 TaskSpec(
                     name=name,

@@ -1,13 +1,13 @@
 """The training loop, decoding, the gradient-check harness, and the mask-task scorer.
 
-Every phase runs one loop and differs only in how a step draws its batch.
-Pre-training runs in two phases: a denoising phase that draws one of the
-three denoising objectives per step with equal probability, and a dual phase
-over the paired NL<->code generation instances.  Fine-tuning (``finetune``)
-draws a task from a mixture, then a batch of that task; a single pool is a
-one-task mixture, and a task of IT instances trains the tagging head.  All
-randomness flows from the schedule seed; with a fixed seed the metrics log is
-bit-identical across runs.
+Every phase runs one loop over a task mixture: each step draws a task by the
+mixture's probabilities, then a batch of that task's pool.  A pre-training
+phase is a fixed uniform mixture (alpha 0) of its objectives: the three
+denoising objectives, or the two directions of the paired NL<->code
+generation instances.  Fine-tuning (``finetune``) takes its mixture from the
+caller; a single pool is a one-task mixture, and a task of IT instances
+trains the tagging head.  All randomness flows from the schedule seed; with a
+fixed seed the metrics log is bit-identical across runs.
 
 Training is mixed precision: each step's forward and backward run on a
 ``TRAIN_DTYPE`` working copy of the parameters, while the model's float64
@@ -29,7 +29,7 @@ log = logging.getLogger(__name__)
 
 from . import artifacts, metrics as metrics_mod
 from .bpe import SubwordTokenizer
-from .mixture import TaskMixture, apply_control_code, sample_task
+from .mixture import TaskMixture, TaskSpec, apply_control_code, sample_task
 from .model import (
     DecodeState,
     Seq2SeqModel,
@@ -44,7 +44,6 @@ from .objectives import (
     IT,
     TrainingInstance,
     parse_sentinel_segments,
-    pick_denoising_task,
 )
 
 DUAL_TASKS = (DUAL_NL2PL, DUAL_PL2NL)
@@ -55,6 +54,7 @@ class InstanceObjectiveError(ValueError):
 
 
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+CLIP_NORM = 1.0  # the global gradient norm every step is clipped to
 
 TRAIN_DTYPE = np.float32  # the dtype of every training step's forward and backward
 
@@ -65,11 +65,10 @@ class TrainSchedule:
     batch_size: int = 8
     peak_lr: float = 1e-3
     warmup_steps: int = 0
-    clip_norm: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("steps", 0), ("batch_size", 1), ("peak_lr", 0), ("warmup_steps", 0), ("clip_norm", 0)):
+        for name, low in (("steps", 0), ("batch_size", 1), ("peak_lr", 0), ("warmup_steps", 0)):
             if not getattr(self, name) >= low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
 
@@ -108,7 +107,7 @@ class Adam:
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> float:
         """Clip ``grads`` and update ``params``; returns the pre-clip gradient
         norm, and raises on a non-finite one before changing any state."""
-        norm = clip_gradients(grads, self.schedule.clip_norm)
+        norm = clip_gradients(grads, CLIP_NORM)
         if not math.isfinite(norm):
             raise NonFiniteError(f"gradient norm is {norm}")
         self.t += 1
@@ -163,23 +162,26 @@ def _filter_to_caps(
 def _train(
     model: Seq2SeqModel,
     schedule: TrainSchedule,
-    draw: Callable[[np.random.Generator], tuple[str, list[TrainingInstance]]],
+    mixture: TaskMixture,
+    pools: dict[str, list[TrainingInstance]],
     after_step: Callable[[int], None] | None = None,
 ) -> list[StepRecord]:
-    """The training loop of every phase.  ``draw(rng)`` gives each step's log
-    label and batch; the loss follows the batch's objective.  Dropout, when
-    the model config asks for it, draws from its own generator.  A non-finite
-    loss or gradient norm stops the run before that step's update; numpy's
-    floating-point warnings are silenced, since that check reports them.
-    Each step's loss and gradients come from a ``TRAIN_DTYPE`` copy of the
-    parameters, refreshed from ``model.params`` after every update."""
+    """The training loop of every phase.  Each step draws a task of
+    ``mixture``, logged as the step's label, then a batch of its pool; the
+    loss follows the batch's objective.  Dropout, when the model config asks
+    for it, draws from its own generator.  A non-finite loss or gradient norm
+    stops the run before that step's update; numpy's floating-point warnings
+    are silenced, since that check reports them.  Each step's loss and
+    gradients come from a ``TRAIN_DTYPE`` copy of the parameters, refreshed
+    from ``model.params`` after every update."""
     rng = np.random.default_rng(schedule.seed)
     drop_rng = np.random.default_rng(schedule.seed + 1) if model.config.dropout > 0 else None
     opt = Adam(model.params, schedule)
     work = Seq2SeqModel(model.config, {k: v.astype(TRAIN_DTYPE) for k, v in model.params.items()})
     records: list[StepRecord] = []
     for step in range(1, schedule.steps + 1):
-        label, batch = draw(rng)
+        label = sample_task(mixture, rng)
+        batch = _draw_batch(pools[label], schedule.batch_size, rng)
         objective = batch[0].objective
         try:
             with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
@@ -206,36 +208,30 @@ def pretrain(
 ) -> list[StepRecord]:
     """Train in place; returns the per-step metrics log.
 
-    The denoise phase expects span/tagging/identifier instances and draws the
-    objective per step with equal probability; the dual phase expects the
-    paired generation instances and alternates directions at random.
+    The denoise phase expects span/tagging/identifier instances, the dual
+    phase the paired generation instances.  Each objective of the phase with
+    instances left after the length caps is one task of a uniform mixture,
+    logged under the objective's name.
     """
-    if phase == "denoise":
-        allowed, pick = DENOISING_TASKS, pick_denoising_task
-    elif phase == "dual":
-        allowed, pick = DUAL_TASKS, lambda rng: DUAL_TASKS[rng.integers(2)]
-    else:
+    phases = {"denoise": DENOISING_TASKS, "dual": DUAL_TASKS}
+    if phase not in phases:
         raise ValueError(f"unknown phase {phase!r}")
-    pools: dict[str, list[TrainingInstance]] = {obj: [] for obj in allowed}
+    pools: dict[str, list[TrainingInstance]] = {obj: [] for obj in phases[phase]}
     for inst in instances:
         if inst.objective not in pools:
-            raise InstanceObjectiveError(
-                f"{inst.objective} instance passed to the {phase} phase"
-            )
+            raise InstanceObjectiveError(f"{inst.objective} instance passed to the {phase} phase")
         pools[inst.objective].append(inst)
-    for obj_name in allowed:
-        pools[obj_name] = _filter_to_caps(pools[obj_name], model)
-    available = [obj for obj in allowed if pools[obj]]
-    if not available and schedule.steps > 0:
-        raise ValueError("no training instances")
-
-    def draw(rng):
-        objective = pick(rng)
-        if not pools[objective]:
-            objective = available[int(rng.integers(len(available)))]
-        return objective, _draw_batch(pools[objective], schedule.batch_size, rng)
-
-    return _train(model, schedule, draw)
+    for obj_name, pool in pools.items():
+        pools[obj_name] = _filter_to_caps(pool, model)
+        if pool and not pools[obj_name]:
+            log.warning("dropping objective %s from the %s phase: none of its instances fits the model caps",
+                        obj_name, phase)
+    tasks = tuple(TaskSpec(obj_name, len(pool)) for obj_name, pool in pools.items() if pool)
+    if not tasks:
+        if schedule.steps > 0:
+            raise ValueError("no training instances")
+        return []
+    return _train(model, schedule, TaskMixture(tasks, alpha=0.0), pools)
 
 
 @dataclass
@@ -297,10 +293,6 @@ def finetune(
             held_out[spec.name] = val
     best: dict[str, TaskCheckpoint] = {}
 
-    def draw(rng):
-        task = sample_task(mixture, rng)
-        return task, _draw_batch(prepared[task], schedule.batch_size, rng)
-
     def validate(step: int):
         if step % eval_every and step != schedule.steps:
             return
@@ -309,7 +301,7 @@ def finetune(
             if task not in best or mean < best[task].metric:
                 best[task] = TaskCheckpoint(task, step, mean, {k: v.copy() for k, v in model.params.items()})
 
-    return _train(model, schedule, draw, validate if held_out else None), best
+    return _train(model, schedule, mixture, prepared, validate if held_out else None), best
 
 
 # --------------------------------------------------------------------------

@@ -930,6 +930,25 @@ def test_clone_detection_through_finetune_generate_eval(pipeline, lexers, tmp_pa
     assert err == "" or re.fullmatch(r"note: \d+ of 40 hypotheses are not 0/1 labels\n", err)
 
 
+def test_generate_writes_an_empty_hypothesis_for_an_overlong_source(pipeline, tmp_path, capsys):
+    """A source longer than the checkpoint's max_src_len gets an empty line,
+    which eval scores as a miss; the other records decode as usual."""
+    ckpt = _tiny_checkpoint(pipeline["tok"], tmp_path / "init.npz", max_len=16)
+    rows = [{"source": "int x ;", "target": "declare"}, {"source": "int x = 1 ; " * 20, "target": "declare"},
+            {"source": "return y ;", "target": "return"}]
+    data = tmp_path / "test.jsonl"
+    data.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    hyp = tmp_path / "hyp.txt"
+    argv = ["generate", "--checkpoint", str(ckpt), "--tokenizer", str(pipeline["tok"]), "--input", str(data),
+            "--max-len", "3", "--out", str(hyp)]
+    assert dispatch(argv) == 0
+    lines = hyp.read_text(encoding="utf-8").split("\n")
+    assert len(lines) == 4 and lines[3] == "" and lines[1] == ""
+    assert lines[0] == " ".join(lines[0].split())
+    err = capsys.readouterr().err
+    assert "note: 1 of 3 sources exceed max_src_len 16; their hypotheses are empty" in err
+
+
 def _write_bad_checkpoint(pipeline, path, kind):
     if kind == "truncated":
         good = _tiny_checkpoint(pipeline["tok"], path.with_name("good.npz")).read_bytes()
@@ -1034,14 +1053,19 @@ def test_invalid_model_or_schedule_value_is_clean_error(pipeline, tmp_path, caps
 )
 def test_non_finite_loss_is_clean_error(pipeline, tmp_path, capsys, command, where):
     """A NaN loss stops the run at step 1, before any update or output, with
-    the error line alone: no numpy warning comes first."""
+    the error line alone: no numpy warning comes first.  Every step reads the
+    poisoned ``lm.b``: pretrain runs the dual phase, whose objectives are
+    both generation (an IT step would not read the LM head)."""
     ckpt = _tiny_checkpoint(pipeline["tok"], tmp_path / "init.npz", max_len=160)
     model = Seq2SeqModel.load(ckpt)
     model.params["lm.b"][3] = np.inf
     model.save(ckpt)
     out = tmp_path / "run"
     if command == "pretrain":
-        argv = ["pretrain", "--instances", str(pipeline["inst"]), "--batch-size", "2"]
+        dual = tmp_path / "dual.jsonl"
+        assert dispatch(["build-instances", "--input", str(pipeline["docs"]), "--tokenizer", str(pipeline["tok"]),
+                         "--phase", "dual", "--max-src-len", "160", "--max-tgt-len", "160", "--out", str(dual)]) == 0
+        argv = ["pretrain", "--instances", str(dual), "--phase", "dual", "--batch-size", "2"]
     else:
         task_data = tmp_path / "task.jsonl"
         task_data.write_text(json.dumps({"source": "int x ;", "target": "declare"}) + "\n", encoding="utf-8")

@@ -26,7 +26,9 @@ the golden file with
 
     PYTHONPATH=src python tests/test_golden_pipeline.py
 
-and says in CHANGES.md which values moved and why.
+and says in CHANGES.md which values moved and why.  The command prints, before
+it rewrites the file, how many pinned values moved in each stage's metrics
+log and checkpoint, and the hypotheses' sha256 old -> new.
 """
 
 from __future__ import annotations
@@ -122,21 +124,44 @@ def run_pipeline(root: Path) -> dict:
     return {"metrics": metrics, "params": params, "hyp_sha256": hashlib.sha256(hyp.read_bytes()).hexdigest()}
 
 
+def _differences(got, want, where: str, rel_tol: float = REL_TOL) -> list[str]:
+    """Where ``got`` differs from ``want`` in structure, key order or strings,
+    or in a number by more than ``rel_tol`` relative."""
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or list(got) != list(want):
+            return [where]
+        return [d for key in want for d in _differences(got[key], want[key], f"{where}/{key}", rel_tol)]
+    if isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            return [where]
+        return [d for i, (g, w) in enumerate(zip(got, want)) for d in _differences(g, w, f"{where}[{i}]", rel_tol)]
+    if isinstance(want, float):
+        same = isinstance(got, (int, float)) and math.isclose(got, want, rel_tol=rel_tol, abs_tol=0.0)
+    else:
+        same = got == want
+    return [] if same else [f"{where}: {got!r} != {want!r}"]
+
+
 def _assert_close(got, want, where: str, rel_tol: float = REL_TOL) -> None:
     """``got`` equals ``want`` in structure, key order and strings, and every
     number within ``rel_tol`` relative."""
-    if isinstance(want, dict):
-        assert isinstance(got, dict) and list(got) == list(want), where
-        for key in want:
-            _assert_close(got[key], want[key], f"{where}/{key}", rel_tol)
-    elif isinstance(want, list):
-        assert isinstance(got, list) and len(got) == len(want), where
-        for i, (g, w) in enumerate(zip(got, want)):
-            _assert_close(g, w, f"{where}[{i}]", rel_tol)
-    elif isinstance(want, float):
-        assert math.isclose(got, want, rel_tol=rel_tol, abs_tol=0.0), f"{where}: {got!r} != {want!r}"
-    else:
-        assert got == want, f"{where}: {got!r} != {want!r}"
+    differences = _differences(got, want, where, rel_tol)
+    assert not differences, differences[:5]
+
+
+def moved_pins(got: dict, want: dict) -> list[str]:
+    """One line per pinned stage whose values moved: how many moved, and the
+    hypotheses' sha256 old -> new."""
+    lines = []
+    for part in ("metrics", "params"):
+        old, new = want.get(part, {}), got[part]
+        for name in dict.fromkeys([*old, *new]):
+            moved = _differences(new.get(name), old.get(name), name)
+            if moved:
+                lines.append(f"{part} {name}: {len(moved)} values moved")
+    if got["hyp_sha256"] != want.get("hyp_sha256"):
+        lines.append(f"hyp_sha256: {want.get('hyp_sha256')} -> {got['hyp_sha256']}")
+    return lines
 
 
 def test_pipeline_matches_golden(tmp_path):
@@ -155,5 +180,7 @@ def test_float32_training_tracks_golden(tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp, _training_dtype(np.float64):
         values = run_pipeline(Path(tmp))
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    print("\n".join(moved_pins(values, old)) or "no pinned value moved")
     GOLDEN.write_text(json.dumps(values, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")

@@ -142,24 +142,22 @@ def test_probs_track_alpha_and_size_changes():
 
 
 def test_mixture_from_config(tmp_path, tokenizer):
-    data = tmp_path / "task_a.jsonl"
-    with open(data, "w", encoding="utf-8") as f:
-        for _ in range(7):
-            f.write(json.dumps({"source": "code x", "target": "text y"}) + "\n")
-    cfg = {
-        "alpha": 0.5,
-        "tasks": [
-            {"name": "a", "path": str(data), "control_code": "Summarize:"},
-            {"name": "b", "path": str(data), "size": 100},
-        ],
-    }
+    cfg = {"alpha": 0.5, "tasks": []}
+    for name, count in (("a", 7), ("b", 3)):
+        data = tmp_path / f"task_{name}.jsonl"
+        with open(data, "w", encoding="utf-8") as f:
+            for _ in range(count):
+                f.write(json.dumps({"source": "code x", "target": "text y"}) + "\n")
+        cfg["tasks"].append({"name": name, "path": str(data)})
+    cfg["tasks"][0]["control_code"] = "Summarize:"
     cfg_path = tmp_path / "mixture.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     mixture = mx.TaskMixture.from_config(cfg_path)
     assert mixture.alpha == 0.5
-    # "a" is counted from the file, "b" takes its explicit size
-    assert [(t.name, t.size) for t in mixture.tasks] == [("a", 7), ("b", 100)]
-    assert mixture.probs == pytest.approx(mx.mixture_probs([7, 100], 0.5), abs=1e-15)
+    # each task's size is counted from its dataset file
+    assert [(t.name, t.size) for t in mixture.tasks] == [("a", 7), ("b", 3)]
+    assert mixture.tasks[0].control_code == "Summarize:"
+    assert mixture.probs == pytest.approx(mx.mixture_probs([7, 3], 0.5), abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -169,10 +167,7 @@ def test_mixture_from_config(tmp_path, tokenizer):
         ('{"alpha": 0.5}', "missing key 'tasks'"),
         ('{"tasks": [{"name": "a"}]}', "missing key 'path'"),
         ('{"tasks": [{"path": "a.jsonl", "size": 3}]}', "missing key 'name'"),
-        ('{"tasks": [{"name": "a", "path": "a.jsonl", "size": "7"}]}', "size must be a positive int, got '7'"),
-        ('{"tasks": [{"name": "a", "path": "a.jsonl", "size": true}]}', "size must be a positive int, got True"),
-        ('{"tasks": [{"name": "a", "path": "a.jsonl", "size": 2.5}]}', "size must be a positive int, got 2.5"),
-        ('{"tasks": [{"name": "a", "path": "a.jsonl", "size": 0}]}', "size must be a positive int, got 0"),
+        ('{"tasks": [{"name": "a", "path": "a.jsonl", "size": 7}]}', "task 'a' has unknown key 'size'"),
         ('{"alpha": "0.5", "tasks": []}', "alpha must be a finite non-negative number, got '0.5'"),
         ('{"alpha": true, "tasks": []}', "alpha must be a finite non-negative number, got True"),
         ('{"alpha": -1, "tasks": []}', "alpha must be a finite non-negative number, got -1"),

@@ -115,7 +115,7 @@ def test_clip_gradients_leaves_non_finite_gradients_untouched():
 
 def test_adam_step_returns_pre_clip_norm_and_rejects_non_finite():
     params = {"a": np.ones(4), "b": np.ones(9)}
-    opt = tr.Adam(params, tr.TrainSchedule(steps=3, peak_lr=0.1, clip_norm=1.0))
+    opt = tr.Adam(params, tr.TrainSchedule(steps=3, peak_lr=0.1))
     grads = {"a": np.full(4, 3.0), "b": np.full(9, 4.0)}
     assert opt.step(params, grads) == pytest.approx(np.sqrt(4 * 9 + 9 * 16))
     before = {k: v.copy() for k, v in params.items()}
@@ -322,7 +322,7 @@ def test_finetune_multitask_tracks_best_checkpoints(tokenizer, tiny_config):
 
 
 # --------------------------------------------------------------------------
-# the pre-training and fine-tuning loops that the one loop replaced, kept as its oracle
+# the fine-tuning loop that the one loop replaced, kept as its oracle
 # --------------------------------------------------------------------------
 
 
@@ -335,32 +335,6 @@ def _reference_loss_for(model, batch, objective, drop_rng=None, compute_grads=Tr
     if objective == obj.IT:
         return mdl.tagging_loss_and_grads(model, batch, drop_rng=drop_rng, compute_grads=compute_grads)
     return mdl.seq2seq_loss_and_grads(model, batch, drop_rng=drop_rng, compute_grads=compute_grads)
-
-
-def _reference_pretrain(model, instances, schedule, phase="denoise"):
-    allowed = obj.DENOISING_TASKS if phase == "denoise" else tr.DUAL_TASKS
-    pools = {o: [] for o in allowed}
-    for inst in instances:
-        pools[inst.objective].append(inst)
-    for o in allowed:
-        pools[o] = tr._filter_to_caps(pools[o], model)
-    available = [o for o in allowed if pools[o]]
-    rng = np.random.default_rng(schedule.seed)
-    drop_rng = np.random.default_rng(schedule.seed + 1) if model.config.dropout > 0 else None
-    opt = tr.Adam(model.params, schedule)
-    records = []
-    for step in range(1, schedule.steps + 1):
-        if phase == "denoise":
-            objective = obj.pick_denoising_task(rng)
-        else:
-            objective = tr.DUAL_TASKS[rng.integers(2)]
-        if not pools[objective]:
-            objective = available[int(rng.integers(len(available)))]
-        batch = tr._draw_batch(pools[objective], schedule.batch_size, rng)
-        loss, count, grads = _reference_loss_for(_float32_copy(model), batch, objective, drop_rng)
-        opt.step(model.params, grads)
-        records.append(tr.StepRecord(step, objective, loss / max(count, 1)))
-    return records
 
 
 def _reference_finetune_multitask(model, mixture, datasets, tokenizer, schedule, validation, eval_every):
@@ -453,12 +427,36 @@ def oracle_pools(bundled_docs, tokenizer, denoise_pool):
         ("dual", "dual", 0.1),
     ],
 )
-def test_pretrain_matches_reference_loop(tiny_config, oracle_pools, pool, phase, dropout):
+def test_pretrain_matches_reference_loop(tiny_config, tokenizer, oracle_pools, pool, phase, dropout):
+    """A phase is the uniform mixture of its objectives' non-empty pools,
+    trained as ``finetune`` trains a mixture."""
     cfg = dataclasses.replace(tiny_config, dropout=dropout)
     sched = tr.TrainSchedule(steps=8, batch_size=4, peak_lr=1e-3, warmup_steps=2, seed=3)
     want_model, got_model = Seq2SeqModel(cfg, seed=1), Seq2SeqModel(cfg, seed=1)
-    want = _reference_pretrain(want_model, oracle_pools[pool], sched, phase)
+    allowed = obj.DENOISING_TASKS if phase == "denoise" else tr.DUAL_TASKS
+    datasets = {o: [i for i in oracle_pools[pool] if i.objective == o] for o in allowed}
+    datasets = {o: d for o, d in datasets.items() if tr._filter_to_caps(d, want_model)}
+    mixture = mx.TaskMixture(tuple(mx.TaskSpec(o, len(d)) for o, d in datasets.items()), alpha=0.0)
+    want, _ = _reference_finetune_multitask(want_model, mixture, datasets, tokenizer, sched, {}, eval_every=1)
     got = tr.pretrain(got_model, oracle_pools[pool], sched, phase)
+    _assert_same_run(got, got_model, want, want_model)
+
+
+def test_pretrain_leaves_out_an_objective_the_caps_empty(tiny_config, denoise_pool, caplog):
+    """Every MIP instance is too long for the model: the phase trains on a
+    uniform mixture of MSP and IT, as if no MIP instance had been given."""
+    import logging
+
+    pad = (5,) * tiny_config.max_src_len
+    overlong = [dataclasses.replace(i, source_ids=i.source_ids + pad) if i.objective == obj.MIP else i
+                for i in denoise_pool]
+    sched = tr.TrainSchedule(steps=12, batch_size=4, seed=0)
+    got_model, want_model = Seq2SeqModel(tiny_config, seed=2), Seq2SeqModel(tiny_config, seed=2)
+    with caplog.at_level(logging.WARNING):
+        got = tr.pretrain(got_model, overlong, sched)
+    assert any("dropping objective MIP from the denoise phase" in r.message for r in caplog.records)
+    assert {r.objective for r in got} == {obj.MSP, obj.IT}
+    want = tr.pretrain(want_model, [i for i in denoise_pool if i.objective != obj.MIP], sched)
     _assert_same_run(got, got_model, want, want_model)
 
 
