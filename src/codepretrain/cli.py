@@ -308,7 +308,8 @@ def _cmd_generate(args, out: Path) -> None:
     tok = _load("tokenizer", bpe.SubwordTokenizer.load, args.tokenizer)
     model = _load("checkpoint", Seq2SeqModel.load, args.checkpoint)
     spec = mixture_mod.TaskSpec("generate", 1, args.control_code)
-    lines, overlong, cap = [], 0, model.config.max_src_len
+    cap = model.config.max_src_len
+    lines, overlong = [], 0
     for n, inst in enumerate(_load_task_instances(args.input, tok), start=1):
         try:
             source = mixture_mod.apply_control_code(inst, spec, tok).source_ids

@@ -322,7 +322,7 @@ def test_finetune_multitask_tracks_best_checkpoints(tokenizer, tiny_config):
 
 
 # --------------------------------------------------------------------------
-# the fine-tuning loop that the one loop replaced, kept as its oracle
+# the mixture loop that the one loop replaced, kept as the oracle of pretrain and finetune
 # --------------------------------------------------------------------------
 
 
