@@ -33,24 +33,12 @@ MASK_TOKENS = tuple(f"[MASK{i}]" for i in range(NUM_MASK_TOKENS))
 _PRETOKEN_RE = re.compile(r"[A-Za-z_]+|[0-9]+|\s+|[^A-Za-z0-9_\s]+")
 
 
-class TrainingDataError(ValueError):
-    """The training corpus is empty or the configuration cannot fit."""
-
-
-class DecodeIdError(ValueError):
-    """An id passed to decode is outside the vocabulary."""
-
-
-def default_language_tags() -> list[str]:
+def default_specials() -> list[str]:
+    """[PAD], [CLS], [SEP], the 100 sentinels, then one <tag> id per built-in
+    language and ``en``."""
     from .lexer import builtin_language_tags
 
-    return sorted(builtin_language_tags() + ["en"])
-
-
-def default_specials(language_tags: Iterable[str] | None = None) -> list[str]:
-    """[PAD], [CLS], [SEP], the 100 sentinels, then one <tag> id per language."""
-    tags = sorted(language_tags) if language_tags is not None else default_language_tags()
-    return [PAD, CLS, SEP, *MASK_TOKENS, *(f"<{t}>" for t in tags)]
+    return [PAD, CLS, SEP, *MASK_TOKENS, *(f"<{t}>" for t in sorted(builtin_language_tags() + ["en"]))]
 
 
 def _byte_alphabet() -> dict[int, str]:
@@ -179,20 +167,21 @@ class SubwordTokenizer:
                 return int(tok[5:-1])
         return None
 
-    def special_id(self, token: str) -> int:
-        if token not in self._special_ids:
-            raise KeyError(f"not a special token: {token!r}")
-        return self._special_ids[token]
-
     def language_id(self, tag: str) -> int:
-        return self.special_id(f"<{tag}>")
+        """The id of the ``<tag>`` special; a tag without one raises ValueError
+        listing the language ids the tokenizer has."""
+        token = f"<{tag}>"
+        if token not in self._special_ids:
+            tags = [s for s in self._specials if s.startswith("<")]
+            raise ValueError(f"tokenizer has no language id {token}; its language ids are {', '.join(tags)}")
+        return self._special_ids[token]
 
     def is_special_id(self, token_id: int) -> bool:
         return 0 <= token_id < len(self._specials)
 
     def token_for_id(self, token_id: int) -> str:
         if not 0 <= token_id < len(self._id_to_token):
-            raise DecodeIdError(f"id out of range: {token_id}")
+            raise ValueError(f"id out of range: {token_id}")
         return self._id_to_token[token_id]
 
     # -- encode / decode ----------------------------------------------------
@@ -297,7 +286,6 @@ def train(
     corpus: Iterable[str],
     vocab_size: int,
     min_freq: int = 3,
-    specials: list[str] | None = None,
 ) -> SubwordTokenizer:
     """Learn a byte-level BPE vocabulary from an iterable of texts.
 
@@ -305,20 +293,18 @@ def train(
     printable token; among equal-frequency candidates the lexicographically
     smallest pair wins, so training is deterministic.
     """
-    specials = list(specials) if specials is not None else default_specials()
+    specials = default_specials()
     base = len(specials) + 256
     if vocab_size <= base:
-        raise TrainingDataError(
-            f"vocab_size must exceed specials + byte units ({base}), got {vocab_size}"
-        )
+        raise ValueError(f"vocab_size must exceed specials + byte units ({base}), got {vocab_size}")
     if min_freq < 1:
-        raise TrainingDataError(f"min_freq must be >= 1, got {min_freq}")
+        raise ValueError(f"min_freq must be >= 1, got {min_freq}")
 
     pretoken_freq: Counter[str] = Counter()
     for text in corpus:
         pretoken_freq.update(_PRETOKEN_RE.findall(text))
     if not pretoken_freq:
-        raise TrainingDataError("training corpus is empty")
+        raise ValueError("training corpus is empty")
     word_freq = {_to_printable(p.encode("utf-8")): f for p, f in pretoken_freq.items()}
 
     segments: dict[str, list[str]] = {w: list(w) for w in word_freq}
@@ -392,5 +378,5 @@ def compression_ratio(
             continue
         ratios.append(na / nb)
     if not ratios:
-        raise TrainingDataError("corpus is empty")
+        raise ValueError("corpus is empty")
     return CompressionReport(mean_ratio=sum(ratios) / len(ratios), ratios=tuple(ratios))

@@ -251,7 +251,12 @@ def _cmd_pretrain(args, out: Path) -> None:
     model.save(out / "checkpoint.npz")
     tr.write_metrics_log(log, out / "metrics.jsonl")
     if log:
-        print(f"pretrain: {args.steps} steps, loss {log[0].loss:.4f} -> {log[-1].loss:.4f} ({out})")
+        first, last = {}, {}
+        for rec in log:
+            first.setdefault(rec.objective, rec.loss)
+            last[rec.objective] = rec.loss
+        losses = ", ".join(f"{o} {first[o]:.4f} -> {last[o]:.4f}" for o in sorted(first))
+        print(f"pretrain: {args.steps} steps, loss {losses} ({out})")
     else:
         print(f"pretrain: 0 steps, parameters unchanged ({out})")
 

@@ -148,7 +148,7 @@ def normalize(
     The code's token texts and labels are read in one scan of the lexer's
     matches, with no token objects."""
     if lexer.language != record.language:
-        raise lx.UnsupportedLanguageError(record.language)
+        raise ValueError(f"{lexer.language} lexer given a {record.language} record")
     texts, labels = lx.code_texts(record.code, lexer, keep_comments=not strip_comments)
     if not texts:
         raise EmptyDocumentError(f"no code tokens after lexing {record.language} source")

@@ -45,13 +45,6 @@ _NUMBER = (
 _GROUP_KIND = {"string": "literal", "number": "literal"}
 
 
-class UnsupportedLanguageError(ValueError):
-    """Raised when no rule table is registered for a language tag."""
-
-    def __str__(self) -> str:
-        return f"unsupported language tag: {self.args[0]}"
-
-
 class LexToken(NamedTuple):
     """One token; a tuple, so building the many a corpus lexes into stays cheap."""
 
@@ -216,9 +209,8 @@ def load_lexers(config_dir: str | Path | None = None) -> dict[str, LanguageLexer
     return lexers
 
 
-def get_lexer(language: str, lexers: dict[str, LanguageLexer] | None = None) -> LanguageLexer:
-    registry = lexers if lexers is not None else load_lexers()
+def get_lexer(language: str, lexers: dict[str, LanguageLexer]) -> LanguageLexer:
     try:
-        return registry[language]
+        return lexers[language]
     except KeyError:
-        raise UnsupportedLanguageError(language) from None
+        raise ValueError(f"unsupported language tag: {language}") from None

@@ -21,18 +21,10 @@ DEFAULT_ALPHA = 0.7
 _TASK_KEYS = ("name", "path", "control_code", "validation")  # the keys a config task may have
 
 
-class EmptyTaskError(ValueError):
-    """Every task in a mixture must contain at least one example."""
-
-
-class ControlCodeError(ValueError):
-    """Raised when a control code is applied to an already-prefixed instance."""
-
-
 def mixture_probs(sizes: list[int], alpha: float) -> list[float]:
     """Sampling probabilities from dataset sizes, tempered by ``alpha``."""
     if any(n <= 0 for n in sizes):
-        raise EmptyTaskError(f"all task sizes must be positive, got {sizes}")
+        raise ValueError(f"all task sizes must be positive, got {sizes}")
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 <= alpha < np.inf:
         raise ValueError(f"alpha must be a finite non-negative number, got {alpha!r}")
     if not sizes:
@@ -71,11 +63,12 @@ class TaskMixture:
         """Mixture config: {"alpha": float, "tasks": [{name, path, control_code?,
         validation?}]}.
 
-        A task's size is its dataset file's record count, and an empty file
-        raises ``EmptyTaskError`` naming the task and the file.  A config that
-        is not JSON, lacks ``tasks``, has a task without ``name`` or ``path``
-        or with any other key, an ``alpha`` that ``mixture_probs`` rejects or
-        no task at all raises ``ValueError`` naming the config and the cause.
+        A task's size is its dataset file's record count.  Bad input raises
+        ``ValueError``: an empty dataset file names the task and the file, and
+        a config that is not JSON, lacks ``tasks``, has a task without
+        ``name`` or ``path`` or with any other key, an ``alpha`` that
+        ``mixture_probs`` rejects or no task at all names the config and the
+        cause.
         """
         def malformed(cause) -> ValueError:
             return ValueError(f"malformed mixture config {path}: {cause}")
@@ -102,7 +95,7 @@ class TaskMixture:
             with open(data, encoding="utf-8") as df:
                 size = sum(1 for line in df if line.strip())
             if size == 0:
-                raise EmptyTaskError(f"task {name!r} dataset {data} is empty: task sizes must be positive")
+                raise ValueError(f"task {name!r} dataset {data} is empty: task sizes must be positive")
             tasks.append(
                 TaskSpec(
                     name=name,
@@ -131,9 +124,7 @@ def apply_control_code(
     if not task.control_code:
         return instance
     if instance.control_code is not None:
-        raise ControlCodeError(
-            f"instance already carries control code {instance.control_code!r}"
-        )
+        raise ValueError(f"instance already carries control code {instance.control_code!r}")
     prompt_ids = tokenizer.encode(task.control_code, use_specials=False)
     if not instance.source_ids or instance.source_ids[0] != tokenizer.cls_id:
         raise ValueError("instance source does not start with [CLS]")

@@ -51,17 +51,9 @@ NL_LANGUAGE_TAG = "en"
 MAX_SRC_LEN, MAX_TGT_LEN = 512, 256  # the model's length caps, which ModelConfig enforces
 
 
-class SentinelExhaustedError(ValueError):
-    """More sentinels are needed than the tokenizer reserves."""
-
-
 class NoIdentifiersError(ValueError):
     """Identifier masking is undefined for a document with no identifiers;
     callers fall back to span masking."""
-
-
-class UnimodalDocumentError(ValueError):
-    """Dual generation needs a document with an NL side."""
 
 
 @dataclass(frozen=True)
@@ -252,7 +244,7 @@ def _msp(nl: WordIds, code: WordIds, tokenizer: SubwordTokenizer, plan: SpanPlan
             raise ValueError(f"span {(start, length)} exceeds document of {len(word_ids)} words")
     spans = _split_at_boundary(plan.spans, len(nl))
     if len(spans) > NUM_MASK_TOKENS:
-        raise SentinelExhaustedError(f"{len(spans)} spans exceed {NUM_MASK_TOKENS} sentinels")
+        raise ValueError(f"{len(spans)} spans exceed {NUM_MASK_TOKENS} sentinels")
 
     sentinel_at = {start: tokenizer.mask_id(i) for i, (start, _) in enumerate(spans)}
     masked = {pos for start, length in spans for pos in range(start, start + length)}
@@ -289,9 +281,7 @@ def _mip(doc: CodeDocument, nl: WordIds, code: WordIds, tokenizer: SubwordTokeni
     if not distinct:
         raise NoIdentifiersError("document has no identifier tokens")
     if len(distinct) > NUM_MASK_TOKENS:
-        raise SentinelExhaustedError(
-            f"{len(distinct)} distinct identifiers exceed {NUM_MASK_TOKENS} sentinels"
-        )
+        raise ValueError(f"{len(distinct)} distinct identifiers exceed {NUM_MASK_TOKENS} sentinels")
 
     source = [tokenizer.cls_id, *_flat(nl), tokenizer.sep_id]
     for token, label, ids in words:
@@ -346,7 +336,7 @@ def build_dual_pair(
 ) -> tuple[TrainingInstance, TrainingInstance]:
     """NL-to-code and code-to-NL instances with language-id source prefixes."""
     if not doc.is_bimodal:
-        raise UnimodalDocumentError("dual generation requires a bimodal document")
+        raise ValueError("dual generation requires a bimodal document")
     return _dual_pair(doc, *_encode_doc(doc, tokenizer), tokenizer)
 
 

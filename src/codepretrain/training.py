@@ -49,10 +49,6 @@ from .objectives import (
 DUAL_TASKS = (DUAL_NL2PL, DUAL_PL2NL)
 
 
-class InstanceObjectiveError(ValueError):
-    """An instance was passed to a training phase that does not take its objective."""
-
-
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 CLIP_NORM = 1.0  # the global gradient norm every step is clipped to
 
@@ -146,15 +142,16 @@ def _fits_model(inst: TrainingInstance, model: Seq2SeqModel) -> bool:
 
 
 def _filter_to_caps(
-    instances: Sequence[TrainingInstance], model: Seq2SeqModel
+    instances: Sequence[TrainingInstance], model: Seq2SeqModel, name: str
 ) -> list[TrainingInstance]:
-    """Drop instances longer than the model's length caps, with a warning."""
+    """Drop instances longer than the model's length caps, with a warning
+    naming what ``name`` (an objective, a task or a validation set) loses."""
     kept = [i for i in instances if _fits_model(i, model)]
     dropped = len(instances) - len(kept)
     if dropped:
         log.warning(
-            "dropping %d of %d instances exceeding model caps (src %d, tgt %d)",
-            dropped, len(instances), model.config.max_src_len, model.config.max_tgt_len,
+            "%s: dropping %d of %d instances exceeding model caps (src %d, tgt %d)",
+            name, dropped, len(instances), model.config.max_src_len, model.config.max_tgt_len,
         )
     return kept
 
@@ -219,10 +216,10 @@ def pretrain(
     pools: dict[str, list[TrainingInstance]] = {obj: [] for obj in phases[phase]}
     for inst in instances:
         if inst.objective not in pools:
-            raise InstanceObjectiveError(f"{inst.objective} instance passed to the {phase} phase")
+            raise ValueError(f"{inst.objective} instance passed to the {phase} phase")
         pools[inst.objective].append(inst)
     for obj_name, pool in pools.items():
-        pools[obj_name] = _filter_to_caps(pool, model)
+        pools[obj_name] = _filter_to_caps(pool, model, obj_name)
         if pool and not pools[obj_name]:
             log.warning("dropping objective %s from the %s phase: none of its instances fits the model caps",
                         obj_name, phase)
@@ -274,8 +271,8 @@ def finetune(
     sets are given, per-task validation loss is tracked in batches of the
     schedule's size and the best parameter snapshot per task is returned.
     """
-    def prepare(spec, instances):
-        return _filter_to_caps([apply_control_code(i, spec, tokenizer) for i in instances], model)
+    def prepare(spec, instances, name):
+        return _filter_to_caps([apply_control_code(i, spec, tokenizer) for i in instances], model, name)
 
     prepared: dict[str, list[TrainingInstance]] = {}
     held_out: dict[str, list[TrainingInstance]] = {}
@@ -285,10 +282,10 @@ def finetune(
         if IT in objectives and len(objectives) > 1:
             raise ValueError(f"task {spec.name!r} mixes the tagging and sequence losses: its instances "
                              f"have objectives {', '.join(sorted(objectives))}")
-        prepared[spec.name] = prepare(spec, datasets[spec.name])
+        prepared[spec.name] = prepare(spec, datasets[spec.name], spec.name)
         if not prepared[spec.name] and schedule.steps > 0:
             raise ValueError(f"no instances of task {spec.name!r} fit the model's length caps")
-        val = prepare(spec, val)
+        val = prepare(spec, val, f"{spec.name} validation")
         if val:
             held_out[spec.name] = val
     best: dict[str, TaskCheckpoint] = {}

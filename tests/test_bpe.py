@@ -26,19 +26,19 @@ def test_min_freq_excludes_rare_tokens():
 
 
 def test_vocab_size_precondition():
-    with pytest.raises(bpe.TrainingDataError):
+    with pytest.raises(ValueError, match=r"vocab_size must exceed specials \+ byte units \(\d+\), got 300"):
         bpe.train(["abc"], vocab_size=300, min_freq=1)
 
 
 def test_min_freq_precondition():
-    with pytest.raises(bpe.TrainingDataError):
+    with pytest.raises(ValueError, match="min_freq must be >= 1, got 0"):
         bpe.train(["abc"], vocab_size=400, min_freq=0)
 
 
 def test_empty_corpus_error():
-    with pytest.raises(bpe.TrainingDataError):
+    with pytest.raises(ValueError, match="training corpus is empty"):
         bpe.train([], vocab_size=400, min_freq=1)
-    with pytest.raises(bpe.TrainingDataError):
+    with pytest.raises(ValueError, match="training corpus is empty"):
         bpe.train([""], vocab_size=400, min_freq=1)
 
 
@@ -115,7 +115,7 @@ def test_brace_is_single_learned_unit(code_tokenizer):
 
 
 def test_decode_out_of_range_id(tokenizer):
-    with pytest.raises(bpe.DecodeIdError):
+    with pytest.raises(ValueError, match=f"id out of range: {tokenizer.vocab_size}"):
         tokenizer.decode([tokenizer.vocab_size])
 
 
@@ -155,7 +155,7 @@ def test_compression_single_document(tokenizer, code_tokenizer):
 
 
 def test_compression_empty_corpus(tokenizer):
-    with pytest.raises(bpe.TrainingDataError):
+    with pytest.raises(ValueError, match="corpus is empty"):
         bpe.compression_ratio(tokenizer, tokenizer, [])
 
 

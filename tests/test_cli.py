@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from codepretrain import bpe, corpus, synth
+from codepretrain import lexer as lx
 from codepretrain import objectives as obj
 from codepretrain import model as mdl
 from codepretrain.cli import Stage, build_parser, dispatch
@@ -258,6 +259,31 @@ def test_dual_instances_at_tight_target_cap(pipeline, tmp_path, capsys):
     instances = list(obj.read_instances(out))
     assert f"wrote {len(instances)} dual instances" in capsys.readouterr().out
     assert all(len(inst.target_ids) == 2 for inst in instances)
+
+
+def test_dual_instances_for_a_language_without_an_id_is_clean_error(tmp_path, capsys):
+    """The tokenizer has language ids for the built-in tables and ``en`` only,
+    so a --lang-config language builds denoise instances but no dual ones; the
+    error names the language and leaves no output or snapshot."""
+    langs = tmp_path / "langs"
+    langs.mkdir()
+    (langs / "kotlin.json").write_text(json.dumps({"language": "kotlin", "keywords": ["fun", "val"]}),
+                                       encoding="utf-8")
+    raw = tmp_path / "corpus.jsonl"
+    rows = [{"code": "fun add(a: Int, b: Int) = a + b", "language": "kotlin", "docstring": "add two ints"},
+            {"code": "fun neg(a: Int) = -a", "language": "kotlin", "docstring": "negate an int"}]
+    raw.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    docs, tok = tmp_path / "docs.jsonl", tmp_path / "tok"
+    assert dispatch(["ingest", "--input", str(raw), "--lang-config", str(langs), "--out", str(docs)]) == 0
+    assert dispatch(["train-tokenizer", "--input", str(raw), "--vocab-size", "400", "--min-freq", "1",
+                     "--out", str(tok)]) == 0
+    build = ["build-instances", "--input", str(docs), "--tokenizer", str(tok), "--out"]
+    assert dispatch([*build, str(tmp_path / "denoise.jsonl")]) == 0
+    capsys.readouterr()
+    assert dispatch([*build, str(tmp_path / "dual.jsonl"), "--phase", "dual"]) == 1
+    ids = ", ".join(f"<{t}>" for t in sorted(lx.builtin_language_tags() + ["en"]))
+    assert capsys.readouterr().err == f"error: tokenizer has no language id <kotlin>; its language ids are {ids}\n"
+    assert not any(p.name.startswith("dual.jsonl") for p in tmp_path.iterdir())
 
 
 def test_build_instances_cap_a_model_cannot_take_is_clean_error(pipeline, tmp_path, capsys):
@@ -520,6 +546,24 @@ def test_pretrain_writes_artifacts(pipeline):
     records = [json.loads(l) for l in (run / "metrics.jsonl").read_text().splitlines()]
     assert len(records) == 3
     assert all({"step", "objective", "loss"} <= set(r) for r in records)
+
+
+def test_pretrain_summary_gives_each_objectives_first_and_last_loss(pipeline, tmp_path, capsys):
+    """Consecutive steps train different objectives, so the summary pairs the
+    first and last logged loss of each objective, never of two objectives."""
+    run = tmp_path / "run"
+    argv = ["pretrain", "--instances", str(pipeline["inst"]), "--tokenizer", str(pipeline["tok"]),
+            "--steps", "8", "--batch-size", "2", "--d-model", "16", "--num-heads", "2", "--encoder-layers", "1",
+            "--decoder-layers", "1", "--feedforward-dim", "32", "--max-src-len", "160", "--max-tgt-len", "64",
+            "--out", str(run)]
+    assert dispatch(argv) == 0
+    first, last = {}, {}
+    for rec in map(json.loads, (run / "metrics.jsonl").read_text(encoding="utf-8").splitlines()):
+        first.setdefault(rec["objective"], rec["loss"])
+        last[rec["objective"]] = rec["loss"]
+    assert len(first) > 1
+    losses = ", ".join(f"{o} {first[o]:.4f} -> {last[o]:.4f}" for o in sorted(first))
+    assert capsys.readouterr().out == f"pretrain: 8 steps, loss {losses} ({run})\n"
 
 
 def test_finetune_multitask_cli(pipeline, tmp_path):

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from codepretrain import corpus
-from codepretrain import lexer as lx
 
 GOLDEN_RATES = {
     # Frozen from a standalone counting pass over the bundled corpus.
@@ -113,7 +112,7 @@ def test_normalize_strips_comments_by_default(mini_lexer):
 
 def test_normalize_wrong_lexer_language(mini_lexer):
     record = corpus.RawRecord(code="int a;", language="java")
-    with pytest.raises(lx.UnsupportedLanguageError):
+    with pytest.raises(ValueError, match="mini lexer given a java record"):
         corpus.normalize(record, mini_lexer)
 
 

@@ -109,7 +109,7 @@ def test_language_specific_identifiers(lexers):
 
 
 def test_unsupported_language_has_typed_error(lexers):
-    with pytest.raises(lx.UnsupportedLanguageError):
+    with pytest.raises(ValueError, match="unsupported language tag: cobol"):
         lx.get_lexer("cobol", lexers)
 
 

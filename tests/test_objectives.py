@@ -137,7 +137,7 @@ def test_msp_span_outside_doc_rejected(tokenizer):
 def test_msp_sentinel_exhaustion(tokenizer):
     doc = _doc(["x"] * 400, [1] * 400)
     spans = tuple((3 * i, 1) for i in range(101))
-    with pytest.raises(obj.SentinelExhaustedError):
+    with pytest.raises(ValueError, match="101 spans exceed 100 sentinels"):
         obj.build_msp(doc, tokenizer, obj.SpanPlan(spans))
 
 
@@ -256,7 +256,7 @@ def test_mip_zero_identifiers_skip_signal(tokenizer):
 def test_mip_sentinel_exhaustion(tokenizer):
     names = [f"v{i}" for i in range(101)]
     doc = _doc(names, [1] * 101)
-    with pytest.raises(obj.SentinelExhaustedError):
+    with pytest.raises(ValueError, match="101 distinct identifiers exceed 100 sentinels"):
         obj.build_mip(doc, tokenizer)
 
 
@@ -308,7 +308,7 @@ def test_dual_pair_language_ids(tokenizer):
 
 def test_dual_unimodal_rejected(tokenizer):
     doc = _doc(["int", "a", ";"], [0, 1, 0])
-    with pytest.raises(obj.UnimodalDocumentError):
+    with pytest.raises(ValueError, match="dual generation requires a bimodal document"):
         obj.build_dual_pair(doc, tokenizer)
 
 
@@ -463,7 +463,7 @@ def _ref_build_mip(doc, tokenizer):
 
 def _ref_build_dual_pair(doc, tokenizer):
     if not doc.is_bimodal:
-        raise obj.UnimodalDocumentError("dual generation requires a bimodal document")
+        raise ValueError("dual generation requires a bimodal document")
     nl_ids = [i for w in doc.nl_tokens for i in _ref_encode(tokenizer, w)]
     pl_ids = [i for t in doc.code_tokens for i in _ref_encode(tokenizer, t)]
     nl_tag = tokenizer.language_id(obj.NL_LANGUAGE_TAG)

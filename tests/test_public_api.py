@@ -3,7 +3,9 @@
 Demos 05 and 06 are too slow for the quick demo run and the bench tests are
 not part of this suite, so these checks read their sources with ``ast``
 instead of running them: a package name they use that no longer resolves
-fails here, and so does an exported name that only the tests use.
+fails here, and so does an exported name that only the tests use.  The
+package defines an exception type only where its own code catches that type;
+bad input otherwise raises ``ValueError`` naming its cause.
 """
 
 from __future__ import annotations
@@ -106,3 +108,35 @@ def test_no_export_is_used_only_by_tests():
     used = [getattr(importlib.import_module(module), name, None) for module, name in _uses_outside_tests()]
     test_only = [name for name in codepretrain.__all__ if not any(getattr(codepretrain, name) is u for u in used)]
     assert sorted(test_only) == sorted(TEST_ONLY_EXPORTS)
+
+
+def _defined_exceptions(path: Path) -> set[str]:
+    """The exception classes the package module ``path`` defines."""
+    module = importlib.import_module(f"codepretrain.{path.stem}")
+    classes = [getattr(module, node.name, None) for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef)]
+    return {c.__name__ for c in classes if isinstance(c, type) and issubclass(c, BaseException)}
+
+
+def _caught_names(path: Path) -> set[str]:
+    """The names of the types the ``except`` clauses of ``path`` catch, bare or
+    read from a module (``except lx.Name``)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            for t in node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]:
+                names.add(t.attr if isinstance(t, ast.Attribute) else getattr(t, "id", None))
+    return names
+
+
+def test_exception_scan_sees_definitions_and_except_clauses():
+    caught = {"CommandError", "CorpusFormatError", "EmptyDocumentError", "NoIdentifiersError", "NonFiniteError"}
+    assert caught <= set().union(*map(_defined_exceptions, PACKAGE_FILES))
+    assert caught | {"ValueError", "OSError", "KeyError"} <= set().union(*map(_caught_names, PACKAGE_FILES))
+
+
+def test_every_package_exception_type_is_caught_by_the_package():
+    """An exception class that no package code catches is test-only API."""
+    defined = set().union(*map(_defined_exceptions, PACKAGE_FILES))
+    caught = set().union(*map(_caught_names, PACKAGE_FILES))
+    assert sorted(defined - caught) == []

@@ -51,19 +51,23 @@ def test_pretrain_filters_overlong_instances(tiny_config, denoise_pool, tokenize
         tuple([tokenizer.cls_id] * (tiny_config.max_src_len + 40)), (5, 2), obj.MSP
     )
     model = Seq2SeqModel(tiny_config, seed=0)
+    caps = f"exceeding model caps (src {tiny_config.max_src_len}, tgt {tiny_config.max_tgt_len})"
+    msp = sum(i.objective == obj.MSP for i in denoise_pool) + 1
     with caplog.at_level(logging.WARNING):
         log = tr.pretrain(model, list(denoise_pool) + [giant], tr.TrainSchedule(steps=2, batch_size=4, seed=0))
     assert len(log) == 2
-    assert any("exceeding model caps" in r.message for r in caplog.records)
+    assert f"MSP: dropping 1 of {msp} instances {caps}" in [r.message for r in caplog.records]
     # nothing left to train on -> clear error instead of a crash mid-run
-    with pytest.raises(ValueError):
+    caplog.clear()
+    with caplog.at_level(logging.WARNING), pytest.raises(ValueError, match="no instances of task 'giant' fit"):
         tr.finetune(model, *_one_task("giant", [giant]), tokenizer, tr.TrainSchedule(steps=1, seed=0))
+    assert [r.message for r in caplog.records] == [f"giant: dropping 1 of 1 instances {caps}"]
 
 
 def test_pretrain_rejects_phase_mismatch(tiny_config, tokenizer, bundled_docs):
     duals = obj.build_dual_instances([d for d in bundled_docs if d.is_bimodal][:4], tokenizer)
     model = Seq2SeqModel(tiny_config, seed=0)
-    with pytest.raises(tr.InstanceObjectiveError):
+    with pytest.raises(ValueError, match="DUAL_NL2PL instance passed to the denoise phase"):
         tr.pretrain(model, duals, tr.TrainSchedule(steps=1), phase="denoise")
     with pytest.raises(ValueError):
         tr.pretrain(model, duals, tr.TrainSchedule(steps=1), phase="warmup")
@@ -341,7 +345,7 @@ def _reference_finetune_multitask(model, mixture, datasets, tokenizer, schedule,
     prepared = {}
     for spec in mixture.tasks:
         pool = [mx.apply_control_code(inst, spec, tokenizer) for inst in datasets[spec.name]]
-        prepared[spec.name] = tr._filter_to_caps(pool, model)
+        prepared[spec.name] = tr._filter_to_caps(pool, model, spec.name)
     rng = np.random.default_rng(schedule.seed)
     drop_rng = np.random.default_rng(schedule.seed + 1) if model.config.dropout > 0 else None
     opt = tr.Adam(model.params, schedule)
@@ -435,7 +439,7 @@ def test_pretrain_matches_reference_loop(tiny_config, tokenizer, oracle_pools, p
     want_model, got_model = Seq2SeqModel(cfg, seed=1), Seq2SeqModel(cfg, seed=1)
     allowed = obj.DENOISING_TASKS if phase == "denoise" else tr.DUAL_TASKS
     datasets = {o: [i for i in oracle_pools[pool] if i.objective == o] for o in allowed}
-    datasets = {o: d for o, d in datasets.items() if tr._filter_to_caps(d, want_model)}
+    datasets = {o: d for o, d in datasets.items() if tr._filter_to_caps(d, want_model, o)}
     mixture = mx.TaskMixture(tuple(mx.TaskSpec(o, len(d)) for o, d in datasets.items()), alpha=0.0)
     want, _ = _reference_finetune_multitask(want_model, mixture, datasets, tokenizer, sched, {}, eval_every=1)
     got = tr.pretrain(got_model, oracle_pools[pool], sched, phase)
@@ -553,5 +557,6 @@ def test_multitask_validation_drops_overlong_records(tokenizer, tiny_config, cap
             validation=validation, eval_every=2,
         )
     assert len(log) == 4
-    assert any("dropping 1 of 3 instances exceeding model caps" in r.message for r in caplog.records)
+    assert any(r.message.startswith("alpha validation: dropping 1 of 3 instances exceeding model caps")
+               for r in caplog.records)
     assert set(best) == {"alpha", "beta"}
