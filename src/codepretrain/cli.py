@@ -11,12 +11,13 @@ once and writes the output its required ``--out`` names, a file or a
 directory.  ``dispatch`` runs every stage the same way: it digests the inputs
 and writes a snapshot ``<out>.config.json`` beside the output that records
 every flag of the stage, a sha256 of every input the stage reads, the
-checkpoint and tokenizer format versions and the training dtype.  When the
-output already exists with an identical snapshot the stage is skipped, so
-re-running a pipeline only redoes stages whose flags, inputs, formats or
-training arithmetic changed.  A run directory made before the snapshot
-recorded all of these, or before every snapshot sat beside its output, redoes
-each such stage once.  All randomness flows from explicit seeds; rerunning a
+checkpoint and tokenizer format versions and the compute dtype of training
+and decoding.  When the output already exists with an identical snapshot the
+stage is skipped, so re-running a pipeline only redoes stages whose flags,
+inputs, formats or arithmetic changed.  A run directory made before the
+snapshot recorded all of these (the compute dtype, under that name, since
+decoding moved to float32), or before every snapshot sat beside its output,
+redoes each such stage once.  All randomness flows from explicit seeds; rerunning a
 stage with the same configuration reproduces its artifacts byte for byte.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
@@ -117,7 +118,7 @@ def _run_stage(args: argparse.Namespace) -> int:
         files += stage.more_inputs(args)
     inputs = {str(path): _digest(_require_file(path, what)) for path, what in files if path is not None}
     versions = {"checkpoint": mdl.CHECKPOINT_VERSION, "tokenizer": bpe.FORMAT_VERSION,
-                "training_dtype": tr.TRAIN_DTYPE.__name__}
+                "compute_dtype": tr.COMPUTE_DTYPE.__name__}
     config = {**flags, "stage": args.command, "out": str(out), "inputs": inputs, "versions": versions}
     if _stage_up_to_date(out, config):
         print(f"{args.command}: up to date ({out})")
@@ -311,7 +312,7 @@ def _cmd_finetune(args, out: Path) -> None:
 
 def _cmd_generate(args, out: Path) -> None:
     tok = _load("tokenizer", bpe.SubwordTokenizer.load, args.tokenizer)
-    model = _load("checkpoint", Seq2SeqModel.load, args.checkpoint)
+    model = _load("checkpoint", Seq2SeqModel.load, args.checkpoint).astype(tr.COMPUTE_DTYPE)
     spec = mixture_mod.TaskSpec("generate", 1, args.control_code)
     cap = model.config.max_src_len
     lines, overlong = [], 0

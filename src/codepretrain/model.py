@@ -1,11 +1,10 @@
 """Desk-scale encoder-decoder transformer in numpy with hand-written backprop.
 
 Every array a pass makes takes the dtype of the parameters it reads.
-Parameters, checkpoints, decoding and gradient checks are float64; the
-training loop runs forward and backward on a float32 working copy (see
-``training``).  Pre-norm residual blocks, learned absolute positions,
-multi-head attention without biases, ReLU feed-forward blocks.  Two loss
-heads sit on top:
+Parameters, checkpoints and gradient checks are float64; training steps and
+decoding run on a float32 copy (``Seq2SeqModel.astype``, see ``training``).
+Pre-norm residual blocks, learned absolute positions, multi-head attention
+without biases, ReLU feed-forward blocks.  Two loss heads sit on top:
 
 - a vocabulary projection over decoder states for span/identifier denoising
   and plain sequence-to-sequence training (teacher forced, causal mask),
@@ -135,6 +134,13 @@ class Seq2SeqModel:
 
     def clone(self) -> "Seq2SeqModel":
         return Seq2SeqModel(self.config, {k: v.copy() for k, v in self.params.items()})
+
+    def astype(self, dtype) -> "Seq2SeqModel":
+        """This model when every parameter already has ``dtype``, else a copy
+        with every parameter cast to it."""
+        if all(v.dtype == dtype for v in self.params.values()):
+            return self
+        return Seq2SeqModel(self.config, {k: v.astype(dtype) for k, v in self.params.items()})
 
     def zeros_like_params(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.params.items()}
@@ -485,7 +491,7 @@ class Batch:
     tgt: np.ndarray       # (B, T) int64, padded targets
     tgt_len: np.ndarray   # (B,)
     tgt_in: np.ndarray    # (B, T) shift-right decoder input
-    tag_labels: np.ndarray | None = None  # (B, S) float64 where defined
+    tag_labels: np.ndarray | None = None  # (B, S) bool where defined
     tag_mask: np.ndarray | None = None    # (B, S) bool
 
 
@@ -520,7 +526,7 @@ def make_batch(instances: list[TrainingInstance], config: ModelConfig) -> Batch:
     src_len = np.zeros(b, dtype=np.int64)
     tgt_len = np.zeros(b, dtype=np.int64)
     has_tags = any(i.tag_labels is not None for i in instances)
-    tags = np.zeros((b, s)) if has_tags else None
+    tags = np.zeros((b, s), dtype=bool) if has_tags else None
     tag_mask = np.zeros((b, s), dtype=bool) if has_tags else None
     for j, inst in enumerate(instances):
         _check_ids(np.asarray(inst.source_ids, dtype=np.int64), config.vocab_size, "source")
@@ -534,7 +540,11 @@ def make_batch(instances: list[TrainingInstance], config: ModelConfig) -> Batch:
             start = len(inst.source_ids) - 1 - n  # code segment sits before final [SEP]
             if start < 1:
                 raise ValueError("tag labels longer than the code segment")
-            tags[j, start : start + n] = inst.tag_labels
+            labels = np.asarray(inst.tag_labels)
+            bad = labels[(labels != 0) & (labels != 1)]
+            if bad.size:
+                raise ValueError(f"tag label {bad[0]} is not 0 or 1")
+            tags[j, start : start + n] = labels == 1
             tag_mask[j, start : start + n] = True
     tgt_in = np.full((b, t), pad, dtype=np.int64)
     tgt_in[:, 1:] = tgt[:, :-1]

@@ -9,10 +9,11 @@ caller; a single pool is a one-task mixture, and a task of IT instances
 trains the tagging head.  All randomness flows from the schedule seed; with a
 fixed seed the metrics log is bit-identical across runs.
 
-Training is mixed precision: each step's forward and backward run on a
-``TRAIN_DTYPE`` working copy of the parameters, while the model's float64
-parameters stay the master copy that Adam updates (with float64 moments),
-checkpoints save, and validation and decoding read.
+Training and decoding are mixed precision: each step's forward and backward,
+and every decoder step, run on a ``COMPUTE_DTYPE`` copy of the parameters
+(``Seq2SeqModel.astype``), while the model's float64 parameters stay the
+master copy that Adam updates (with float64 moments), checkpoints save, and
+validation reads.  Beam scores add up in Python floats.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ DUAL_TASKS = (DUAL_NL2PL, DUAL_PL2NL)
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 CLIP_NORM = 1.0  # the global gradient norm every step is clipped to
 
-TRAIN_DTYPE = np.float32  # the dtype of every training step's forward and backward
+COMPUTE_DTYPE = np.float32  # the arithmetic dtype of every training step and every decoder step
 
 
 @dataclass(frozen=True)
@@ -169,12 +170,12 @@ def _train(
     for it, draws from its own generator.  A non-finite loss or gradient norm
     stops the run before that step's update; numpy's floating-point warnings
     are silenced, since that check reports them.  Each step's loss and
-    gradients come from a ``TRAIN_DTYPE`` copy of the parameters, refreshed
+    gradients come from a ``COMPUTE_DTYPE`` copy of the parameters, refreshed
     from ``model.params`` after every update."""
     rng = np.random.default_rng(schedule.seed)
     drop_rng = np.random.default_rng(schedule.seed + 1) if model.config.dropout > 0 else None
     opt = Adam(model.params, schedule)
-    work = Seq2SeqModel(model.config, {k: v.astype(TRAIN_DTYPE) for k, v in model.params.items()})
+    work = model.astype(COMPUTE_DTYPE)
     records: list[StepRecord] = []
     for step in range(1, schedule.steps + 1):
         label = sample_task(mixture, rng)
@@ -328,9 +329,12 @@ def generate(
     expands each live hypothesis by its ``beam`` most likely tokens, carries
     finished hypotheses along, and keeps the ``beam`` best by a stable sort
     on summed log-probability; all live hypotheses advance as one batch.
+    Every step runs on ``model.astype(COMPUTE_DTYPE)``, a copy made per call
+    unless the caller passes a model already of that dtype.
     """
     if max_len <= 0:
         return []
+    model = model.astype(COMPUTE_DTYPE)
     max_len = min(max_len, model.config.max_tgt_len - 1)
     state = DecodeState.for_source(model, source_ids, max_len)
     start = model.config.pad_id
@@ -418,6 +422,7 @@ def evaluate_mask_instances(
     """Decode each instance and score the two mask-protocol metrics:
     per-sentinel exact segment accuracy, and the fraction of outputs whose
     sentinel segment count matches the target's."""
+    model = model.astype(COMPUTE_DTYPE)  # so that each generate call below makes no copy
     outputs = []
     slot_hits = 0
     slot_total = 0

@@ -56,6 +56,22 @@ def nl_tokenizer(bundled_records):
     )
 
 
+@pytest.fixture
+def astype_copies(monkeypatch) -> list[Seq2SeqModel]:
+    """The copies ``Seq2SeqModel.astype`` makes while the test runs."""
+    copies = []
+    astype = Seq2SeqModel.astype
+
+    def spy_astype(self, dtype):
+        out = astype(self, dtype)
+        if out is not self:
+            copies.append(out)
+        return out
+
+    monkeypatch.setattr(Seq2SeqModel, "astype", spy_astype)
+    return copies
+
+
 @pytest.fixture(scope="session")
 def tiny_config(tokenizer):
     return ModelConfig(

@@ -424,26 +424,59 @@ def test_stage_reruns_when_a_format_version_changes(pipeline, tmp_path, capsys, 
     assert "up to date" in capsys.readouterr().out
 
 
-def test_pretrain_made_before_the_training_dtype_was_recorded_reruns(pipeline, tmp_path, capsys):
-    """A snapshot without the training dtype vouches for float64-trained
-    output, so that output is redone."""
-    out = tmp_path / "run"
-    argv = [
-        "pretrain", "--instances", str(pipeline["inst"]), "--tokenizer", str(pipeline["tok"]),
-        "--steps", "1", "--batch-size", "2", "--d-model", "16", "--num-heads", "2", "--encoder-layers", "1",
-        "--decoder-layers", "1", "--feedforward-dim", "32", "--max-src-len", "160", "--max-tgt-len", "64",
-        "--out", str(out),
-    ]
+def _assert_reruns_once_after(argv, snapshot_path, edit, capsys):
+    """Run ``argv``, rewrite its snapshot with ``edit``; the stage then runs
+    again, and once more is up to date."""
     assert dispatch(argv) == 0
-    snapshot = json.loads((tmp_path / "run.config.json").read_text(encoding="utf-8"))
-    assert snapshot["versions"]["training_dtype"] == "float32"
-    del snapshot["versions"]["training_dtype"]
-    (tmp_path / "run.config.json").write_text(json.dumps(snapshot), encoding="utf-8")
+    snapshot = json.loads(snapshot_path.read_text(encoding="utf-8"))
+    assert snapshot["versions"]["compute_dtype"] == "float32"
+    edit(snapshot["versions"])
+    snapshot_path.write_text(json.dumps(snapshot), encoding="utf-8")
     capsys.readouterr()
     assert dispatch(argv) == 0
     assert "up to date" not in capsys.readouterr().out
     assert dispatch(argv) == 0
     assert "up to date" in capsys.readouterr().out
+
+
+def test_pretrain_made_before_the_training_dtype_was_recorded_reruns(pipeline, tmp_path, capsys):
+    """A snapshot without the compute dtype vouches for float64-trained
+    output, so that output is redone."""
+    argv = [
+        "pretrain", "--instances", str(pipeline["inst"]), "--tokenizer", str(pipeline["tok"]),
+        "--steps", "1", "--batch-size", "2", "--d-model", "16", "--num-heads", "2", "--encoder-layers", "1",
+        "--decoder-layers", "1", "--feedforward-dim", "32", "--max-src-len", "160", "--max-tgt-len", "64",
+        "--out", str(tmp_path / "run"),
+    ]
+    _assert_reruns_once_after(argv, tmp_path / "run.config.json", lambda v: v.pop("compute_dtype"), capsys)
+
+
+def test_generate_made_while_decoding_was_float64_reruns(pipeline, tmp_path, capsys):
+    """A snapshot that records ``training_dtype`` was written when training
+    ran in float32 but decoding in float64, so its hypotheses are redone."""
+    data = tmp_path / "test.jsonl"
+    data.write_text(json.dumps({"source": "int x ;", "target": "declare"}) + "\n", encoding="utf-8")
+    argv = ["generate", "--checkpoint", str(_tiny_checkpoint(pipeline["tok"], tmp_path / "init.npz")),
+            "--tokenizer", str(pipeline["tok"]), "--input", str(data), "--max-len", "3",
+            "--out", str(tmp_path / "hyp.txt")]
+
+    def as_written_then(versions):
+        versions["training_dtype"] = versions.pop("compute_dtype")
+
+    _assert_reruns_once_after(argv, tmp_path / "hyp.txt.config.json", as_written_then, capsys)
+
+
+def test_generate_casts_the_checkpoint_once(pipeline, tmp_path, astype_copies):
+    """``generate`` over five records makes one float32 copy of the float64
+    checkpoint; each record decodes on that copy."""
+    rows = [{"source": f"int x{i} = {i} ;", "target": "declare"} for i in range(5)]
+    data = tmp_path / "test.jsonl"
+    data.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    assert dispatch(["generate", "--checkpoint", str(_tiny_checkpoint(pipeline["tok"], tmp_path / "init.npz")),
+                     "--tokenizer", str(pipeline["tok"]), "--input", str(data), "--max-len", "3",
+                     "--beam", "2", "--out", str(tmp_path / "hyp.txt")]) == 0
+    assert len(astype_copies) == 1
+    assert {v.dtype for v in astype_copies[0].params.values()} == {np.dtype(np.float32)}
 
 
 @pytest.mark.parametrize("flag, value", [("--d-model", "64"), ("--dropout", "0.1"), ("--max-src-len", "512")])

@@ -12,13 +12,13 @@ golden file ``golden_pipeline.json`` beside this test pins
 - each checkpoint parameter's sum and sum of squares, keyed by name in
   order, within 1e-9 relative.
 
-The pinned run trains in float64 (``training.TRAIN_DTYPE`` set to
-``np.float64``): float32 matrix products round differently with the BLAS
+The pinned run trains and decodes in float64 (``training.COMPUTE_DTYPE`` set
+to ``np.float64``): float32 matrix products round differently with the BLAS
 kernel and thread count, which moves float32-trained losses by about 1e-7
 relative between machines, so only float64 arithmetic reproduces to 1e-9.
-The default float32 training runs the same pipeline against the same file
-within ``FLOAT32_REL_TOL``: its metrics-log losses, generated hypotheses and
-``eval`` report.
+The default float32 training and decoding run the same pipeline against the
+same file within ``FLOAT32_REL_TOL``: its metrics-log losses, generated
+hypotheses and ``eval`` report.
 
 A seeded change to initialisation, dropout, sampling, the layers or the
 optimizer moves these values.  A change that means to move them regenerates
@@ -78,13 +78,13 @@ def _task_files(root: Path) -> tuple[Path, Path, Path]:
 
 
 @contextlib.contextmanager
-def _training_dtype(dtype):
-    """Train in ``dtype`` while the block runs."""
-    saved, tr.TRAIN_DTYPE = tr.TRAIN_DTYPE, dtype
+def _compute_dtype(dtype):
+    """Train and decode in ``dtype`` while the block runs."""
+    saved, tr.COMPUTE_DTYPE = tr.COMPUTE_DTYPE, dtype
     try:
         yield
     finally:
-        tr.TRAIN_DTYPE = saved
+        tr.COMPUTE_DTYPE = saved
 
 
 def run_pipeline(root: Path) -> dict:
@@ -165,20 +165,20 @@ def moved_pins(got: dict, want: dict) -> list[str]:
 
 
 def test_pipeline_matches_golden(tmp_path):
-    with _training_dtype(np.float64):
+    with _compute_dtype(np.float64):
         got = run_pipeline(tmp_path)
     _assert_close(got, json.loads(GOLDEN.read_text(encoding="utf-8")), "golden")
 
 
 def test_float32_training_tracks_golden(tmp_path):
-    assert tr.TRAIN_DTYPE is np.float32
+    assert tr.COMPUTE_DTYPE is np.float32
     got, want = run_pipeline(tmp_path), json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert got["hyp_sha256"] == want["hyp_sha256"]
     _assert_close(got["metrics"], want["metrics"], "golden/metrics", FLOAT32_REL_TOL)
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp, _training_dtype(np.float64):
+    with tempfile.TemporaryDirectory() as tmp, _compute_dtype(np.float64):
         values = run_pipeline(Path(tmp))
     old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     print("\n".join(moved_pins(values, old)) or "no pinned value moved")

@@ -1,4 +1,4 @@
-"""Float32 training arithmetic on float64 master parameters.
+"""Float32 training and decoding arithmetic on float64 master parameters.
 
 A model whose parameters are float32 must compute in float32 throughout:
 every projection input, every backward activation gradient, every parameter
@@ -6,7 +6,9 @@ gradient and every decoding cache.  Its loss and gradients are checked
 against the same model in float64, the oracle, at dropout 0.  With dropout
 the two can differ by more than rounding: a ReLU unit near zero can switch
 sides between them.  The training loop keeps the master parameters and
-Adam's moments float64.
+Adam's moments float64.  ``generate`` decodes a float64 model on one float32
+copy per call, and its tokens are checked against the float64 decode
+(``training.COMPUTE_DTYPE`` set to ``np.float64``) on a trained model.
 """
 
 from __future__ import annotations
@@ -72,7 +74,8 @@ def test_float32_step_computes_in_float32(small_config, batches, objective, monk
 
 @pytest.mark.parametrize("beam", [1, 4])
 def test_float32_decoding_keeps_float32_caches(small_config, batches, beam, monkeypatch):
-    model = _cast(Seq2SeqModel(small_config, seed=3), np.float32)
+    """A float64 model decodes with float32 caches and logits."""
+    model = Seq2SeqModel(small_config, seed=3)
     steps = []
     step = tr.decoder_step
 
@@ -120,3 +123,67 @@ def test_training_keeps_float64_master_parameters(tiny_config, batches, monkeypa
     for arrays in (model.params, optimizers[0].m, optimizers[0].v):
         assert {a.dtype for a in arrays.values()} == {np.dtype(np.float64)}
 
+
+
+def test_generate_on_a_compute_dtype_model_makes_no_copy(tiny_config, astype_copies, monkeypatch):
+    model = Seq2SeqModel(tiny_config, seed=3).astype(tr.COMPUTE_DTYPE)
+    astype_copies.clear()
+    decoded_on = []
+    step = tr.decoder_step
+
+    def spy_step(m, state, tokens):
+        decoded_on.append(m)
+        return step(m, state, tokens)
+
+    monkeypatch.setattr(tr, "decoder_step", spy_step)
+    for beam in (1, 4):
+        tr.generate(model, [1, 5, 9, 2], 6, beam=beam)
+    assert astype_copies == [] and decoded_on and all(m is model for m in decoded_on)
+
+
+def test_generate_casts_a_float64_model_once_per_call(tiny_config, astype_copies):
+    model = Seq2SeqModel(tiny_config, seed=3)
+    for beam in (1, 4):
+        tr.generate(model, [1, 5, 9, 2], 6, beam=beam)
+    assert len(astype_copies) == 2
+    assert {v.dtype for v in model.params.values()} == {np.dtype(np.float64)}
+
+
+def test_mask_scoring_casts_once(tiny_config, tokenizer, batches, astype_copies):
+    instances = batches[obj.MSP] + batches[obj.MIP]
+    tr.evaluate_mask_instances(Seq2SeqModel(tiny_config, seed=3), instances, tokenizer, margin=0)
+    assert len(astype_copies) == 1
+
+
+# steps of the oracle model's training: at 40 steps every source decoded to
+# the same run of sentinels; at 100 the decodes depend on the source and the
+# top token holds about 0.6 of the probability
+ORACLE_STEPS = 100
+ORACLE_LEN = 30
+
+
+@pytest.fixture(scope="module")
+def trained(small_config, bundled_docs, tokenizer):
+    """A model trained on the span and identifier masks of eight bundled
+    documents, and four of its sources of different lengths."""
+    docs = [obj.clip_document(d, 16, 32) for d in bundled_docs[:8]]
+    pool = [i for i in obj.build_denoising_instances(docs, tokenizer, seed=5) if i.objective != obj.IT]
+    model = Seq2SeqModel(small_config, seed=4)
+    tr.pretrain(model, pool, tr.TrainSchedule(steps=ORACLE_STEPS, batch_size=8, peak_lr=3e-3, seed=0))
+    by_length = sorted((i.source_ids for i in pool), key=len)
+    return model, [by_length[int(q * (len(by_length) - 1))] for q in (0.0, 0.3, 0.7, 1.0)]
+
+
+@pytest.mark.parametrize("beam", [1, 4])
+def test_float32_decode_matches_float64_oracle_on_a_trained_model(trained, tokenizer, beam, monkeypatch):
+    """Identical tokens without an end id, and with ``[SEP]`` as the end id,
+    which the model emits before the length cap."""
+    model, sources = trained
+    assert len({len(src) for src in sources}) == len(sources)
+    for src in sources:
+        with monkeypatch.context() as patch:
+            patch.setattr(tr, "COMPUTE_DTYPE", np.float64)
+            want = {e: tr.generate(model, src, ORACLE_LEN, beam=beam, eos_id=e) for e in (None, tokenizer.sep_id)}
+        assert len(want[tokenizer.sep_id]) < ORACLE_LEN
+        for e, tokens in want.items():
+            assert tr.generate(model, src, ORACLE_LEN, beam=beam, eos_id=e) == tokens, (len(src), e)

@@ -181,6 +181,24 @@ def test_missing_tag_labels_rejected(model, tokenizer):
         _loss(model, inst)
 
 
+def test_tag_labels_are_a_bool_array(tiny_config, it_instance, msp_instance):
+    """The batch holds labels as bools, so a float32 tagging step casts only
+    its labelled rows."""
+    batch = make_batch([it_instance, msp_instance], tiny_config)
+    assert batch.tag_labels.dtype == np.bool_
+    assert batch.tag_labels[0][batch.tag_mask[0]].tolist() == [bool(y) for y in it_instance.tag_labels]
+    assert not batch.tag_labels[1].any()
+
+
+@pytest.mark.parametrize("bad", [2, 0.5, -1])
+def test_tag_label_other_than_zero_or_one_rejected(model, tokenizer, bad):
+    inst = obj.TrainingInstance(
+        (tokenizer.cls_id, tokenizer.sep_id, 5, 6, tokenizer.sep_id), (), obj.IT, tag_labels=(1, bad)
+    )
+    with pytest.raises(ValueError, match=f"^tag label {bad} is not 0 or 1$"):
+        _loss(model, inst)
+
+
 def test_tag_probabilities_need_tag_labels(model, msp_instance):
     with pytest.raises(ValueError, match="tagging loss needs instances with tag labels"):
         tag_probabilities(model, msp_instance)
