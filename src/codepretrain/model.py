@@ -14,12 +14,14 @@ without biases, ReLU feed-forward blocks.  Two loss heads sit on top:
 - a scalar sigmoid projection over encoder states for identifier tagging,
   which by construction touches only encoder-side parameters.
 
-Forward passes cache activations so the explicit backward passes can be
-checked against central finite differences.  Training uses a packed layout:
-a batch's real tokens are (rows, d_model) arrays with per-sequence offsets
-(``Packing``), so every per-token op skips padding, attention runs per
-sequence on views of those rows, and dropout masks are drawn at the padded
-shape with their real rows kept.
+Forward passes that a backward follows cache activations for it (the
+explicit backward passes are checked against central finite differences); a
+pass without one (``keep_cache=False``: scoring, validation, decoding) keeps
+no sublayer's activations past the sublayer after it.  Training uses a
+packed layout: a batch's real tokens are (rows, d_model) arrays with
+per-sequence offsets (``Packing``), so every per-token op skips padding,
+attention runs per sequence on views of those rows, and dropout masks are
+drawn at the padded shape with their real rows kept.
 
 One table, ``_SUBLAYERS``, defines the layer layout: each layer of a stack
 runs its residual sublayers in order, each as layer norm, sublayer, dropout
@@ -359,7 +361,7 @@ class DecodeState:
         src = source_array(source_ids, cfg)
         if not 0 < max_len <= cfg.max_tgt_len:
             raise ValueError(f"decode length {max_len} outside 1..{cfg.max_tgt_len}")
-        enc_out, _ = encoder_forward(model, src[None, :], np.asarray([src.size]))
+        enc_out, _ = encoder_forward(model, src[None, :], np.asarray([src.size]), keep_cache=False)
         heads = cfg.num_heads
         cross_kv = [tuple(x.transpose(1, 0, 2)[None] for x in _project_kv(params, f"dec{i}.cross", enc_out, heads))
                     for i in range(cfg.decoder_layers)]
@@ -379,15 +381,17 @@ class DecodeState:
 
 
 def _stack_fwd(model: Seq2SeqModel, stack: str, x: np.ndarray, spans, enc: np.ndarray | None = None,
-               state: DecodeState | None = None, rows: Packing | None = None, drop_rng=None):
+               state: DecodeState | None = None, rows: Packing | None = None, drop_rng=None,
+               keep_cache: bool = True):
     """The ``stack`` ("enc" or "dec") over the embedded rows ``x`` as ``_SUBLAYERS``
     lays it out.  Without ``state``, ``x`` holds the packed sequences of ``rows``
     and ``spans`` pairs each one's rows with itself and with its rows of the
     packed encoder output ``enc``.  In a decode step ``spans`` is (None, None):
     row r is the next position of ``state`` row r, whose caches it extends and
-    attends over.  Returns the final-norm rows, that norm's cache and each sublayer's."""
+    attends over.  Returns the final-norm rows, that norm's cache and each
+    sublayer's, or None in place of the sublayer caches without ``keep_cache``."""
     cfg, params = model.config, model.params
-    caches = []
+    caches = [] if keep_cache else None
     for i in range(cfg.encoder_layers if stack == "enc" else cfg.decoder_layers):
         for norm, sub in _SUBLAYERS[stack]:
             prefix = f"{stack}{i}.{sub}"
@@ -405,7 +409,8 @@ def _stack_fwd(model: Seq2SeqModel, stack: str, x: np.ndarray, spans, enc: np.nd
                 y, c = _attn_fwd(params, prefix, h, h, spans[0], cfg.num_heads, sub == "self", kv)
             y, keep = _dropout_fwd(y, cfg.dropout, drop_rng, rows)
             x = x + y
-            caches.append((c_ln, c, keep))
+            if keep_cache:
+                caches.append((c_ln, c, keep))
     return (*_ln_fwd(params, f"{stack}.ln_f", x), caches)
 
 
@@ -413,6 +418,8 @@ def _stack_bwd(model: Seq2SeqModel, stack: str, dout: np.ndarray, cache, grads):
     """The backward of ``_stack_fwd`` given a ``(tok, rows, caches, c_lnf)`` cache: returns
     the gradients of its input rows and of the encoder rows it read (None in the encoder)."""
     _, _, caches, c_lnf = cache
+    if caches is None:
+        raise ValueError("the forward pass kept no cache (keep_cache=False), so it has no backward")
     dx, denc = _ln_bwd(dout, c_lnf, grads), None
     for (_, sub), (c_ln, c, keep) in zip(cycle(reversed(_SUBLAYERS[stack])), reversed(caches)):
         dy = dx if keep is None else dx * keep
@@ -428,14 +435,17 @@ def _stack_bwd(model: Seq2SeqModel, stack: str, dout: np.ndarray, cache, grads):
     return dx, denc
 
 
-def encoder_forward(model: Seq2SeqModel, src: np.ndarray, src_len: np.ndarray, drop_rng=None):
+def encoder_forward(model: Seq2SeqModel, src: np.ndarray, src_len: np.ndarray, drop_rng=None,
+                    keep_cache: bool = True):
     """The encoder over padded ``src`` (batch, S), row b holding ``src_len[b]``
     real ids.  Returns the final-norm states of the real tokens as packed
-    rows (sum(src_len), d_model) and the cache ``encoder_backward`` consumes."""
+    rows (sum(src_len), d_model) and the cache ``encoder_backward`` consumes;
+    without ``keep_cache`` that cache holds no sublayer activations, only the
+    ids and ``Packing`` of the rows (``cache[1]``)."""
     rows = Packing.of(src_len, src.shape[1])
     x, tok = _embed(model.params, "embed.src_pos", src, rows)
     spans = [(s, s) for s in rows.spans], None
-    out, c_lnf, caches = _stack_fwd(model, "enc", x, spans, rows=rows, drop_rng=drop_rng)
+    out, c_lnf, caches = _stack_fwd(model, "enc", x, spans, rows=rows, drop_rng=drop_rng, keep_cache=keep_cache)
     return out, (tok, rows, caches, c_lnf)
 
 
@@ -445,15 +455,17 @@ def encoder_backward(model: Seq2SeqModel, dout: np.ndarray, cache, grads) -> Non
 
 
 def decoder_forward(model: Seq2SeqModel, tgt_in: np.ndarray, tgt_len: np.ndarray, enc_out: np.ndarray,
-                    src_len: np.ndarray, drop_rng=None):
+                    src_len: np.ndarray, drop_rng=None, keep_cache: bool = True):
     """Teacher-forced decoder over the real positions of padded ``tgt_in``
     (batch, T), attending over the packed encoder rows ``enc_out`` of sources
     with ``src_len`` real ids.  Returns the final hidden states as packed rows
-    (sum(tgt_len), d_model) and the cache ``decoder_backward`` consumes."""
+    (sum(tgt_len), d_model) and the cache ``decoder_backward`` consumes, as
+    ``encoder_forward`` does."""
     rows = Packing.of(tgt_len, tgt_in.shape[1])
     x, tok = _embed(model.params, "embed.tgt_pos", tgt_in, rows)
     spans = [(s, s) for s in rows.spans], list(zip(rows.spans, _spans(src_len)))
-    hidden, c_lnf, caches = _stack_fwd(model, "dec", x, spans, enc_out, rows=rows, drop_rng=drop_rng)
+    hidden, c_lnf, caches = _stack_fwd(model, "dec", x, spans, enc_out, rows=rows, drop_rng=drop_rng,
+                                       keep_cache=keep_cache)
     return hidden, (tok, rows, caches, c_lnf)
 
 
@@ -474,7 +486,7 @@ def decoder_step(model: Seq2SeqModel, state: DecodeState, tokens) -> np.ndarray:
         raise ValueError(f"decode state is full after {max_len} steps")
     params = model.params
     x = params["embed.tok"].T[np.asarray(tokens, dtype=np.int64)] + params["embed.tgt_pos"][state.length]
-    hidden = _stack_fwd(model, "dec", x, (None, None), state=state)[0]
+    hidden = _stack_fwd(model, "dec", x, (None, None), state=state, keep_cache=False)[0]
     state.length += 1
     return _logits(params, hidden)
 
@@ -601,8 +613,9 @@ def seq2seq_loss_and_grads(model: Seq2SeqModel, instances: list[TrainingInstance
     if any(len(i.target_ids) == 0 for i in instances):
         raise ValueError("sequence loss needs non-empty targets")
     batch = make_batch(instances, model.config)
-    enc_out, enc_cache = encoder_forward(model, batch.src, batch.src_len, drop_rng)
-    hidden, dec_cache = decoder_forward(model, batch.tgt_in, batch.tgt_len, enc_out, batch.src_len, drop_rng)
+    enc_out, enc_cache = encoder_forward(model, batch.src, batch.src_len, drop_rng, compute_grads)
+    hidden, dec_cache = decoder_forward(model, batch.tgt_in, batch.tgt_len, enc_out, batch.src_len, drop_rng,
+                                        compute_grads)
     # hidden holds the real target rows (the cache's Packing); the LM head runs on LM_HEAD_ROWS at a time
     targets = batch.tgt[dec_cache[1].real]
     grads = model.zeros_like_params() if compute_grads else None
@@ -631,7 +644,7 @@ def tagging_loss_and_grads(model: Seq2SeqModel, instances: list[TrainingInstance
     _require_tag_labels(instances)
     batch = make_batch(instances, model.config)
     params = model.params
-    enc_out, enc_cache = encoder_forward(model, batch.src, batch.src_len, drop_rng)
+    enc_out, enc_cache = encoder_forward(model, batch.src, batch.src_len, drop_rng, compute_grads)
     # the head runs on the labelled rows only
     real = enc_cache[1].real
     labelled = np.flatnonzero(batch.tag_mask[real])
@@ -671,8 +684,8 @@ def forward_lm_batch(model: Seq2SeqModel, instances: list[TrainingInstance]) -> 
     """(batch, T, vocab) next-token distributions, teacher forced; the
     positions past an instance's target are zero."""
     batch = make_batch(instances, model.config)
-    enc_out, _ = encoder_forward(model, batch.src, batch.src_len)
-    hidden, dec_cache = decoder_forward(model, batch.tgt_in, batch.tgt_len, enc_out, batch.src_len)
+    enc_out, _ = encoder_forward(model, batch.src, batch.src_len, keep_cache=False)
+    hidden, dec_cache = decoder_forward(model, batch.tgt_in, batch.tgt_len, enc_out, batch.src_len, keep_cache=False)
     probs = np.zeros((*batch.tgt.shape, model.config.vocab_size), hidden.dtype)
     probs[dec_cache[1].real] = np.exp(_log_softmax(_logits(model.params, hidden)))
     return probs
@@ -682,6 +695,6 @@ def tag_probabilities(model: Seq2SeqModel, instance: TrainingInstance) -> np.nda
     """Per-position identifier probabilities for the instance's code segment."""
     _require_tag_labels([instance])
     batch = make_batch([instance], model.config)
-    enc_out, _ = encoder_forward(model, batch.src, batch.src_len)
+    enc_out, _ = encoder_forward(model, batch.src, batch.src_len, keep_cache=False)
     z = enc_out[batch.tag_mask[0]] @ model.params["tag.w"] + model.params["tag.b"]
     return 1.0 / (1.0 + np.exp(-z))

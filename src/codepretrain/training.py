@@ -53,6 +53,8 @@ DUAL_TASKS = (DUAL_NL2PL, DUAL_PL2NL)
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 CLIP_NORM = 1.0  # the global gradient norm every step is clipped to
 
+ADAM_CHUNK = 1 << 14  # elements per block of Adam's in-place update; its scratch stays in cache
+
 COMPUTE_DTYPE = np.float32  # the arithmetic dtype of every training step and every decoder step
 
 
@@ -103,18 +105,44 @@ class Adam:
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> float:
         """Clip ``grads`` and update ``params``; returns the pre-clip gradient
-        norm, and raises on a non-finite one before changing any state."""
+        norm, and raises on a non-finite one before changing any state.
+
+        The update runs in place over each parameter's flat view,
+        ``ADAM_CHUNK`` elements at a time, through scratch allocated per call,
+        so it makes no parameter-sized temporary.  Its operations and their
+        order are those of ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+        p -= lr * (m/c1) / (sqrt(v/c2) + eps)``, with the ``(1-b)*g`` products
+        in the gradient's dtype, so every bit of the result is theirs."""
+        for k in grads:
+            if not params[k].flags.c_contiguous:
+                raise ValueError(f"parameter {k} is not C-contiguous, so Adam cannot update it in place")
         norm = clip_gradients(grads, CLIP_NORM)
         if not math.isfinite(norm):
             raise NonFiniteError(f"gradient norm is {norm}")
         self.t += 1
         lr = self.learning_rate(self.t)
+        c1, c2 = 1 - BETA1**self.t, 1 - BETA2**self.t
         for k, g in grads.items():
-            self.m[k] = BETA1 * self.m[k] + (1 - BETA1) * g
-            self.v[k] = BETA2 * self.v[k] + (1 - BETA2) * g * g
-            mhat = self.m[k] / (1 - BETA1**self.t)
-            vhat = self.v[k] / (1 - BETA2**self.t)
-            params[k] -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            p, m, v, g = (x.reshape(-1) for x in (params[k], self.m[k], self.v[k], g))
+            size = min(p.size, ADAM_CHUNK)
+            a, b, s = np.empty(size, m.dtype), np.empty(size, m.dtype), np.empty(size, g.dtype)
+            for i in range(0, p.size, ADAM_CHUNK):
+                j = min(i + ADAM_CHUNK, p.size)
+                pc, mc, vc, gc = p[i:j], m[i:j], v[i:j], g[i:j]
+                ac, bc, sc = a[: j - i], b[: j - i], s[: j - i]
+                mc *= BETA1
+                mc += np.multiply(gc, 1 - BETA1, out=sc)
+                vc *= BETA2
+                np.multiply(gc, 1 - BETA2, out=sc)
+                sc *= gc
+                vc += sc
+                np.divide(mc, c1, out=ac)
+                np.divide(vc, c2, out=bc)
+                np.sqrt(bc, out=bc)
+                bc += ADAM_EPS
+                ac *= lr
+                ac /= bc
+                pc -= ac
         return norm
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -67,3 +68,35 @@ def test_pairs_are_matched_by_seed_and_workload():
 def test_seed_ranges():
     assert bench_pairs.parse_seeds("151-160") == list(range(151, 161))
     assert bench_pairs.parse_seeds("7") == [7]
+
+
+def test_source_state_tells_an_uncommitted_change_from_its_commit(tmp_path):
+    """A checkout made as a commit plus an uncommitted diff shares that
+    commit's HEAD; its status lines and ``src/`` digest tell them apart."""
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    module = tmp_path / "src" / "pkg" / "mod.py"
+    module.parent.mkdir(parents=True)
+    module.write_text("x = 1\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    parent = bench_pairs.source_state(tmp_path)
+    assert parent["status"] == [] and len(parent["commit"]) == 40
+
+    # compiled files do not count
+    (module.parent / "__pycache__").mkdir()
+    (module.parent / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"\0")
+    assert bench_pairs.src_digest(tmp_path) == parent["src_sha256"]
+
+    module.write_text("x = 2\n")
+    change = bench_pairs.source_state(tmp_path)
+    assert change["commit"] == parent["commit"]
+    assert " M src/pkg/mod.py" in change["status"]
+    assert change["src_sha256"] != parent["src_sha256"]
+    # a renamed file changes the digest too
+    module.write_text("x = 1\n")
+    module.rename(module.with_name("other.py"))
+    assert bench_pairs.src_digest(tmp_path) != parent["src_sha256"]

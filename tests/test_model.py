@@ -297,6 +297,43 @@ def test_seq2seq_step_never_holds_padded_logits():
     assert peak < 8 * 256 * 8000 * 8
 
 
+def _traced_peak(fn):
+    """``fn()`` and the most bytes it held at once, as tracemalloc sees them:
+    numpy reports its buffers to it, and only what ``fn`` allocates counts."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_pass_without_gradients_keeps_no_activations():
+    """A forward pass that no backward follows keeps no sublayer caches, so
+    scoring a batch peaks at under half the memory of its gradient pass, for
+    the same loss to the bit."""
+    cfg = ModelConfig(vocab_size=560)
+    model = Seq2SeqModel(cfg, seed=0).astype(tr.COMPUTE_DTYPE)
+    rng = np.random.default_rng(0)
+    instances = [obj.TrainingInstance(tuple(rng.integers(5, 560, 200).tolist()),
+                                      tuple(rng.integers(5, 560, 60).tolist()), obj.MSP) for _ in range(8)]
+    (want, want_count, grads), grad_peak = _traced_peak(lambda: loss_and_grads(model, instances, obj.MSP))
+    del grads
+    (got, count, none), peak = _traced_peak(lambda: loss_and_grads(model, instances, obj.MSP, compute_grads=False))
+    assert (got, count, none) == (want, want_count, None)
+    assert peak < grad_peak / 2, (peak, grad_peak)
+
+
+def test_a_forward_without_cache_has_no_backward(model, msp_instance):
+    batch = make_batch([msp_instance], model.config)
+    out, cache = mdl.encoder_forward(model, batch.src, batch.src_len, keep_cache=False)
+    want, _ = mdl.encoder_forward(model, batch.src, batch.src_len)
+    assert np.array_equal(out, want)
+    assert cache[2] is None and cache[1].real.sum() == len(out)
+    with pytest.raises(ValueError, match="kept no cache"):
+        mdl.encoder_backward(model, np.ones_like(out), cache, model.zeros_like_params())
+
+
 PACKED = ModelConfig(vocab_size=300, d_model=16, num_heads=2, encoder_layers=2, decoder_layers=2,
                      feedforward_dim=24, max_src_len=200, max_tgt_len=100)
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,74 @@ def test_adam_step_returns_pre_clip_norm_and_rejects_non_finite():
     for k in params:
         assert np.array_equal(params[k], before[k])
         assert np.array_equal(opt.m[k], moments[k][0]) and np.array_equal(opt.v[k], moments[k][1])
+
+
+def _reference_adam_step(opt, params, grads):
+    """The allocating Adam update that the in-place, chunked one replaced, kept
+    as its oracle: fresh full-size arrays at every operation."""
+    norm = tr.clip_gradients(grads, tr.CLIP_NORM)
+    opt.t += 1
+    lr = opt.learning_rate(opt.t)
+    for k, g in grads.items():
+        opt.m[k] = tr.BETA1 * opt.m[k] + (1 - tr.BETA1) * g
+        opt.v[k] = tr.BETA2 * opt.v[k] + (1 - tr.BETA2) * g * g
+        mhat = opt.m[k] / (1 - tr.BETA1**opt.t)
+        vhat = opt.v[k] / (1 - tr.BETA2**opt.t)
+        params[k] -= lr * mhat / (np.sqrt(vhat) + tr.ADAM_EPS)
+    return norm
+
+
+@pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
+def test_adam_step_matches_the_allocating_update(grad_dtype):
+    """Bit for bit, over warmup and decay steps, for a 0-d parameter, one
+    smaller than a chunk, one exactly a chunk long and one of several chunks
+    that is no multiple of the chunk."""
+    chunk = tr.ADAM_CHUNK
+    shapes = {"tag.b": (), "small": (3, 5), "one": (chunk,), "several": (3, chunk // 2 + 7)}
+    rng = np.random.default_rng(0)
+    start = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+    sched = tr.TrainSchedule(steps=5, peak_lr=0.01, warmup_steps=2)
+    got_params, want_params = ({k: v.copy() for k, v in start.items()} for _ in range(2))
+    got_opt, want_opt = tr.Adam(got_params, sched), tr.Adam(want_params, sched)
+    for step in range(4):
+        # the first step's norm is under CLIP_NORM; the later ones are clipped
+        scale = 1e-4 if step == 0 else 1.0
+        grads = {k: (scale * rng.normal(size=shape)).astype(grad_dtype) for k, shape in shapes.items()}
+        want_norm = _reference_adam_step(want_opt, want_params, {k: g.copy() for k, g in grads.items()})
+        assert got_opt.step(got_params, grads) == want_norm
+        assert got_opt.t == want_opt.t
+        for k in shapes:
+            for got, want in ((got_params, want_params), (got_opt.m, want_opt.m), (got_opt.v, want_opt.v)):
+                assert got[k].dtype == want[k].dtype and got[k].shape == want[k].shape, k
+                assert np.array_equal(got[k], want[k]), (step, k)
+
+
+def test_adam_step_rejects_a_non_contiguous_parameter():
+    """A flat view of a non-contiguous array would be a copy, so the update
+    would be lost: the step raises before changing any state."""
+    for name, param in (("strided", np.ones((4, 6))[:, ::2]), ("transposed", np.ones((4, 6)).T)):
+        params = {"ok": np.ones(3), name: param}
+        opt = tr.Adam(params, tr.TrainSchedule(steps=2))
+        before = param.copy()
+        with pytest.raises(ValueError, match=f"^parameter {name} is not C-contiguous"):
+            opt.step(params, {k: np.ones_like(v) for k, v in params.items()})
+        assert opt.t == 0 and np.array_equal(params["ok"], np.ones(3)) and np.array_equal(param, before)
+
+
+def test_adam_step_makes_no_parameter_sized_temporary():
+    """At vocabulary 8000 one step, clipping included, peaks below one float64
+    array the size of ``embed.tok`` above the memory it started with."""
+    model = Seq2SeqModel(ModelConfig(vocab_size=8000), seed=0)
+    rng = np.random.default_rng(0)
+    grads = {k: rng.normal(size=v.shape).astype(tr.COMPUTE_DTYPE) for k, v in model.params.items()}
+    opt = tr.Adam(model.params, tr.TrainSchedule(steps=2))
+    tracemalloc.start()
+    try:
+        opt.step(model.params, grads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < model.params["embed.tok"].nbytes, peak
 
 
 def test_non_finite_loss_stops_training_before_update(tiny_config, denoise_pool, tokenizer):

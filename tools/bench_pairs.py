@@ -13,12 +13,16 @@ quartiles, the parent's interquartile range, how much worse the change's
 median is (a fraction of the parent's, negative when better) and in how many
 seed pairs the change did better.  With ``--trace 1`` the per-layer metrics of
 ``BENCHMARK.json`` are summarised in place of the end-to-end ones, which carry
-their bounds.
+their bounds.  Each side is recorded by what it ran: the checkout's HEAD, its
+``git status --porcelain`` lines and a sha256 over its ``src/`` files, so a
+change checkout made as the parent plus an uncommitted diff is told apart
+from the parent.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -105,9 +109,27 @@ def summarise(parent_runs: list[dict], change_runs: list[dict], metrics: list[di
     return summary
 
 
-def _commit(checkout: Path) -> str | None:
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
-    return proc.stdout.strip() or None
+def _git(checkout: Path, *args: str) -> str:
+    return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True).stdout
+
+
+def src_digest(checkout: Path) -> str:
+    """sha256 over the relative path and bytes of every file under ``src/``,
+    in path order, leaving out ``__pycache__``."""
+    h = hashlib.sha256()
+    src = checkout / "src"
+    for path in sorted(p for p in src.rglob("*") if p.is_file() and "__pycache__" not in p.parts):
+        h.update(path.relative_to(src).as_posix().encode("utf-8") + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def source_state(checkout: Path) -> dict:
+    """What a checkout runs: its HEAD (None outside git), its uncommitted
+    changes as ``git status --porcelain`` lines, and ``src_digest``."""
+    return {"commit": _git(checkout, "rev-parse", "HEAD").strip() or None,
+            "status": _git(checkout, "status", "--porcelain").splitlines(),
+            "src_sha256": src_digest(checkout)}
 
 
 def main(argv=None) -> int:
@@ -140,8 +162,8 @@ def main(argv=None) -> int:
         "command": f"python3 bench/run.py --workload <workload> --seed <seed> "
                    f"--seconds {seconds} --trace {args.trace}",
         "seeds": [args.seeds[0], args.seeds[-1]],
-        "parent_commit": _commit(args.parent),
-        "change_commit": _commit(args.change),
+        "parent_source": source_state(args.parent),
+        "change_source": source_state(args.change),
         "medians": summarise(runs["parent"], runs["change"], metrics),
         "runs": runs,
         "host": host,
