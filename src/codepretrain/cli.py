@@ -14,11 +14,10 @@ every flag of the stage, a sha256 of every input the stage reads, the
 checkpoint and tokenizer format versions and the compute dtype of training
 and decoding.  When the output already exists with an identical snapshot the
 stage is skipped, so re-running a pipeline only redoes stages whose flags,
-inputs, formats or arithmetic changed.  A run directory made before the
-snapshot recorded all of these (the compute dtype, under that name, since
-decoding moved to float32), or before every snapshot sat beside its output,
-redoes each such stage once.  All randomness flows from explicit seeds; rerunning a
-stage with the same configuration reproduces its artifacts byte for byte.
+inputs, formats or arithmetic changed.  A snapshot that differs in any key,
+including one written by an older version, makes its stage run again once.
+All randomness flows from explicit seeds; rerunning a stage with the same
+configuration reproduces its artifacts byte for byte.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -145,7 +144,7 @@ def _read_corpus(path: str, errors: list[corpus.IngestError]):
 
 
 def _cmd_ingest(args, out: Path) -> None:
-    lexers = lx.load_lexers(args.lang_config)
+    lexers = lx.load_lexers()
     errors: list[corpus.IngestError] = []
     records = _read_corpus(args.input, errors)
     docs = corpus.normalize_corpus(records, lexers, strip_comments=not args.keep_comments)
@@ -155,7 +154,7 @@ def _cmd_ingest(args, out: Path) -> None:
 
 def _cmd_stats(args) -> int:
     _require_file(args.input, "input file")
-    docs = corpus.normalize_corpus(_read_corpus(args.input, []), lx.load_lexers(args.lang_config))
+    docs = corpus.normalize_corpus(_read_corpus(args.input, []), lx.load_lexers())
     stats = corpus.compute_stats(docs)
     for lang, s in sorted(stats.per_language.items()):
         print(
@@ -167,7 +166,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_lex(args) -> int:
     src = _require_file(args.input, "input file")
-    lexer = lx.get_lexer(args.lang, lx.load_lexers(args.lang_config))
+    lexer = lx.get_lexer(args.lang, lx.load_lexers())
     tokens = lx.lex(src.read_text(encoding="utf-8"), lexer)
     labels = lx.label_identifiers(tokens)
     for token, label in zip(tokens, labels):
@@ -427,20 +426,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="normalize a raw corpus into labeled documents")
     p.add_argument("--input", required=True)
-    p.add_argument("--lang-config", default=None, dest="lang_config")
     p.add_argument("--keep-comments", action="store_true", dest="keep_comments")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=Stage(_cmd_ingest, (("input", "corpus file"), ("lang_config", "language config"))))
+    p.set_defaults(func=Stage(_cmd_ingest, (("input", "corpus file"),)))
 
     p = sub.add_parser("stats", help="per-language document counts and identifier rates of a raw corpus")
     p.add_argument("--input", required=True)
-    p.add_argument("--lang-config", default=None, dest="lang_config")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("lex", help="dump the token/label stream of one source file")
     p.add_argument("--lang", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--lang-config", default=None, dest="lang_config")
     p.set_defaults(func=_cmd_lex)
 
     p = sub.add_parser("train-tokenizer", help="learn a byte-level BPE vocabulary from a raw corpus")

@@ -21,7 +21,6 @@ import json
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 from typing import NamedTuple
 
 # Longest-first so that the scanner never splits a compound operator.
@@ -191,16 +190,14 @@ def builtin_language_tags() -> list[str]:
     return sorted(p.name[:-5] for p in _builtin_table_dir().iterdir() if p.name.endswith(".json"))
 
 
-def load_lexers(config_dir: str | Path | None = None) -> dict[str, LanguageLexer]:
-    """Load all rule tables from ``config_dir``, or the built-in set when
-    omitted.  A table that is not valid JSON or is malformed raises
-    ValueError naming its file and the cause."""
-    if config_dir is None:
-        paths = [p for p in _builtin_table_dir().iterdir() if p.name.endswith(".json")]
-    else:
-        paths = sorted(Path(config_dir).glob("*.json"))
+def load_lexers() -> dict[str, LanguageLexer]:
+    """Load the built-in rule tables, keyed by each table's language.  A
+    table that is not valid JSON or is malformed raises ValueError naming its
+    file and the cause."""
     lexers: dict[str, LanguageLexer] = {}
-    for path in paths:
+    for path in _builtin_table_dir().iterdir():
+        if not path.name.endswith(".json"):
+            continue
         try:
             lexer = LanguageLexer.from_dict(json.loads(path.read_text(encoding="utf-8")))
         except ValueError as exc:
@@ -210,7 +207,6 @@ def load_lexers(config_dir: str | Path | None = None) -> dict[str, LanguageLexer
 
 
 def get_lexer(language: str, lexers: dict[str, LanguageLexer]) -> LanguageLexer:
-    try:
-        return lexers[language]
-    except KeyError:
-        raise ValueError(f"unsupported language tag: {language}") from None
+    if language not in lexers:
+        raise ValueError(f"unsupported language tag: {language}; supported tags are {', '.join(sorted(lexers))}")
+    return lexers[language]

@@ -78,35 +78,14 @@ def test_lex_unsupported_language(tmp_path, capsys):
     assert "unsupported language" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("table, cause", [
-    ('{"language":\n', "Expecting value: line 2 column 1 (char 13)"),
-    ('{"language": "mini"}', "missing key 'keywords'"),
-    ('{"keywords": ["int"]}', "missing key 'language'"),
-    ('{"language": "mini", "keywords": ["int"], "identifier": "[A-Z"}',
-     "identifier pattern '[A-Z': unterminated character set"),
-    ('{"language": "mini", "keywords": ["int"], "identifier": "[a-z]*"}',
-     "identifier pattern '[a-z]*' matches the empty string"),
-], ids=["bad-json", "no-keywords", "no-language", "bad-pattern", "empty-pattern"])
-def test_lex_malformed_lang_config_is_clean_error(tmp_path, capsys, table, cause):
-    """A malformed table ends the command with one line naming the file and the cause."""
-    config = tmp_path / "langs"
-    config.mkdir()
-    (config / "mini.json").write_text(table, encoding="utf-8")
-    src = tmp_path / "snippet.mini"
-    src.write_text("int a = 1;", encoding="utf-8")
-    assert dispatch(["lex", "--lang", "mini", "--input", str(src), "--lang-config", str(config)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: language table {config / 'mini.json'}: {cause}")
-    assert err.count("\n") == 1
-
-
 def test_ingest_unsupported_language_is_clean_error(tmp_path, capsys):
     """The language is named, and no documents file or temporary file is left."""
     raw = tmp_path / "corpus.jsonl"
     rows = [{"code": "int a;", "language": "mini"}] * 5 + [{"code": "MOVE A TO B.", "language": "cobol"}]
     raw.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
     assert dispatch(["ingest", "--input", str(raw), "--out", str(tmp_path / "docs.jsonl")]) == 1
-    assert capsys.readouterr().err == "error: unsupported language tag: cobol\n"
+    tags = ", ".join(lx.builtin_language_tags())
+    assert capsys.readouterr().err == f"error: unsupported language tag: cobol; supported tags are {tags}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
 
 
@@ -261,29 +240,21 @@ def test_dual_instances_at_tight_target_cap(pipeline, tmp_path, capsys):
     assert all(len(inst.target_ids) == 2 for inst in instances)
 
 
-def test_dual_instances_for_a_language_without_an_id_is_clean_error(tmp_path, capsys):
+def test_dual_instances_for_a_language_without_an_id_is_clean_error(pipeline, tmp_path, capsys):
     """The tokenizer has language ids for the built-in tables and ``en`` only,
-    so a --lang-config language builds denoise instances but no dual ones; the
-    error names the language and leaves no output or snapshot."""
-    langs = tmp_path / "langs"
-    langs.mkdir()
-    (langs / "kotlin.json").write_text(json.dumps({"language": "kotlin", "keywords": ["fun", "val"]}),
-                                       encoding="utf-8")
-    raw = tmp_path / "corpus.jsonl"
-    rows = [{"code": "fun add(a: Int, b: Int) = a + b", "language": "kotlin", "docstring": "add two ints"},
-            {"code": "fun neg(a: Int) = -a", "language": "kotlin", "docstring": "negate an int"}]
-    raw.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
-    docs, tok = tmp_path / "docs.jsonl", tmp_path / "tok"
-    assert dispatch(["ingest", "--input", str(raw), "--lang-config", str(langs), "--out", str(docs)]) == 0
-    assert dispatch(["train-tokenizer", "--input", str(raw), "--vocab-size", "400", "--min-freq", "1",
-                     "--out", str(tok)]) == 0
-    build = ["build-instances", "--input", str(docs), "--tokenizer", str(tok), "--out"]
-    assert dispatch([*build, str(tmp_path / "denoise.jsonl")]) == 0
-    capsys.readouterr()
-    assert dispatch([*build, str(tmp_path / "dual.jsonl"), "--phase", "dual"]) == 1
+    and a documents file may name any language; dual instances for one
+    without an id end with an error naming it and leave no output or snapshot."""
+    doc = corpus.CodeDocument(nl_tokens=("negate", "an", "int"), code_tokens=("fun", "neg", "(", "a", ")"),
+                              language="kotlin", identifier_labels=(0, 1, 0, 1, 0))
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text(json.dumps(doc.to_dict()) + "\n", encoding="utf-8")
+    out = tmp_path / "dual.jsonl"
+    argv = ["build-instances", "--input", str(docs), "--tokenizer", str(pipeline["tok"]), "--phase", "dual",
+            "--out", str(out)]
+    assert dispatch(argv) == 1
     ids = ", ".join(f"<{t}>" for t in sorted(lx.builtin_language_tags() + ["en"]))
     assert capsys.readouterr().err == f"error: tokenizer has no language id <kotlin>; its language ids are {ids}\n"
-    assert not any(p.name.startswith("dual.jsonl") for p in tmp_path.iterdir())
+    assert [p.name for p in tmp_path.iterdir()] == ["docs.jsonl"]
 
 
 def test_build_instances_cap_a_model_cannot_take_is_clean_error(pipeline, tmp_path, capsys):
@@ -731,9 +702,9 @@ def test_mixture_task_without_name_is_clean_error(pipeline, tmp_path, capsys):
 
 
 COMMAND_FLAGS = {
-    "ingest": {"input", "lang_config", "keep_comments", "out"},
-    "stats": {"input", "lang_config"},
-    "lex": {"lang", "input", "lang_config"},
+    "ingest": {"input", "keep_comments", "out"},
+    "stats": {"input"},
+    "lex": {"lang", "input"},
     "train-tokenizer": {"input", "vocab_size", "min_freq", "out"},
     "build-instances": {"input", "tokenizer", "phase", "seed", "rate", "max_src_len", "max_tgt_len", "out"},
     "pretrain": {"instances", "tokenizer", "phase", "init", "steps", "batch_size", "lr", "warmup_steps", "seed",

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import json
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codepretrain import corpus
+from codepretrain import bpe, corpus
 from codepretrain import lexer as lx
 
 
@@ -109,13 +110,39 @@ def test_language_specific_identifiers(lexers):
 
 
 def test_unsupported_language_has_typed_error(lexers):
-    with pytest.raises(ValueError, match="unsupported language tag: cobol"):
+    tags = "c, csharp, go, java, javascript, mini, php, python, ruby"
+    with pytest.raises(ValueError, match=f"^unsupported language tag: cobol; supported tags are {tags}$"):
         lx.get_lexer("cobol", lexers)
+
+
+def test_language_set_is_closed(lexers):
+    """Each built-in table is named for its language, and every language the
+    lexers accept has a tokenizer language id, so it can build dual instances."""
+    for path in lx._builtin_table_dir().iterdir():
+        if path.name.endswith(".json"):
+            assert json.loads(path.read_text(encoding="utf-8"))["language"] == path.name[:-5]
+    tok = bpe.SubwordTokenizer(bpe.default_specials(), [])
+    for tag in lexers:
+        tok.language_id(tag)
 
 
 def test_empty_keyword_set_rejected():
     with pytest.raises(ValueError):
         lx.LanguageLexer(language="x", keyword_set=frozenset())
+
+
+@pytest.mark.parametrize("table, cause", [
+    ({"language": "mini"}, "missing key 'keywords'"),
+    ({"keywords": ["int"]}, "missing key 'language'"),
+    ({"language": "mini", "keywords": ["int"], "identifier": "[A-Z"},
+     "identifier pattern '[A-Z': unterminated character set"),
+    ({"language": "mini", "keywords": ["int"], "identifier": "[a-z]*"},
+     "identifier pattern '[a-z]*' matches the empty string"),
+], ids=["no-keywords", "no-language", "bad-pattern", "empty-pattern"])
+def test_malformed_table_names_its_cause(table, cause):
+    with pytest.raises(ValueError) as exc:
+        lx.LanguageLexer.from_dict(table)
+    assert str(exc.value).startswith(cause)
 
 
 @pytest.mark.parametrize("rules", [
