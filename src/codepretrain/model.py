@@ -255,12 +255,13 @@ def _project_kv(params, prefix, kv_in, num_heads):
     return tuple(_linear(kv_in, params[f"{prefix}.{w}"]).reshape(len(kv_in), num_heads, -1) for w in ("wk", "wv"))
 
 
-def _attn_fwd(params, prefix, q_in, kv_in, spans, num_heads, causal=False, kv=None):
+def _attn_fwd(params, prefix, q_in, kv_in, spans, num_heads, causal, kv, keep_cache):
     """Attention of the query rows ``q_in`` over the key rows ``kv_in`` (or over
     ``kv``, their projected keys and values).  ``spans`` pairs each sequence's
     query rows with its key rows; each pair attends on its own, causal if asked,
     on (heads, len, d_head) views.  With ``spans`` None (a decode step) ``kv``
-    holds (rows, heads, k_len, d_head) caches and all rows attend in one call."""
+    holds (rows, heads, k_len, d_head) caches and all rows attend in one call.
+    The cache holds each pair's attention weights only with ``keep_cache``."""
     k, v = _project_kv(params, prefix, kv_in, num_heads) if kv is None else kv
     q = _linear(q_in, params[f"{prefix}.wq"]).reshape(len(q_in), num_heads, -1)
     weights = []
@@ -275,7 +276,8 @@ def _attn_fwd(params, prefix, q_in, kv_in, spans, num_heads, causal=False, kv=No
                     mask = np.where(np.tri(qs.stop - qs.start, dtype=bool), 0.0, NEG_INF).astype(q.dtype, copy=False)
                 c, attn = _attend(q[qs].transpose(1, 0, 2), k[ks].transpose(1, 0, 2), v[ks].transpose(1, 0, 2), mask)
                 ctx[qs] = c.transpose(1, 0, 2)
-                weights.append((qs, ks, attn))
+                if keep_cache:
+                    weights.append((qs, ks, attn))
     merged = ctx.reshape(len(q_in), -1)
     return _linear(merged, params[f"{prefix}.wo"]), (prefix, q_in, kv_in, q, k, v, weights, merged)
 
@@ -399,18 +401,20 @@ def _stack_fwd(model: Seq2SeqModel, stack: str, x: np.ndarray, spans, enc: np.nd
             if sub == "ffn":
                 y, c = _ffn_fwd(params, prefix, h)
             elif sub == "cross":
-                y, c = _attn_fwd(params, prefix, h, enc, spans[1], cfg.num_heads, kv=state and state.cross_kv[i])
+                y, c = _attn_fwd(params, prefix, h, enc, spans[1], cfg.num_heads, causal=False,
+                                 kv=state and state.cross_kv[i], keep_cache=keep_cache)
             else:
                 kv = None
                 if state is not None:  # the newest position's keys and values join the cache
                     k_buf, v_buf, t = state.self_k[i], state.self_v[i], state.length
                     k_buf[:, :, t], v_buf[:, :, t] = _project_kv(params, prefix, h, cfg.num_heads)
                     kv = k_buf[:, :, : t + 1], v_buf[:, :, : t + 1]
-                y, c = _attn_fwd(params, prefix, h, h, spans[0], cfg.num_heads, sub == "self", kv)
+                y, c = _attn_fwd(params, prefix, h, h, spans[0], cfg.num_heads, sub == "self", kv, keep_cache)
             y, keep = _dropout_fwd(y, cfg.dropout, drop_rng, rows)
             x = x + y
             if keep_cache:
                 caches.append((c_ln, c, keep))
+            del h, c_ln, c, y, keep  # without caches, no sublayer's arrays outlive it
     return (*_ln_fwd(params, f"{stack}.ln_f", x), caches)
 
 

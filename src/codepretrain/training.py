@@ -1,13 +1,13 @@
 """The training loop, decoding, the gradient-check harness, and the mask-task scorer.
 
-Every phase runs one loop over a task mixture: each step draws a task by the
-mixture's probabilities, then a batch of that task's pool.  A pre-training
-phase is a fixed uniform mixture (alpha 0) of its objectives: the three
-denoising objectives, or the two directions of the paired NL<->code
+Every phase advances one ``TrainState`` over a task mixture: each step draws a
+task by the mixture's probabilities, then a batch of that task's pool.  A
+pre-training phase is a fixed uniform mixture (alpha 0) of its objectives: the
+three denoising objectives, or the two directions of the paired NL<->code
 generation instances.  Fine-tuning (``finetune``) takes its mixture from the
-caller; a single pool is a one-task mixture, and a task of IT instances
-trains the tagging head.  All randomness flows from the schedule seed; with a
-fixed seed the metrics log is bit-identical across runs.
+caller and validates between ``advance`` calls; a single pool is a one-task
+mixture, and a task of IT instances trains the tagging head.  All randomness
+flows from the schedule seed; a seeded metrics log is bit-identical across runs.
 
 Training and decoding are mixed precision: each step's forward and backward,
 and every decoder step, run on a ``COMPUTE_DTYPE`` copy of the parameters
@@ -22,7 +22,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -185,45 +185,53 @@ def _filter_to_caps(
     return kept
 
 
-def _train(
-    model: Seq2SeqModel,
-    schedule: TrainSchedule,
-    mixture: TaskMixture,
-    pools: dict[str, list[TrainingInstance]],
-    after_step: Callable[[int], None] | None = None,
-) -> list[StepRecord]:
-    """The training loop of every phase.  Each step draws a task of
-    ``mixture``, logged as the step's label, then a batch of its pool; the
-    loss follows the batch's objective.  Dropout, when the model config asks
-    for it, draws from its own generator.  A non-finite loss or gradient norm
-    stops the run before that step's update; numpy's floating-point warnings
-    are silenced, since that check reports them.  Each step's loss and
-    gradients come from a ``COMPUTE_DTYPE`` copy of the parameters, refreshed
-    from ``model.params`` after every update."""
-    rng = np.random.default_rng(schedule.seed)
-    drop_rng = np.random.default_rng(schedule.seed + 1) if model.config.dropout > 0 else None
-    opt = Adam(model.params, schedule)
-    work = model.astype(COMPUTE_DTYPE)
-    records: list[StepRecord] = []
-    for step in range(1, schedule.steps + 1):
-        label = sample_task(mixture, rng)
-        batch = _draw_batch(pools[label], schedule.batch_size, rng)
+@dataclass
+class TrainState:
+    """A run between steps: the float64 masters ``model``, their ``COMPUTE_DTYPE``
+    copy ``work`` that each step computes on, the optimizer with its moments and
+    step count, the batch and dropout generators (``drop_rng`` None without
+    dropout), the records so far, ``finetune``'s best checkpoint per task and
+    the last step's ``grads``.  Holding those until the next step replaces them
+    keeps the allocator from returning their pages after every step: at
+    vocabulary 560, faulting them back in cost about 7% of a step."""
+
+    model: Seq2SeqModel
+    work: Seq2SeqModel
+    opt: Adam
+    rng: np.random.Generator
+    drop_rng: np.random.Generator | None
+    records: list[StepRecord]
+    best: dict[str, TaskCheckpoint]
+    grads: dict[str, np.ndarray]
+
+    @classmethod
+    def start(cls, model: Seq2SeqModel, schedule: TrainSchedule) -> TrainState:
+        drop_rng = np.random.default_rng(schedule.seed + 1) if model.config.dropout > 0 else None
+        return cls(model, model.astype(COMPUTE_DTYPE), Adam(model.params, schedule),
+                   np.random.default_rng(schedule.seed), drop_rng, [], {}, {})
+
+    def advance(self, mixture: TaskMixture, pools: dict[str, list[TrainingInstance]]) -> StepRecord:
+        """One step: a task of ``mixture`` (the step's label), a batch of its pool,
+        the batch objective's loss and gradients on ``work``, the update of the
+        masters and the refresh of ``work``.  A non-finite loss or gradient norm
+        stops the run before the update (numpy's warnings are silenced for it)."""
+        step = len(self.records) + 1
+        label = sample_task(mixture, self.rng)
+        batch = _draw_batch(pools[label], self.opt.schedule.batch_size, self.rng)
         objective = batch[0].objective
         try:
             with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-                loss, count, grads = loss_and_grads(work, batch, objective, drop_rng)
+                loss, count, self.grads = loss_and_grads(self.work, batch, objective, self.drop_rng)
                 if not math.isfinite(loss):
                     raise NonFiniteError(f"loss is {loss}")
-                opt.step(model.params, grads)
+                self.opt.step(self.model.params, self.grads)
         except NonFiniteError as exc:
             task = "" if label == objective else f"task {label}, "
             raise NonFiniteError(f"step {step} ({task}objective {objective}): {exc}") from None
-        for k, p in model.params.items():
-            work.params[k][...] = p
-        records.append(StepRecord(step, label, loss / max(count, 1)))
-        if after_step is not None:
-            after_step(step)
-    return records
+        for k, p in self.model.params.items():
+            self.work.params[k][...] = p
+        self.records.append(StepRecord(step, label, loss / max(count, 1)))
+        return self.records[-1]
 
 
 def pretrain(
@@ -257,7 +265,10 @@ def pretrain(
         if schedule.steps > 0:
             raise ValueError("no training instances")
         return []
-    return _train(model, schedule, TaskMixture(tasks, alpha=0.0), pools)
+    mixture, state = TaskMixture(tasks, alpha=0.0), TrainState.start(model, schedule)
+    for _ in range(schedule.steps):
+        state.advance(mixture, pools)
+    return state.records
 
 
 @dataclass
@@ -296,9 +307,9 @@ def finetune(
     IT, teacher-forced generation for every other objective.  So a task whose
     instances (training or validation) mix IT with other objectives is
     rejected before step 1.  Control codes are prepended and the length caps
-    applied once per dataset and validation set up front.  When validation
-    sets are given, per-task validation loss is tracked in batches of the
-    schedule's size and the best parameter snapshot per task is returned.
+    applied once per dataset and validation set up front.  Every ``eval_every``
+    steps and after the last, each task's validation loss on the masters is
+    measured in batches of the schedule's size; the best snapshot per task is returned.
     """
     def prepare(spec, instances, name):
         return _filter_to_caps([apply_control_code(i, spec, tokenizer) for i in instances], model, name)
@@ -317,17 +328,16 @@ def finetune(
         val = prepare(spec, val, f"{spec.name} validation")
         if val:
             held_out[spec.name] = val
-    best: dict[str, TaskCheckpoint] = {}
-
-    def validate(step: int):
+    state = TrainState.start(model, schedule)
+    for step in range(1, schedule.steps + 1):
+        state.advance(mixture, prepared)
         if step % eval_every and step != schedule.steps:
-            return
+            continue
         for task, val in held_out.items():
             mean = _mean_loss(model, val, schedule.batch_size)
-            if task not in best or mean < best[task].metric:
-                best[task] = TaskCheckpoint(task, step, mean, {k: v.copy() for k, v in model.params.items()})
-
-    return _train(model, schedule, mixture, prepared, validate if held_out else None), best
+            if task not in state.best or mean < state.best[task].metric:
+                state.best[task] = TaskCheckpoint(task, step, mean, {k: v.copy() for k, v in model.params.items()})
+    return state.records, state.best
 
 
 # --------------------------------------------------------------------------

@@ -309,9 +309,10 @@ def _traced_peak(fn):
 
 
 def test_a_pass_without_gradients_keeps_no_activations():
-    """A forward pass that no backward follows keeps no sublayer caches, so
-    scoring a batch peaks at under half the memory of its gradient pass, for
-    the same loss to the bit."""
+    """A forward pass that no backward follows keeps no sublayer caches, no
+    attention weights and no sublayer's activations past its end, so scoring a
+    batch peaks at under a fifth of the memory of its gradient pass (about
+    8 MB against 62), for the same loss to the bit."""
     cfg = ModelConfig(vocab_size=560)
     model = Seq2SeqModel(cfg, seed=0).astype(tr.COMPUTE_DTYPE)
     rng = np.random.default_rng(0)
@@ -321,7 +322,7 @@ def test_a_pass_without_gradients_keeps_no_activations():
     del grads
     (got, count, none), peak = _traced_peak(lambda: loss_and_grads(model, instances, obj.MSP, compute_grads=False))
     assert (got, count, none) == (want, want_count, None)
-    assert peak < grad_peak / 2, (peak, grad_peak)
+    assert peak < grad_peak / 5, (peak, grad_peak)
 
 
 def test_a_forward_without_cache_has_no_backward(model, msp_instance):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import re
 import tracemalloc
@@ -629,3 +630,115 @@ def test_multitask_validation_drops_overlong_records(tokenizer, tiny_config, cap
     assert any(r.message.startswith("alpha validation: dropping 1 of 3 instances exceeding model caps")
                for r in caplog.records)
     assert set(best) == {"alpha", "beta"}
+
+
+# --------------------------------------------------------------------------
+# the training state between steps
+# --------------------------------------------------------------------------
+
+
+def _uniform_mixture(instances):
+    """The uniform mixture of the denoising objectives that ``instances`` hold, as ``pretrain`` builds the phase."""
+    pools = {o: [i for i in instances if i.objective == o] for o in obj.DENOISING_TASKS}
+    pools = {o: p for o, p in pools.items() if p}
+    return mx.TaskMixture(tuple(mx.TaskSpec(o, len(p)) for o, p in pools.items()), alpha=0.0), pools
+
+
+def _finetune_setup(tokenizer):
+    """The two-task mixture, its prepared pools and validation sets, as ``finetune`` prepares them."""
+    mixture = _two_task_mixture()
+    datasets = {"alpha": _finetune_pairs(tokenizer, "alpha", 12), "beta": _finetune_pairs(tokenizer, "beta", 4)}
+    validation = {"alpha": datasets["alpha"][:5], "beta": datasets["beta"][:3]}
+    specs = {spec.name: spec for spec in mixture.tasks}
+
+    def prepare(sets):
+        return {name: [mx.apply_control_code(i, specs[name], tokenizer) for i in insts] for name, insts in sets.items()}
+
+    return mixture, datasets, validation, prepare(datasets), prepare(validation)
+
+
+def _advance(state, mixture, pools, held_out, steps, eval_every):
+    """``state`` advanced by ``steps`` steps, validated as ``finetune`` validates."""
+    schedule = state.opt.schedule
+    for _ in range(steps):
+        step = state.advance(mixture, pools).step
+        if step % eval_every and step != schedule.steps:
+            continue
+        for task, val in held_out.items():
+            mean = tr._mean_loss(state.model, val, schedule.batch_size)
+            if task not in state.best or mean < state.best[task].metric:
+                params = {k: v.copy() for k, v in state.model.params.items()}
+                state.best[task] = tr.TaskCheckpoint(task, step, mean, params)
+    return state
+
+
+def _assert_same_result(records, params, best, want):
+    """A run's records, masters and best checkpoints are those of the state ``want``, bit for bit."""
+    assert [r.to_dict() for r in records] == [r.to_dict() for r in want.records]
+    for k, v in want.model.params.items():
+        assert params[k].tobytes() == v.tobytes(), k
+    assert set(best) == set(want.best)
+    for task, ckpt in want.best.items():
+        assert (best[task].step, best[task].metric) == (ckpt.step, ckpt.metric)
+        for k, v in ckpt.params.items():
+            assert best[task].params[k].tobytes() == v.tobytes(), (task, k)
+
+
+def _assert_same_state(got, want):
+    _assert_same_result(got.records, got.model.params, got.best, want)
+    for k in want.model.params:
+        for got_arrays, want_arrays in ((got.work.params, want.work.params), (got.opt.m, want.opt.m),
+                                        (got.opt.v, want.opt.v)):
+            assert got_arrays[k].tobytes() == want_arrays[k].tobytes(), k
+    assert got.opt.t == want.opt.t
+    for gen in ("rng", "drop_rng"):
+        assert getattr(got, gen).bit_generator.state == getattr(want, gen).bit_generator.state, gen
+
+
+@pytest.mark.parametrize("pool, dropout", [("denoise", 0.0), ("denoise", 0.1), ("tagging", 0.1)])
+def test_working_copy_is_the_cast_of_the_masters_after_every_step(tiny_config, oracle_pools, pool, dropout):
+    """The working copy holds nothing of its own: after every step it is the
+    ``COMPUTE_DTYPE`` cast of the float64 masters, bit for bit, so a resumed
+    run can rebuild it from them."""
+    cfg = dataclasses.replace(tiny_config, dropout=dropout)
+    state = tr.TrainState.start(Seq2SeqModel(cfg, seed=1), tr.TrainSchedule(steps=6, batch_size=4, seed=3))
+    mixture, pools = _uniform_mixture(oracle_pools[pool])
+    for _ in range(6):
+        state.advance(mixture, pools)
+        for k, p in state.model.params.items():
+            want = p.astype(tr.COMPUTE_DTYPE)
+            assert state.work.params[k].dtype == want.dtype and state.work.params[k].tobytes() == want.tobytes(), k
+
+
+@pytest.mark.parametrize("run", ["pretrain", "finetune"])
+def test_a_state_copied_mid_run_continues_bit_for_bit(tiny_config, tokenizer, oracle_pools, run):
+    """A deep copy taken after k steps and the state it was copied from each
+    go on to step n, and both end where a run of n steps at once ends: the
+    state holds everything a step reads.  The run of n steps is the run that
+    ``pretrain`` (a denoise phase) or ``finetune`` (two tasks, validated every
+    3 steps) makes."""
+    cfg = dataclasses.replace(tiny_config, dropout=0.1)
+    n, k, eval_every = 9, 4, 3
+    sched = tr.TrainSchedule(steps=n, batch_size=4, peak_lr=2e-3, warmup_steps=2, seed=7)
+    held_out = {}
+    if run == "pretrain":
+        mixture, pools = _uniform_mixture(oracle_pools["denoise"])
+    else:
+        mixture, datasets, validation, pools, held_out = _finetune_setup(tokenizer)
+    def advanced(state, steps):
+        return _advance(state, mixture, pools, held_out, steps, eval_every)
+
+    state = advanced(tr.TrainState.start(Seq2SeqModel(cfg, seed=2), sched), k)
+    assert bool(state.best) == (run == "finetune")  # the copy carries validated checkpoints
+    twin = copy.deepcopy(state)
+    advanced(state, n - k)
+    advanced(twin, n - k)
+    whole = advanced(tr.TrainState.start(Seq2SeqModel(cfg, seed=2), sched), n)
+    _assert_same_state(twin, state)
+    _assert_same_state(state, whole)
+    reference = Seq2SeqModel(cfg, seed=2)
+    if run == "pretrain":
+        records, best = tr.pretrain(reference, oracle_pools["denoise"], sched), {}
+    else:
+        records, best = tr.finetune(reference, mixture, datasets, tokenizer, sched, validation, eval_every)
+    _assert_same_result(records, reference.params, best, whole)
