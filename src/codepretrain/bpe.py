@@ -255,8 +255,7 @@ class SubwordTokenizer:
         directory = Path(directory)
         with open(directory / "vocab.txt", encoding="utf-8") as f:
             lines = f.read().split("\n")
-        if not lines or not lines[0].startswith("#codepretrain-tokenizer v"):
-            raise ValueError("not a tokenizer vocab file")
+        _check_header(lines[0], "#codepretrain-tokenizer v", "vocab")
         specials: list[str] | None = None
         body_start = 0
         for i, line in enumerate(lines):
@@ -267,19 +266,24 @@ class SubwordTokenizer:
                 break
         if specials is None:
             raise ValueError("vocab file is missing its specials header")
-        merges: list[tuple[str, str]] = []
         with open(directory / "merges.txt", encoding="utf-8") as f:
-            for line in f:
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                a, b = line.split(" ")
-                merges.append((a, b))
+            header, *body = f.read().split("\n")
+        _check_header(header, "#codepretrain-merges v", "merges")
+        # every line after the header is one merge, one whose first unit is "#" too
+        merges = [(a, b) for a, b in (line.split(" ") for line in body if line)]
         tok = cls(specials, merges)
         stored = [ln for ln in lines[body_start:] if ln != ""]
         if stored != tok._id_to_token:
             raise ValueError("vocab file disagrees with merges file")
         return tok
+
+
+def _check_header(line: str, prefix: str, what: str) -> None:
+    """Refuse a tokenizer file whose header is not ``prefix`` + ``FORMAT_VERSION``."""
+    if not line.startswith(prefix):
+        raise ValueError(f"not a tokenizer {what} file")
+    if (found := line[len(prefix):]) != str(FORMAT_VERSION):
+        raise ValueError(f"{what} file has format version {found}, expected {FORMAT_VERSION}")
 
 
 def train(

@@ -277,28 +277,64 @@ def _load_task_instances(path: str, tokenizer: bpe.SubwordTokenizer) -> list[obj
     return list(artifacts.read_jsonl(path, parse))
 
 
-def _mixture(args) -> mixture_mod.TaskMixture:
-    mix = mixture_mod.TaskMixture.from_config(args.mixture)
+def _read_mixture(args) -> tuple[float, list[tuple[str, str, str, str | None]]]:
+    """The mixture config {"alpha": float, "tasks": [{name, path, control_code?,
+    validation?}]}, with string fields and unique names: its alpha (``--alpha``
+    when given) and each task's name, dataset path, control code and
+    validation path.  Bad input raises ``ValueError`` naming its cause."""
+    def malformed(cause) -> ValueError:
+        return ValueError(f"malformed mixture config {args.mixture}: {cause}")
+
+    with open(_require_file(args.mixture, "mixture config"), encoding="utf-8") as f:
+        try:
+            cfg = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise malformed(exc) from exc
+    try:
+        entries = [(entry, entry["name"], entry["path"]) for entry in cfg["tasks"]]
+        alpha = cfg.get("alpha", mixture_mod.DEFAULT_ALPHA)
+    except KeyError as exc:
+        raise malformed(f"missing key {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise malformed(exc) from exc
+    tasks = {}
+    for entry, name, path in entries:
+        for key, value in entry.items():
+            if key not in ("name", "path", "control_code", "validation"):
+                raise malformed(f"task {name!r} has unknown key {key!r}")
+            if not isinstance(value, str):
+                raise malformed(f"task {name!r} field {key!r} must be a string")
+        if name in tasks:
+            raise malformed(f"task {name!r} appears twice")
+        tasks[name] = (name, path, entry.get("control_code", ""), entry.get("validation") or None)
+    try:  # with unit sizes this checks only alpha and the task count
+        mixture_mod.mixture_probs([1] * len(tasks), alpha)
+    except ValueError as exc:
+        raise malformed(exc) from exc
     if args.alpha is not None:
-        mix = mixture_mod.TaskMixture(tasks=mix.tasks, alpha=args.alpha)
-    return mix
+        alpha = args.alpha
+        mixture_mod.mixture_probs([1], alpha)
+    return alpha, list(tasks.values())
 
 
 def _mixture_files(args) -> list[tuple[str | None, str]]:
     """The dataset and validation files the mixture config lists."""
-    return [
-        (path, what)
-        for spec in _mixture(args).tasks
-        for path, what in ((spec.path, "task dataset"), (spec.validation, "validation dataset"))
-    ]
+    return [(path, what) for _, data, _, val in _read_mixture(args)[1]
+            for path, what in ((data, "task dataset"), (val, "validation dataset"))]
 
 
 def _cmd_finetune(args, out: Path) -> None:
     tok = _load("tokenizer", bpe.SubwordTokenizer.load, args.tokenizer)
-    mix = _mixture(args)
+    alpha, tasks = _read_mixture(args)
     model = _load("checkpoint", Seq2SeqModel.load, args.init)
-    datasets = {spec.name: _load_task_instances(spec.path, tok) for spec in mix.tasks}
-    validation = {spec.name: _load_task_instances(spec.validation, tok) for spec in mix.tasks if spec.validation}
+    datasets = {}
+    for name, path, _, _ in tasks:
+        datasets[name] = _load_task_instances(path, tok)
+        if not datasets[name]:
+            raise ValueError(f"task {name!r} dataset {path} is empty: task sizes must be positive")
+    validation = {name: _load_task_instances(val, tok) for name, _, _, val in tasks if val}
+    mix = mixture_mod.TaskMixture(tuple(mixture_mod.TaskSpec(name, len(datasets[name]), code)
+                                        for name, _, code, _ in tasks), alpha)
     log, best = tr.finetune(model, mix, datasets, tok, _schedule_from_args(args), validation=validation or None)
     out.mkdir(parents=True, exist_ok=True)
     model.save(out / "checkpoint.npz")

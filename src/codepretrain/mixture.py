@@ -8,9 +8,7 @@ proportional sampling and alpha = 0 is uniform.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -18,7 +16,6 @@ from .bpe import SubwordTokenizer
 from .objectives import TrainingInstance
 
 DEFAULT_ALPHA = 0.7
-_TASK_KEYS = ("name", "path", "control_code", "validation")  # the keys a config task may have
 
 
 def mixture_probs(sizes: list[int], alpha: float) -> list[float]:
@@ -40,8 +37,6 @@ class TaskSpec:
     name: str
     size: int
     control_code: str = ""
-    path: str | None = None
-    validation: str | None = None
 
 
 @dataclass(frozen=True)
@@ -57,58 +52,6 @@ class TaskMixture:
     @property
     def probs(self) -> list[float]:
         return list(self._probs)
-
-    @classmethod
-    def from_config(cls, path: str | Path) -> "TaskMixture":
-        """Mixture config: {"alpha": float, "tasks": [{name, path, control_code?,
-        validation?}]}.
-
-        A task's size is its dataset file's record count.  Bad input raises
-        ``ValueError``: an empty dataset file names the task and the file, and
-        a config that is not JSON, lacks ``tasks``, has a task without
-        ``name`` or ``path`` or with any other key, an ``alpha`` that
-        ``mixture_probs`` rejects or no task at all names the config and the
-        cause.
-        """
-        def malformed(cause) -> ValueError:
-            return ValueError(f"malformed mixture config {path}: {cause}")
-
-        with open(path, encoding="utf-8") as f:
-            try:
-                cfg = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise malformed(exc) from exc
-        try:
-            entries = [(entry, entry["name"], entry["path"]) for entry in cfg["tasks"]]
-            alpha = cfg.get("alpha", DEFAULT_ALPHA)
-        except KeyError as exc:
-            raise malformed(f"missing key {exc}") from exc
-        except (TypeError, AttributeError) as exc:
-            raise malformed(exc) from exc
-        tasks = []
-        for entry, name, data in entries:
-            unknown = [key for key in entry if key not in _TASK_KEYS]
-            if unknown:
-                raise malformed(f"task {name!r} has unknown key {unknown[0]!r}")
-            if not Path(data).exists():
-                raise ValueError(f"task dataset not found: {data}")
-            with open(data, encoding="utf-8") as df:
-                size = sum(1 for line in df if line.strip())
-            if size == 0:
-                raise ValueError(f"task {name!r} dataset {data} is empty: task sizes must be positive")
-            tasks.append(
-                TaskSpec(
-                    name=name,
-                    size=size,
-                    control_code=entry.get("control_code", ""),
-                    path=data,
-                    validation=entry.get("validation") or None,
-                )
-            )
-        try:
-            return cls(tasks=tuple(tasks), alpha=alpha)
-        except ValueError as exc:
-            raise malformed(exc) from exc
 
 
 def sample_task(mixture: TaskMixture, rng: np.random.Generator) -> str:

@@ -142,6 +142,26 @@ def test_load_rejects_non_tokenizer_dir(tmp_path):
         bpe.SubwordTokenizer.load(tmp_path)
 
 
+@pytest.mark.parametrize("files", [("vocab.txt",), ("merges.txt",), ("vocab.txt", "merges.txt")])
+def test_load_refuses_another_format_version(tokenizer, tmp_path, files):
+    """A header of a format version this code does not write is refused, so an
+    old tokenizer directory is never read as a new one."""
+    tokenizer.save(tmp_path)
+    for name in files:
+        text = (tmp_path / name).read_text(encoding="utf-8")
+        (tmp_path / name).write_text(text.replace(f" v{bpe.FORMAT_VERSION}\n", " v9\n", 1), encoding="utf-8")
+    what = files[0].removesuffix(".txt")
+    with pytest.raises(ValueError, match=f"^{what} file has format version 9, expected {bpe.FORMAT_VERSION}$"):
+        bpe.SubwordTokenizer.load(tmp_path)
+
+
+def test_load_reads_a_merge_whose_first_unit_is_a_hash(tmp_path):
+    tok = bpe.train(["#! x #! y"] * 5, vocab_size=400, min_freq=2)
+    assert ("#", "!") in tok.merges
+    tok.save(tmp_path)
+    assert bpe.SubwordTokenizer.load(tmp_path).merges == tok.merges
+
+
 def test_compression_identity(tokenizer, bundled_records):
     texts = [r.code for r in bundled_records[:20]]
     report = bpe.compression_ratio(tokenizer, tokenizer, texts)

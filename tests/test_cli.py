@@ -378,12 +378,17 @@ def test_stage_reruns_after_run_killed_mid_write(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("module, version", [(mdl, "CHECKPOINT_VERSION"), (bpe, "FORMAT_VERSION")])
 def test_stage_reruns_when_a_format_version_changes(pipeline, tmp_path, capsys, monkeypatch, module, version):
-    """A checkpoint or tokenizer format change makes a matching snapshot stale."""
+    """A checkpoint or tokenizer format change makes a matching snapshot stale.
+    The stage run is one that writes the format and reads none of it, since a
+    tokenizer of another format version cannot be read at all."""
     argv = [
         "pretrain", "--instances", str(pipeline["inst"]), "--tokenizer", str(pipeline["tok"]),
         "--steps", "1", "--batch-size", "2", "--d-model", "16", "--num-heads", "2", "--encoder-layers", "1",
         "--decoder-layers", "1", "--feedforward-dim", "32", "--max-src-len", "160", "--max-tgt-len", "64",
         "--out", str(tmp_path / "run"),
+    ] if module is mdl else [
+        "train-tokenizer", "--input", pipeline["src"], "--vocab-size", "400", "--min-freq", "2",
+        "--out", str(tmp_path / "tok"),
     ]
     assert dispatch(argv) == 0
     assert dispatch(argv) == 0
@@ -1024,16 +1029,22 @@ def _write_bad_checkpoint(pipeline, path, kind):
         ("missing-param", "parameter dec0.ffn.w1: shape None in checkpoint"),
         ("bad-shape", "parameter lm.b: shape (7,) in checkpoint"),
         ("vocab", "not a tokenizer vocab file"),
+        ("version", f"vocab file has format version 9, expected {bpe.FORMAT_VERSION}"),
     ],
 )
 def test_unreadable_checkpoint_or_tokenizer_is_clean_error(pipeline, tmp_path, capsys, command, bad, cause):
     ckpt, tok = tmp_path / "init.npz", pipeline["tok"]
-    if bad == "vocab":
+    if bad in ("vocab", "version"):
         _tiny_checkpoint(pipeline["tok"], ckpt)
         tok = tmp_path / "tok"
-        tok.mkdir()
-        (tok / "vocab.txt").write_text("[PAD]\n[CLS]\n", encoding="utf-8")
-        (tok / "merges.txt").write_text("", encoding="utf-8")
+        shutil.copytree(pipeline["tok"], tok)
+        if bad == "vocab":
+            (tok / "vocab.txt").write_text("[PAD]\n[CLS]\n", encoding="utf-8")
+            (tok / "merges.txt").write_text("", encoding="utf-8")
+        else:
+            for name in ("vocab.txt", "merges.txt"):
+                text = (tok / name).read_text(encoding="utf-8")
+                (tok / name).write_text(text.replace(f" v{bpe.FORMAT_VERSION}\n", " v9\n", 1), encoding="utf-8")
         where = f"cannot read tokenizer {tok}: "
     else:
         _write_bad_checkpoint(pipeline, ckpt, bad)

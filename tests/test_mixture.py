@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codepretrain import mixture as mx
+from codepretrain import training as tr
+from codepretrain.cli import dispatch
+from codepretrain.model import ModelConfig, Seq2SeqModel
 from codepretrain.objectives import FINETUNE, TrainingInstance
 
 # Frozen from a 50-digit arbitrary-precision evaluation of the tempered
@@ -141,23 +145,47 @@ def test_probs_track_alpha_and_size_changes():
     assert base.probs[0] == pytest.approx(ORACLE_900_100[0], abs=1e-9)
 
 
+# The mixture config is read by the ``finetune`` command, so these tests run it
+# through ``cli.dispatch``: bad input exits 1 with one ``error:`` line.
+
+
+def _finetune_argv(tmp_path, tokenizer, cfg) -> list[str]:
+    """``finetune`` over the mixture config ``cfg`` (a dict, or raw text), with
+    ``tokenizer`` saved beside it and a tiny fresh checkpoint."""
+    mixture = tmp_path / "mixture.json"
+    mixture.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg), encoding="utf-8")
+    tokenizer.save(tmp_path / "tok")
+    model = ModelConfig(vocab_size=tokenizer.vocab_size, d_model=16, num_heads=2, encoder_layers=1,
+                        decoder_layers=1, feedforward_dim=32, max_src_len=32, max_tgt_len=32)
+    Seq2SeqModel(model).save(tmp_path / "init.npz")
+    return ["finetune", "--mixture", str(mixture), "--tokenizer", str(tmp_path / "tok"),
+            "--init", str(tmp_path / "init.npz"), "--steps", "8", "--batch-size", "2", "--lr", "0.001",
+            "--warmup-steps", "0", "--seed", "3", "--out", str(tmp_path / "ft")]
+
+
+def _write_dataset(path, instances, blank_lines=0) -> str:
+    """Write ``instances`` one a line, each followed by ``blank_lines`` blank lines."""
+    path.write_text("".join(json.dumps(i.to_dict()) + "\n" * (1 + blank_lines) for i in instances),
+                    encoding="utf-8")
+    return str(path)
+
+
 def test_mixture_from_config(tmp_path, tokenizer):
-    cfg = {"alpha": 0.5, "tasks": []}
-    for name, count in (("a", 7), ("b", 3)):
-        data = tmp_path / f"task_{name}.jsonl"
-        with open(data, "w", encoding="utf-8") as f:
-            for _ in range(count):
-                f.write(json.dumps({"source": "code x", "target": "text y"}) + "\n")
-        cfg["tasks"].append({"name": name, "path": str(data)})
-    cfg["tasks"][0]["control_code"] = "Summarize:"
-    cfg_path = tmp_path / "mixture.json"
-    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-    mixture = mx.TaskMixture.from_config(cfg_path)
-    assert mixture.alpha == 0.5
-    # each task's size is counted from its dataset file
-    assert [(t.name, t.size) for t in mixture.tasks] == [("a", 7), ("b", 3)]
-    assert mixture.tasks[0].control_code == "Summarize:"
-    assert mixture.probs == pytest.approx(mx.mixture_probs([7, 3], 0.5), abs=1e-15)
+    """``finetune`` sizes each task by the records it reads, blank lines
+    skipped, and trains as ``training.finetune`` does on that mixture.  Sizing
+    ``b`` by its 33 lines would change the log from step 4 on."""
+    data = {"a": [_instance(tokenizer, f"int a{i} ;") for i in range(7)],
+            "b": [_instance(tokenizer, f"int b{i} ;") for i in range(3)]}
+    cfg = {"alpha": 0.5, "tasks": [
+        {"name": "a", "path": _write_dataset(tmp_path / "a.jsonl", data["a"]), "control_code": "Summarize:"},
+        {"name": "b", "path": _write_dataset(tmp_path / "b.jsonl", data["b"], blank_lines=10)},
+    ]}
+    assert dispatch(_finetune_argv(tmp_path, tokenizer, cfg)) == 0
+    mixture = mx.TaskMixture((mx.TaskSpec("a", 7, "Summarize:"), mx.TaskSpec("b", 3)), alpha=0.5)
+    schedule = tr.TrainSchedule(steps=8, batch_size=2, peak_lr=0.001, warmup_steps=0, seed=3)
+    log, _ = tr.finetune(Seq2SeqModel.load(tmp_path / "init.npz"), mixture, data, tokenizer, schedule)
+    tr.write_metrics_log(log, tmp_path / "expected.jsonl")
+    assert (tmp_path / "ft" / "metrics.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -175,21 +203,48 @@ def test_mixture_from_config(tmp_path, tokenizer):
         ('{"tasks": []}', "a mixture needs at least one task"),
     ],
 )
-def test_mixture_from_config_rejects_malformed_config(tmp_path, text, cause):
-    cfg_path = tmp_path / "mixture.json"
-    cfg_path.write_text(text, encoding="utf-8")
-    with pytest.raises(ValueError, match=f"malformed mixture config {cfg_path}: .*{cause}"):
-        mx.TaskMixture.from_config(cfg_path)
+def test_mixture_from_config_rejects_malformed_config(tmp_path, tokenizer, capsys, text, cause):
+    assert dispatch(_finetune_argv(tmp_path, tokenizer, text)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.match(f"error: malformed mixture config {re.escape(str(tmp_path / 'mixture.json'))}: .*{cause}", err[0])
 
 
-def test_mixture_from_config_empty_dataset_names_task_and_file(tmp_path):
+def test_mixture_from_config_empty_dataset_names_task_and_file(tmp_path, tokenizer, capsys):
     data = tmp_path / "empty.jsonl"
     data.write_text("\n", encoding="utf-8")
-    cfg_path = tmp_path / "mixture.json"
-    cfg_path.write_text(json.dumps({"tasks": [{"name": "a", "path": str(data)}]}), encoding="utf-8")
-    with pytest.raises(ValueError) as exc:
-        mx.TaskMixture.from_config(cfg_path)
-    assert str(exc.value) == f"task 'a' dataset {data} is empty: task sizes must be positive"
+    assert dispatch(_finetune_argv(tmp_path, tokenizer, {"tasks": [{"name": "a", "path": str(data)}]})) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: task 'a' dataset {data} is empty: task sizes must be positive"
+    ]
+
+
+@pytest.mark.parametrize("key, value", [("path", 5), ("validation", 7), ("control_code", 5), ("name", ["t"])])
+def test_mixture_config_field_that_is_no_string_is_clean_error(tmp_path, tokenizer, capsys, key, value):
+    task = {"name": "t", "path": _write_dataset(tmp_path / "t.jsonl", [_instance(tokenizer)]), key: value}
+    assert dispatch(_finetune_argv(tmp_path, tokenizer, {"tasks": [task]})) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: malformed mixture config {tmp_path / 'mixture.json'}: "
+        f"task {task['name']!r} field {key!r} must be a string"
+    ]
+
+
+def test_missing_mixture_config_is_clean_error(tmp_path, tokenizer, capsys):
+    argv = _finetune_argv(tmp_path, tokenizer, {"tasks": []})
+    (tmp_path / "mixture.json").unlink()
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: mixture config not found: {tmp_path / 'mixture.json'}"]
+
+
+def test_mixture_config_task_named_twice_is_clean_error(tmp_path, tokenizer, capsys):
+    """Two tasks named ``t`` are refused, not trained as the second alone."""
+    tasks = [{"name": "t", "path": _write_dataset(tmp_path / f"{f}.jsonl", [_instance(tokenizer)] * n)}
+             for f, n in (("a", 5), ("b", 3))]
+    assert dispatch(_finetune_argv(tmp_path, tokenizer, {"tasks": tasks})) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: malformed mixture config {tmp_path / 'mixture.json'}: task 't' appears twice"
+    ]
+    assert not (tmp_path / "ft").exists()
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), "0.7", True])
