@@ -266,11 +266,20 @@ class SubwordTokenizer:
                 break
         if specials is None:
             raise ValueError("vocab file is missing its specials header")
-        with open(directory / "merges.txt", encoding="utf-8") as f:
+        merges_path = directory / "merges.txt"
+        with open(merges_path, encoding="utf-8") as f:
             header, *body = f.read().split("\n")
         _check_header(header, "#codepretrain-merges v", "merges")
         # every line after the header is one merge, one whose first unit is "#" too
-        merges = [(a, b) for a, b in (line.split(" ") for line in body if line)]
+        merges = []
+        for number, line in enumerate(body, start=2):
+            if not line:
+                continue
+            units = line.split(" ")
+            if len(units) != 2 or not all(units):
+                raise ValueError(f"{merges_path} line {number}: a merge is two units separated by one space, "
+                                 f"got {line!r}")
+            merges.append((units[0], units[1]))
         tok = cls(specials, merges)
         stored = [ln for ln in lines[body_start:] if ln != ""]
         if stored != tok._id_to_token:

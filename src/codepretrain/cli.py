@@ -11,10 +11,11 @@ once and writes the output its required ``--out`` names, a file or a
 directory.  ``dispatch`` runs every stage the same way: it digests the inputs
 and writes a snapshot ``<out>.config.json`` beside the output that records
 every flag of the stage, a sha256 of every input the stage reads, the
-checkpoint and tokenizer format versions and the compute dtype of training
-and decoding.  When the output already exists with an identical snapshot the
-stage is skipped, so re-running a pipeline only redoes stages whose flags,
-inputs, formats or arithmetic changed.  A snapshot that differs in any key,
+checkpoint and tokenizer format versions, the compute dtype of training and
+decoding, and a sha256 of the package's own code and data.  When the output
+already exists with an identical snapshot the stage is skipped, so re-running
+a pipeline only redoes stages whose flags, inputs, formats, arithmetic or
+code changed.  A snapshot that differs in any key,
 including one written by an older version, makes its stage run again once.
 All randomness flows from explicit seeds; rerunning a stage with the same
 configuration reproduces its artifacts byte for byte.
@@ -25,11 +26,13 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 import zipfile
 from dataclasses import dataclass, fields
+from importlib import resources
 from pathlib import Path
 from typing import Callable
 
@@ -88,6 +91,28 @@ def _digest(path: Path) -> str:
     return h.hexdigest()
 
 
+@functools.cache
+def _code_digest() -> str:
+    """sha256 over the package's own code and data: every ``*.py`` file of the
+    package and every file under its ``data/``, each with its name, in name
+    order.  Computed once per process."""
+    root = resources.files("codepretrain")
+    found = {f.name: f for f in root.iterdir() if f.is_file() and f.name.endswith(".py")}
+    dirs = [("data/", root / "data")]
+    while dirs:
+        prefix, node = dirs.pop()
+        for child in node.iterdir():
+            if child.is_dir():
+                dirs.append((f"{prefix}{child.name}/", child))
+            else:
+                found[prefix + child.name] = child
+    h = hashlib.sha256()
+    for name in sorted(found):
+        h.update(name.encode("utf-8") + b"\0")
+        h.update(hashlib.sha256(found[name].read_bytes()).digest())
+    return h.hexdigest()
+
+
 def _require_file(path: str, what: str) -> Path:
     p = Path(path)
     if not p.exists():
@@ -117,7 +142,7 @@ def _run_stage(args: argparse.Namespace) -> int:
         files += stage.more_inputs(args)
     inputs = {str(path): _digest(_require_file(path, what)) for path, what in files if path is not None}
     versions = {"checkpoint": mdl.CHECKPOINT_VERSION, "tokenizer": bpe.FORMAT_VERSION,
-                "compute_dtype": tr.COMPUTE_DTYPE.__name__}
+                "compute_dtype": tr.COMPUTE_DTYPE.__name__, "code": _code_digest()}
     config = {**flags, "stage": args.command, "out": str(out), "inputs": inputs, "versions": versions}
     if _stage_up_to_date(out, config):
         print(f"{args.command}: up to date ({out})")

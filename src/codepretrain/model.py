@@ -1,8 +1,9 @@
 """Desk-scale encoder-decoder transformer in numpy with hand-written backprop.
 
 Every array a pass makes takes the dtype of the parameters it reads.
-Parameters, checkpoints and gradient checks are float64; training steps and
-decoding run on a float32 copy (``Seq2SeqModel.astype``, see ``training``).
+A model as ``Seq2SeqModel`` makes or loads it, checkpoints and gradient
+checks are float64; training trains float32 masters and decoding runs on a
+float32 copy (``Seq2SeqModel.astype``, see ``training``).
 Pre-norm residual blocks, learned absolute positions, multi-head attention
 without biases, ReLU feed-forward blocks.  Two loss heads sit on top:
 
@@ -156,6 +157,9 @@ class Seq2SeqModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "Seq2SeqModel":
+        """A checkpoint ``save`` wrote.  Another format version is refused, and
+        so is a missing, extra or misshapen parameter, one that is not float64
+        or one with a NaN or infinite value, each naming the parameter."""
         with np.load(path) as data:
             meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
             version = meta.get("checkpoint_version")
@@ -169,6 +173,12 @@ class Seq2SeqModel:
             found, want = (arrays[name].shape if name in arrays else None for arrays in (params, expected))
             if found != want:
                 raise ValueError(f"parameter {name}: shape {found} in checkpoint, {want} in model")
+        for name, p in sorted(params.items()):
+            if p.dtype != np.float64:
+                raise ValueError(f"parameter {name}: dtype {p.dtype} in checkpoint, expected float64")
+            bad = p.size - np.count_nonzero(np.isfinite(p))
+            if bad:
+                raise ValueError(f"parameter {name}: {bad} non-finite values in checkpoint")
         return cls(config, params)
 
 

@@ -9,11 +9,15 @@ caller and validates between ``advance`` calls; a single pool is a one-task
 mixture, and a task of IT instances trains the tagging head.  All randomness
 flows from the schedule seed; a seeded metrics log is bit-identical across runs.
 
-Training and decoding are mixed precision: each step's forward and backward,
-and every decoder step, run on a ``COMPUTE_DTYPE`` copy of the parameters
-(``Seq2SeqModel.astype``), while the model's float64 parameters stay the
-master copy that Adam updates (with float64 moments), checkpoints save, and
-validation reads.  Beam scores add up in Python floats.
+Training and decoding compute in ``COMPUTE_DTYPE``.  A run trains masters of
+that dtype (``Seq2SeqModel.astype`` of the caller's model), with Adam's
+moments in it too; each step computes on the masters and updates them in
+place, and validation reads them.  A caller's float64 model receives their
+exact cast once, when a run that took a step returns, and each best
+checkpoint holds them cast to the caller's dtype, so models and checkpoints
+stay float64.  A caller's model already of ``COMPUTE_DTYPE`` is itself the
+masters.  Every decoder step runs on a ``COMPUTE_DTYPE`` copy of the model.
+Beam scores add up in Python floats.
 """
 
 from __future__ import annotations
@@ -187,16 +191,16 @@ def _filter_to_caps(
 
 @dataclass
 class TrainState:
-    """A run between steps: the float64 masters ``model``, their ``COMPUTE_DTYPE``
-    copy ``work`` that each step computes on, the optimizer with its moments and
-    step count, the batch and dropout generators (``drop_rng`` None without
-    dropout), the records so far, ``finetune``'s best checkpoint per task and
-    the last step's ``grads``.  Holding those until the next step replaces them
-    keeps the allocator from returning their pages after every step: at
-    vocabulary 560, faulting them back in cost about 7% of a step."""
+    """A run between steps: the ``COMPUTE_DTYPE`` masters ``model`` that each
+    step computes on and updates in place, the optimizer with its moments (of
+    the masters' dtype) and step count, the batch and dropout generators
+    (``drop_rng`` None without dropout), the records so far, ``finetune``'s
+    best checkpoint per task and the last step's ``grads``.  Holding those
+    until the next step replaces them keeps the allocator from returning their
+    pages after every step: at vocabulary 560, faulting them back in cost
+    about 7% of a step."""
 
     model: Seq2SeqModel
-    work: Seq2SeqModel
     opt: Adam
     rng: np.random.Generator
     drop_rng: np.random.Generator | None
@@ -206,32 +210,41 @@ class TrainState:
 
     @classmethod
     def start(cls, model: Seq2SeqModel, schedule: TrainSchedule) -> TrainState:
+        """A run of ``model`` from step 0; its masters are ``model`` itself when
+        it is already of ``COMPUTE_DTYPE``, else a cast of it."""
+        masters = model.astype(COMPUTE_DTYPE)
         drop_rng = np.random.default_rng(schedule.seed + 1) if model.config.dropout > 0 else None
-        return cls(model, model.astype(COMPUTE_DTYPE), Adam(model.params, schedule),
+        return cls(masters, Adam(masters.params, schedule),
                    np.random.default_rng(schedule.seed), drop_rng, [], {}, {})
 
     def advance(self, mixture: TaskMixture, pools: dict[str, list[TrainingInstance]]) -> StepRecord:
         """One step: a task of ``mixture`` (the step's label), a batch of its pool,
-        the batch objective's loss and gradients on ``work``, the update of the
-        masters and the refresh of ``work``.  A non-finite loss or gradient norm
-        stops the run before the update (numpy's warnings are silenced for it)."""
+        the batch objective's loss and gradients on the masters and their update
+        in place.  A non-finite loss or gradient norm stops the run before the
+        update (numpy's warnings are silenced for it)."""
         step = len(self.records) + 1
         label = sample_task(mixture, self.rng)
         batch = _draw_batch(pools[label], self.opt.schedule.batch_size, self.rng)
         objective = batch[0].objective
         try:
             with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-                loss, count, self.grads = loss_and_grads(self.work, batch, objective, self.drop_rng)
+                loss, count, self.grads = loss_and_grads(self.model, batch, objective, self.drop_rng)
                 if not math.isfinite(loss):
                     raise NonFiniteError(f"loss is {loss}")
                 self.opt.step(self.model.params, self.grads)
         except NonFiniteError as exc:
             task = "" if label == objective else f"task {label}, "
             raise NonFiniteError(f"step {step} ({task}objective {objective}): {exc}") from None
-        for k, p in self.model.params.items():
-            self.work.params[k][...] = p
         self.records.append(StepRecord(step, label, loss / max(count, 1)))
         return self.records[-1]
+
+    def write_back(self, model: Seq2SeqModel) -> None:
+        """Give ``model``, the model the run started from, the masters' values
+        (their exact cast) once the run has taken a step; a model that is the
+        masters already holds them."""
+        if self.records and self.model is not model:
+            for k, p in self.model.params.items():
+                model.params[k][...] = p
 
 
 def pretrain(
@@ -240,7 +253,9 @@ def pretrain(
     schedule: TrainSchedule,
     phase: str = "denoise",
 ) -> list[StepRecord]:
-    """Train in place; returns the per-step metrics log.
+    """Train ``model``; returns the per-step metrics log.  The model ends with
+    the masters' values (see ``TrainState.write_back``), also when a step stops
+    the run.
 
     The denoise phase expects span/tagging/identifier instances, the dual
     phase the paired generation instances.  Each objective of the phase with
@@ -266,8 +281,11 @@ def pretrain(
             raise ValueError("no training instances")
         return []
     mixture, state = TaskMixture(tasks, alpha=0.0), TrainState.start(model, schedule)
-    for _ in range(schedule.steps):
-        state.advance(mixture, pools)
+    try:
+        for _ in range(schedule.steps):
+            state.advance(mixture, pools)
+    finally:
+        state.write_back(model)
     return state.records
 
 
@@ -308,8 +326,10 @@ def finetune(
     instances (training or validation) mix IT with other objectives is
     rejected before step 1.  Control codes are prepended and the length caps
     applied once per dataset and validation set up front.  Every ``eval_every``
-    steps and after the last, each task's validation loss on the masters is
-    measured in batches of the schedule's size; the best snapshot per task is returned.
+    steps and after the last, each task's validation loss on the ``COMPUTE_DTYPE``
+    masters is measured in batches of the schedule's size; the best snapshot
+    per task, cast to ``model``'s dtype, is returned.  ``model`` ends with the
+    masters' values, as in ``pretrain``.
     """
     def prepare(spec, instances, name):
         return _filter_to_caps([apply_control_code(i, spec, tokenizer) for i in instances], model, name)
@@ -329,14 +349,18 @@ def finetune(
         if val:
             held_out[spec.name] = val
     state = TrainState.start(model, schedule)
-    for step in range(1, schedule.steps + 1):
-        state.advance(mixture, prepared)
-        if step % eval_every and step != schedule.steps:
-            continue
-        for task, val in held_out.items():
-            mean = _mean_loss(model, val, schedule.batch_size)
-            if task not in state.best or mean < state.best[task].metric:
-                state.best[task] = TaskCheckpoint(task, step, mean, {k: v.copy() for k, v in model.params.items()})
+    try:
+        for step in range(1, schedule.steps + 1):
+            state.advance(mixture, prepared)
+            if step % eval_every and step != schedule.steps:
+                continue
+            for task, val in held_out.items():
+                mean = _mean_loss(state.model, val, schedule.batch_size)
+                if task not in state.best or mean < state.best[task].metric:
+                    params = {k: v.astype(model.params[k].dtype) for k, v in state.model.params.items()}
+                    state.best[task] = TaskCheckpoint(task, step, mean, params)
+    finally:
+        state.write_back(model)
     return state.records, state.best
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,6 +162,17 @@ def test_load_reads_a_merge_whose_first_unit_is_a_hash(tmp_path):
     assert ("#", "!") in tok.merges
     tok.save(tmp_path)
     assert bpe.SubwordTokenizer.load(tmp_path).merges == tok.merges
+
+
+@pytest.mark.parametrize("bad", ["ab", "a b c", "a  b", " a"])
+def test_load_names_a_merges_line_that_is_not_two_units(tokenizer, tmp_path, bad):
+    tokenizer.save(tmp_path)
+    path = tmp_path / "merges.txt"
+    header, first, *rest = path.read_text(encoding="utf-8").split("\n")
+    path.write_text("\n".join([header, first, bad, *rest]), encoding="utf-8")
+    message = f"{path} line 3: a merge is two units separated by one space, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        bpe.SubwordTokenizer.load(tmp_path)
 
 
 def test_compression_identity(tokenizer, bundled_records):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from codepretrain import bpe, corpus, synth
+from codepretrain import bpe, cli, corpus, synth
 from codepretrain import lexer as lx
 from codepretrain import objectives as obj
 from codepretrain import model as mdl
@@ -398,6 +398,37 @@ def test_stage_reruns_when_a_format_version_changes(pipeline, tmp_path, capsys, 
     assert "up to date" not in capsys.readouterr().out
     assert dispatch(argv) == 0
     assert "up to date" in capsys.readouterr().out
+
+
+def test_stage_reruns_when_the_code_changes(tmp_path, capsys, monkeypatch):
+    """The snapshot records a digest of the package's code and data, so a
+    stage made by other code runs again once."""
+    out = tmp_path / "docs.jsonl"
+    argv = ["ingest", "--input", str(corpus.bundled_corpus_path()), "--out", str(out)]
+    assert dispatch(argv) == 0
+    snapshot = json.loads((tmp_path / "docs.jsonl.config.json").read_text(encoding="utf-8"))
+    assert snapshot["versions"]["code"] == cli._code_digest()
+    assert dispatch(argv) == 0
+    assert "up to date" in capsys.readouterr().out
+    monkeypatch.setattr(cli, "_code_digest", lambda: "0" * 64)
+    assert dispatch(argv) == 0
+    assert "up to date" not in capsys.readouterr().out
+    assert dispatch(argv) == 0
+    assert "up to date" in capsys.readouterr().out
+
+
+def test_code_digest_covers_the_package_modules_and_data():
+    """One sha256 over every ``*.py`` file of the package and every file
+    under ``data/``, each with its path, in path order."""
+    root = Path(cli.__file__).parent
+    files = sorted([*root.glob("*.py"), *(p for p in (root / "data").rglob("*") if p.is_file())],
+                   key=lambda p: p.relative_to(root).as_posix())
+    assert {"cli.py", "data/mini_corpus.jsonl", "data/languages/java.json"} <= {
+        p.relative_to(root).as_posix() for p in files}
+    h = hashlib.sha256()
+    for f in files:
+        h.update(f.relative_to(root).as_posix().encode("utf-8") + b"\0" + hashlib.sha256(f.read_bytes()).digest())
+    assert cli._code_digest() == h.hexdigest()
 
 
 def _assert_reruns_once_after(argv, snapshot_path, edit, capsys):
@@ -1086,6 +1117,31 @@ def test_generate_on_version_1_checkpoint_is_clean_error(pipeline, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad, cause", [
+    ("nan", "parameter dec0.ffn.w1: 1 non-finite values in checkpoint"),
+    ("float32", "parameter dec0.ffn.w1: dtype float32 in checkpoint, expected float64"),
+])
+def test_generate_on_a_nan_or_float32_checkpoint_is_clean_error(pipeline, tmp_path, capsys, bad, cause):
+    """A checkpoint with one NaN parameter value used to decode every record
+    to ``[PAD]`` runs and exit 0; it, and a checkpoint of a dtype the package
+    does not write, end in one error line naming the parameter."""
+    ckpt = _tiny_checkpoint(pipeline["tok"], tmp_path / "bad.npz")
+    model = Seq2SeqModel.load(ckpt)
+    if bad == "nan":
+        model.params["dec0.ffn.w1"][0, 0] = np.nan
+    else:
+        model.params["dec0.ffn.w1"] = model.params["dec0.ffn.w1"].astype(np.float32)
+    model.save(ckpt)
+    data = tmp_path / "task.jsonl"
+    data.write_text(json.dumps({"source": "int x ;", "target": "declare"}) + "\n", encoding="utf-8")
+    out = tmp_path / "hyp.txt"
+    argv = ["generate", "--checkpoint", str(ckpt), "--tokenizer", str(pipeline["tok"]), "--input", str(data),
+            "--out", str(out)]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: cannot read checkpoint {ckpt}: {cause}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value, field",
     [("--num-heads", "0", "num_heads"), ("--batch-size", "0", "batch_size"),
@@ -1110,15 +1166,22 @@ def test_invalid_model_or_schedule_value_is_clean_error(pipeline, tmp_path, caps
 @pytest.mark.parametrize(
     "command, where", [("pretrain", "step 1 (objective "), ("finetune", "step 1 (task t, objective FINETUNE): ")]
 )
-def test_non_finite_loss_is_clean_error(pipeline, tmp_path, capsys, command, where):
+def test_non_finite_loss_is_clean_error(pipeline, tmp_path, capsys, monkeypatch, command, where):
     """A NaN loss stops the run at step 1, before any update or output, with
     the error line alone: no numpy warning comes first.  Every step reads the
     poisoned ``lm.b``: pretrain runs the dual phase, whose objectives are
-    both generation (an IT step would not read the LM head)."""
+    both generation (an IT step would not read the LM head).  The model is
+    poisoned once loaded, as ``Seq2SeqModel.load`` refuses a checkpoint with
+    a non-finite value."""
     ckpt = _tiny_checkpoint(pipeline["tok"], tmp_path / "init.npz", max_len=160)
-    model = Seq2SeqModel.load(ckpt)
-    model.params["lm.b"][3] = np.inf
-    model.save(ckpt)
+    load = Seq2SeqModel.load
+
+    def poisoned(path):
+        model = load(path)
+        model.params["lm.b"][3] = np.inf
+        return model
+
+    monkeypatch.setattr(Seq2SeqModel, "load", poisoned)
     out = tmp_path / "run"
     if command == "pretrain":
         dual = tmp_path / "dual.jsonl"

@@ -1,14 +1,15 @@
-"""Float32 training and decoding arithmetic on float64 master parameters.
+"""Float32 training and decoding arithmetic for float64 models.
 
 A model whose parameters are float32 must compute in float32 throughout:
 every projection input, every backward activation gradient, every parameter
 gradient and every decoding cache.  Its loss and gradients are checked
 against the same model in float64, the oracle, at dropout 0.  With dropout
 the two can differ by more than rounding: a ReLU unit near zero can switch
-sides between them.  The training loop keeps the master parameters and
-Adam's moments float64.  ``generate`` decodes a float64 model on one float32
-copy per call, and its tokens are checked against the float64 decode
-(``training.COMPUTE_DTYPE`` set to ``np.float64``) on a trained model.
+sides between them.  The training loop trains float32 masters with float32
+moments and hands the caller's float64 model their cast.  ``generate``
+decodes a float64 model on one float32 copy per call, and its tokens are
+checked against the float64 decode (``training.COMPUTE_DTYPE`` set to
+``np.float64``) on a trained model.
 """
 
 from __future__ import annotations
@@ -104,25 +105,28 @@ def test_float32_loss_and_grads_match_float64_oracle(small_config, batches, obje
         assert np.abs(got[name] - g).max() <= GRAD_TOL * scale, name
 
 
-def test_training_keeps_float64_master_parameters(tiny_config, batches, monkeypatch):
-    """Adam updates float64 parameters with float64 moments from float32
-    gradients, and the model leaves training float64."""
+def test_training_keeps_float32_masters_and_returns_a_float64_model(tiny_config, batches, monkeypatch):
+    """Adam updates float32 masters with float32 moments from float32
+    gradients; the caller's model stays float64 and leaves training as the
+    cast of the masters."""
     cfg = dataclasses.replace(tiny_config, dropout=0.1)
     model = Seq2SeqModel(cfg, seed=1)
-    optimizers = []
-    adam = tr.Adam
+    states = []
+    start = tr.TrainState.start
 
-    def spy_adam(params, schedule):
-        optimizers.append(adam(params, schedule))
-        return optimizers[-1]
+    def spy_start(model, schedule):
+        states.append(start(model, schedule))
+        return states[-1]
 
-    monkeypatch.setattr(tr, "Adam", spy_adam)
+    monkeypatch.setattr(tr.TrainState, "start", spy_start)
     pool = batches[obj.MSP] + batches[obj.IT] + batches[obj.MIP]
     log = tr.pretrain(model, pool, tr.TrainSchedule(steps=4, batch_size=3, seed=0))
-    assert len(log) == 4 and optimizers[0].t == 4
-    for arrays in (model.params, optimizers[0].m, optimizers[0].v):
-        assert {a.dtype for a in arrays.values()} == {np.dtype(np.float64)}
-
+    (state,) = states
+    assert len(log) == 4 and state.opt.t == 4
+    for arrays in (state.model.params, state.opt.m, state.opt.v):
+        assert {a.dtype for a in arrays.values()} == {np.dtype(np.float32)}
+    for k, p in state.model.params.items():
+        assert model.params[k].dtype == np.float64 and np.array_equal(model.params[k], p), k
 
 
 def test_generate_on_a_compute_dtype_model_makes_no_copy(tiny_config, astype_copies, monkeypatch):

@@ -401,7 +401,7 @@ def test_finetune_multitask_tracks_best_checkpoints(tokenizer, tiny_config):
 
 
 def _float32_copy(model):
-    """Each step computes on a float32 cast of the float64 master parameters."""
+    """The float32 masters a run trains: a cast of the caller's float64 model."""
     return Seq2SeqModel(model.config, {k: v.astype(np.float32) for k, v in model.params.items()})
 
 
@@ -418,7 +418,8 @@ def _reference_finetune_multitask(model, mixture, datasets, tokenizer, schedule,
         prepared[spec.name] = tr._filter_to_caps(pool, model, spec.name)
     rng = np.random.default_rng(schedule.seed)
     drop_rng = np.random.default_rng(schedule.seed + 1) if model.config.dropout > 0 else None
-    opt = tr.Adam(model.params, schedule)
+    masters = _float32_copy(model)
+    opt = tr.Adam(masters.params, schedule)
     records = []
     best = {}
 
@@ -428,21 +429,28 @@ def _reference_finetune_multitask(model, mixture, datasets, tokenizer, schedule,
             if not val:
                 continue
             prepped = [mx.apply_control_code(inst, spec, tokenizer) for inst in val]
-            loss, count, _ = _reference_loss_for(model, prepped, prepped[0].objective, compute_grads=False)
+            # scored in batches of the schedule's size, as float32 sums depend on the batch
+            loss, count = 0.0, 0
+            for i in range(0, len(prepped), schedule.batch_size):
+                part = prepped[i : i + schedule.batch_size]
+                part_loss, part_count, _ = _reference_loss_for(masters, part, part[0].objective, compute_grads=False)
+                loss, count = loss + part_loss, count + part_count
             mean = loss / max(count, 1)
             if spec.name not in best or mean < best[spec.name].metric:
                 best[spec.name] = tr.TaskCheckpoint(
-                    spec.name, step, mean, {k: v.copy() for k, v in model.params.items()}
+                    spec.name, step, mean, {k: v.astype(np.float64) for k, v in masters.params.items()}
                 )
 
     for step in range(1, schedule.steps + 1):
         task = mx.sample_task(mixture, rng)
         batch = tr._draw_batch(prepared[task], schedule.batch_size, rng)
-        loss, count, grads = _reference_loss_for(_float32_copy(model), batch, batch[0].objective, drop_rng)
-        opt.step(model.params, grads)
+        loss, count, grads = _reference_loss_for(masters, batch, batch[0].objective, drop_rng)
+        opt.step(masters.params, grads)
         records.append(tr.StepRecord(step, task, loss / max(count, 1)))
         if validation and (step % eval_every == 0 or step == schedule.steps):
             validate(step)
+    if records:
+        model.params.update((k, v.astype(np.float64)) for k, v in masters.params.items())
     return records, best
 
 
@@ -667,16 +675,18 @@ def _advance(state, mixture, pools, held_out, steps, eval_every):
         for task, val in held_out.items():
             mean = tr._mean_loss(state.model, val, schedule.batch_size)
             if task not in state.best or mean < state.best[task].metric:
-                params = {k: v.copy() for k, v in state.model.params.items()}
+                params = {k: v.astype(np.float64) for k, v in state.model.params.items()}
                 state.best[task] = tr.TaskCheckpoint(task, step, mean, params)
     return state
 
 
 def _assert_same_result(records, params, best, want):
-    """A run's records, masters and best checkpoints are those of the state ``want``, bit for bit."""
+    """A run's records, parameters and best checkpoints are those of the state
+    ``want``, bit for bit: ``params`` are its masters, or their float64 cast
+    that a run writes back."""
     assert [r.to_dict() for r in records] == [r.to_dict() for r in want.records]
     for k, v in want.model.params.items():
-        assert params[k].tobytes() == v.tobytes(), k
+        assert params[k].tobytes() == v.astype(params[k].dtype).tobytes(), k
     assert set(best) == set(want.best)
     for task, ckpt in want.best.items():
         assert (best[task].step, best[task].metric) == (ckpt.step, ckpt.metric)
@@ -687,8 +697,7 @@ def _assert_same_result(records, params, best, want):
 def _assert_same_state(got, want):
     _assert_same_result(got.records, got.model.params, got.best, want)
     for k in want.model.params:
-        for got_arrays, want_arrays in ((got.work.params, want.work.params), (got.opt.m, want.opt.m),
-                                        (got.opt.v, want.opt.v)):
+        for got_arrays, want_arrays in ((got.opt.m, want.opt.m), (got.opt.v, want.opt.v)):
             assert got_arrays[k].tobytes() == want_arrays[k].tobytes(), k
     assert got.opt.t == want.opt.t
     for gen in ("rng", "drop_rng"):
@@ -696,18 +705,48 @@ def _assert_same_state(got, want):
 
 
 @pytest.mark.parametrize("pool, dropout", [("denoise", 0.0), ("denoise", 0.1), ("tagging", 0.1)])
-def test_working_copy_is_the_cast_of_the_masters_after_every_step(tiny_config, oracle_pools, pool, dropout):
-    """The working copy holds nothing of its own: after every step it is the
-    ``COMPUTE_DTYPE`` cast of the float64 masters, bit for bit, so a resumed
-    run can rebuild it from them."""
+def test_write_back_gives_the_caller_the_cast_of_the_masters(tiny_config, oracle_pools, pool, dropout):
+    """The run trains float32 masters with float32 moments and no other copy
+    of the parameters.  Before a step, writing back leaves the caller's
+    float64 model as it was; after steps, it makes the model the float64
+    cast of the masters, bit for bit."""
     cfg = dataclasses.replace(tiny_config, dropout=dropout)
-    state = tr.TrainState.start(Seq2SeqModel(cfg, seed=1), tr.TrainSchedule(steps=6, batch_size=4, seed=3))
+    model = Seq2SeqModel(cfg, seed=1)
+    before = {k: v.copy() for k, v in model.params.items()}
+    state = tr.TrainState.start(model, tr.TrainSchedule(steps=3, batch_size=4, seed=3))
     mixture, pools = _uniform_mixture(oracle_pools[pool])
-    for _ in range(6):
+    state.write_back(model)
+    for k, v in model.params.items():
+        assert v.tobytes() == before[k].tobytes(), k
+    for _ in range(3):
         state.advance(mixture, pools)
-        for k, p in state.model.params.items():
-            want = p.astype(tr.COMPUTE_DTYPE)
-            assert state.work.params[k].dtype == want.dtype and state.work.params[k].tobytes() == want.tobytes(), k
+    for arrays in (state.model.params, state.opt.m, state.opt.v):
+        assert {a.dtype for a in arrays.values()} == {np.dtype(np.float32)}
+    state.write_back(model)
+    for k, p in state.model.params.items():
+        want = p.astype(np.float64)
+        assert model.params[k].dtype == want.dtype and model.params[k].tobytes() == want.tobytes(), k
+    assert any(not np.array_equal(model.params[k], v) for k, v in before.items())
+
+
+def test_a_compute_dtype_model_is_its_own_masters(tiny_config, denoise_pool, astype_copies, monkeypatch):
+    """With ``COMPUTE_DTYPE`` float64, as the golden pipeline pin runs, a
+    float64 model is trained in place: the state's masters are the model,
+    Adam's moments are float64 and no parameter copy is made."""
+    monkeypatch.setattr(tr, "COMPUTE_DTYPE", np.float64)
+    model = Seq2SeqModel(tiny_config, seed=4)
+    arrays, before = dict(model.params), {k: v.copy() for k, v in model.params.items()}
+    state = tr.TrainState.start(model, tr.TrainSchedule(steps=3, batch_size=4, seed=0))
+    assert state.model is model
+    mixture, pools = _uniform_mixture(denoise_pool)
+    for _ in range(3):
+        state.advance(mixture, pools)
+    state.write_back(model)
+    assert all(model.params[k] is v for k, v in arrays.items())
+    assert any(not np.array_equal(v, before[k]) for k, v in arrays.items())
+    assert {a.dtype for a in (*state.opt.m.values(), *state.opt.v.values())} == {np.dtype(np.float64)}
+    tr.pretrain(model, denoise_pool, tr.TrainSchedule(steps=2, batch_size=4, seed=1))
+    assert astype_copies == [] and all(model.params[k] is v for k, v in arrays.items())
 
 
 @pytest.mark.parametrize("run", ["pretrain", "finetune"])
