@@ -360,7 +360,11 @@ def _cmd_finetune(args, out: Path) -> None:
     validation = {name: _load_task_instances(val, tok) for name, _, _, val in tasks if val}
     mix = mixture_mod.TaskMixture(tuple(mixture_mod.TaskSpec(name, len(datasets[name]), code)
                                         for name, _, code, _ in tasks), alpha)
-    log, best = tr.finetune(model, mix, datasets, tok, _schedule_from_args(args), validation=validation or None)
+    for spec in mix.tasks:  # each task's prompt, on its training and validation records alike
+        for sets in (datasets, validation):
+            if spec.name in sets:
+                sets[spec.name] = [mixture_mod.apply_control_code(i, spec, tok) for i in sets[spec.name]]
+    log, best = tr.finetune(model, mix, datasets, _schedule_from_args(args), validation)
     out.mkdir(parents=True, exist_ok=True)
     model.save(out / "checkpoint.npz")
     tr.write_metrics_log(log, out / "metrics.jsonl")

@@ -149,6 +149,8 @@ class Seq2SeqModel:
         return {k: np.zeros_like(v) for k, v in self.params.items()}
 
     def save(self, path: str | Path) -> None:
+        """Write a checkpoint; a parameter ``load`` would refuse is refused and nothing is written."""
+        _check_params(self.params, "model")
         meta = {"checkpoint_version": CHECKPOINT_VERSION, "config": asdict(self.config)}
         arrays = {f"param::{k}": v for k, v in self.params.items()}
         meta_bytes = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
@@ -173,13 +175,19 @@ class Seq2SeqModel:
             found, want = (arrays[name].shape if name in arrays else None for arrays in (params, expected))
             if found != want:
                 raise ValueError(f"parameter {name}: shape {found} in checkpoint, {want} in model")
-        for name, p in sorted(params.items()):
-            if p.dtype != np.float64:
-                raise ValueError(f"parameter {name}: dtype {p.dtype} in checkpoint, expected float64")
-            bad = p.size - np.count_nonzero(np.isfinite(p))
-            if bad:
-                raise ValueError(f"parameter {name}: {bad} non-finite values in checkpoint")
+        _check_params(params, "checkpoint")
         return cls(config, params)
+
+
+def _check_params(params: dict[str, np.ndarray], where: str) -> None:
+    """Refuse the first parameter, by name, that is not float64 or that holds
+    a NaN or infinite value; ``where`` (a model or a checkpoint) holds them."""
+    for name, p in sorted(params.items()):
+        if p.dtype != np.float64:
+            raise ValueError(f"parameter {name}: dtype {p.dtype} in {where}, expected float64")
+        bad = p.size - np.count_nonzero(np.isfinite(p))
+        if bad:
+            raise ValueError(f"parameter {name}: {bad} non-finite values in {where}")
 
 
 # --------------------------------------------------------------------------

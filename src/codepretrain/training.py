@@ -1,13 +1,13 @@
 """The training loop, decoding, the gradient-check harness, and the mask-task scorer.
 
-Every phase advances one ``TrainState`` over a task mixture: each step draws a
-task by the mixture's probabilities, then a batch of that task's pool.  A
-pre-training phase is a fixed uniform mixture (alpha 0) of its objectives: the
-three denoising objectives, or the two directions of the paired NL<->code
-generation instances.  Fine-tuning (``finetune``) takes its mixture from the
-caller and validates between ``advance`` calls; a single pool is a one-task
-mixture, and a task of IT instances trains the tagging head.  All randomness
-flows from the schedule seed; a seeded metrics log is bit-identical across runs.
+``finetune`` is the one training loop.  It advances one ``TrainState`` over a
+task mixture, each step drawing a task by the mixture's probabilities, then a
+batch of that task's pool, and validates between ``advance`` calls; a single
+pool is a one-task mixture, and a task of IT instances trains the tagging head.
+``pretrain`` hands it a phase: a fixed uniform mixture (alpha 0) of the three
+denoising objectives, or of the two directions of the paired NL<->code
+generation instances.  All randomness flows from the schedule seed; a seeded
+metrics log is bit-identical across runs.
 
 Training and decoding compute in ``COMPUTE_DTYPE``.  A run trains masters of
 that dtype (``Seq2SeqModel.astype`` of the caller's model), with Adam's
@@ -34,7 +34,7 @@ log = logging.getLogger(__name__)
 
 from . import artifacts, metrics as metrics_mod
 from .bpe import SubwordTokenizer
-from .mixture import TaskMixture, TaskSpec, apply_control_code, sample_task
+from .mixture import TaskMixture, TaskSpec, sample_task
 from .model import (
     DecodeState,
     Seq2SeqModel,
@@ -167,24 +167,18 @@ def _draw_batch(pool: list[TrainingInstance], size: int, rng: np.random.Generato
     return [pool[int(i)] for i in idx]
 
 
-def _fits_model(inst: TrainingInstance, model: Seq2SeqModel) -> bool:
-    return (
-        len(inst.source_ids) <= model.config.max_src_len
-        and len(inst.target_ids) <= model.config.max_tgt_len
-    )
-
-
 def _filter_to_caps(
     instances: Sequence[TrainingInstance], model: Seq2SeqModel, name: str
 ) -> list[TrainingInstance]:
     """Drop instances longer than the model's length caps, with a warning
     naming what ``name`` (an objective, a task or a validation set) loses."""
-    kept = [i for i in instances if _fits_model(i, model)]
+    cfg = model.config
+    kept = [i for i in instances if len(i.source_ids) <= cfg.max_src_len and len(i.target_ids) <= cfg.max_tgt_len]
     dropped = len(instances) - len(kept)
     if dropped:
         log.warning(
             "%s: dropping %d of %d instances exceeding model caps (src %d, tgt %d)",
-            name, dropped, len(instances), model.config.max_src_len, model.config.max_tgt_len,
+            name, dropped, len(instances), cfg.max_src_len, cfg.max_tgt_len,
         )
     return kept
 
@@ -194,8 +188,8 @@ class TrainState:
     """A run between steps: the ``COMPUTE_DTYPE`` masters ``model`` that each
     step computes on and updates in place, the optimizer with its moments (of
     the masters' dtype) and step count, the batch and dropout generators
-    (``drop_rng`` None without dropout), the records so far, ``finetune``'s
-    best checkpoint per task and the last step's ``grads``.  Holding those
+    (``drop_rng`` None without dropout), the records so far, the run's best
+    checkpoint per validated task and the last step's ``grads``.  Holding those
     until the next step replaces them keeps the allocator from returning their
     pages after every step: at vocabulary 560, faulting them back in cost
     about 7% of a step."""
@@ -253,14 +247,12 @@ def pretrain(
     schedule: TrainSchedule,
     phase: str = "denoise",
 ) -> list[StepRecord]:
-    """Train ``model``; returns the per-step metrics log.  The model ends with
-    the masters' values (see ``TrainState.write_back``), also when a step stops
-    the run.
+    """Train ``model`` on one phase; returns the per-step metrics log.
 
     The denoise phase expects span/tagging/identifier instances, the dual
     phase the paired generation instances.  Each objective of the phase with
-    instances left after the length caps is one task of a uniform mixture,
-    logged under the objective's name.
+    instances left after the length caps is one task, logged under the
+    objective's name, of a uniform mixture that ``finetune`` trains.
     """
     phases = {"denoise": DENOISING_TASKS, "dual": DUAL_TASKS}
     if phase not in phases:
@@ -280,18 +272,11 @@ def pretrain(
         if schedule.steps > 0:
             raise ValueError("no training instances")
         return []
-    mixture, state = TaskMixture(tasks, alpha=0.0), TrainState.start(model, schedule)
-    try:
-        for _ in range(schedule.steps):
-            state.advance(mixture, pools)
-    finally:
-        state.write_back(model)
-    return state.records
+    return finetune(model, TaskMixture(tasks, alpha=0.0), pools, schedule)[0]
 
 
 @dataclass
 class TaskCheckpoint:
-    task: str
     step: int
     metric: float
     params: dict[str, np.ndarray]
@@ -312,28 +297,27 @@ def finetune(
     model: Seq2SeqModel,
     mixture: TaskMixture,
     datasets: dict[str, list[TrainingInstance]],
-    tokenizer: SubwordTokenizer,
     schedule: TrainSchedule,
     validation: dict[str, list[TrainingInstance]] | None = None,
     eval_every: int = 50,
 ) -> tuple[list[StepRecord], dict[str, TaskCheckpoint]]:
-    """Fine-tune on a task mixture, with one best checkpoint per task; a single
-    pool is a one-task mixture.
+    """Train ``model`` on a task mixture, with one best checkpoint per
+    validated task; a single pool is a one-task mixture.
 
     Each step draws a task by the mixture's probabilities, then a batch from
     its dataset.  The loss follows the batch's objective: the tagging head for
     IT, teacher-forced generation for every other objective.  So a task whose
     instances (training or validation) mix IT with other objectives is
-    rejected before step 1.  Control codes are prepended and the length caps
-    applied once per dataset and validation set up front.  Every ``eval_every``
-    steps and after the last, each task's validation loss on the ``COMPUTE_DTYPE``
-    masters is measured in batches of the schedule's size; the best snapshot
-    per task, cast to ``model``'s dtype, is returned.  ``model`` ends with the
-    masters' values, as in ``pretrain``.
+    rejected before step 1.  Control codes come prepended
+    (``mixture.apply_control_code``); the length caps are applied once per
+    dataset and validation set up front.  Every ``eval_every`` steps and after
+    the last, each task's validation loss on the ``COMPUTE_DTYPE`` masters is
+    measured in batches of the schedule's size; the best snapshot per task,
+    cast to ``model``'s dtype, is returned.  ``model`` ends with the masters'
+    values (see ``TrainState.write_back``), also when a step stops the run.
     """
-    def prepare(spec, instances, name):
-        return _filter_to_caps([apply_control_code(i, spec, tokenizer) for i in instances], model, name)
-
+    if not eval_every >= 1:
+        raise ValueError(f"eval_every must be >= 1, got {eval_every!r}")
     prepared: dict[str, list[TrainingInstance]] = {}
     held_out: dict[str, list[TrainingInstance]] = {}
     for spec in mixture.tasks:
@@ -342,10 +326,10 @@ def finetune(
         if IT in objectives and len(objectives) > 1:
             raise ValueError(f"task {spec.name!r} mixes the tagging and sequence losses: its instances "
                              f"have objectives {', '.join(sorted(objectives))}")
-        prepared[spec.name] = prepare(spec, datasets[spec.name], spec.name)
+        prepared[spec.name] = _filter_to_caps(datasets[spec.name], model, spec.name)
         if not prepared[spec.name] and schedule.steps > 0:
             raise ValueError(f"no instances of task {spec.name!r} fit the model's length caps")
-        val = prepare(spec, val, f"{spec.name} validation")
+        val = _filter_to_caps(val, model, f"{spec.name} validation")
         if val:
             held_out[spec.name] = val
     state = TrainState.start(model, schedule)
@@ -358,7 +342,7 @@ def finetune(
                 mean = _mean_loss(state.model, val, schedule.batch_size)
                 if task not in state.best or mean < state.best[task].metric:
                     params = {k: v.astype(model.params[k].dtype) for k, v in state.model.params.items()}
-                    state.best[task] = TaskCheckpoint(task, step, mean, params)
+                    state.best[task] = TaskCheckpoint(step, mean, params)
     finally:
         state.write_back(model)
     return state.records, state.best

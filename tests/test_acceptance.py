@@ -278,7 +278,7 @@ def test_criterion_8_identifier_tagging_f1(tokenizer, small_config, lexers):
     train, held = instances[:500], instances[500:]
     model = Seq2SeqModel(small_config, seed=1)
     tagging = mixture.TaskMixture((mixture.TaskSpec("tagging", len(train)),))
-    tr.finetune(model, tagging, {"tagging": train}, tokenizer,
+    tr.finetune(model, tagging, {"tagging": train},
                 tr.TrainSchedule(steps=400, batch_size=16, peak_lr=1e-3, seed=0))
     preds: list[int] = []
     golds: list[int] = []

@@ -170,22 +170,35 @@ def _write_dataset(path, instances, blank_lines=0) -> str:
     return str(path)
 
 
-def test_mixture_from_config(tmp_path, tokenizer):
+def test_mixture_from_config(tmp_path, tokenizer, capsys):
     """``finetune`` sizes each task by the records it reads, blank lines
-    skipped, and trains as ``training.finetune`` does on that mixture.  Sizing
+    skipped, prepends each task's control code to its training and validation
+    records, and trains as ``training.finetune`` does on that mixture: the
+    same metrics log, best step, validation loss and best checkpoint.  Sizing
     ``b`` by its 33 lines would change the log from step 4 on."""
     data = {"a": [_instance(tokenizer, f"int a{i} ;") for i in range(7)],
             "b": [_instance(tokenizer, f"int b{i} ;") for i in range(3)]}
+    validation = {"a": [_instance(tokenizer, f"int v{i} ;") for i in range(3)]}
     cfg = {"alpha": 0.5, "tasks": [
-        {"name": "a", "path": _write_dataset(tmp_path / "a.jsonl", data["a"]), "control_code": "Summarize:"},
+        {"name": "a", "path": _write_dataset(tmp_path / "a.jsonl", data["a"]), "control_code": "Summarize:",
+         "validation": _write_dataset(tmp_path / "a-val.jsonl", validation["a"])},
         {"name": "b", "path": _write_dataset(tmp_path / "b.jsonl", data["b"], blank_lines=10)},
     ]}
     assert dispatch(_finetune_argv(tmp_path, tokenizer, cfg)) == 0
     mixture = mx.TaskMixture((mx.TaskSpec("a", 7, "Summarize:"), mx.TaskSpec("b", 3)), alpha=0.5)
+    specs = {spec.name: spec for spec in mixture.tasks}
+    data, validation = ({name: [mx.apply_control_code(i, specs[name], tokenizer) for i in insts]
+                         for name, insts in sets.items()} for sets in (data, validation))
     schedule = tr.TrainSchedule(steps=8, batch_size=2, peak_lr=0.001, warmup_steps=0, seed=3)
-    log, _ = tr.finetune(Seq2SeqModel.load(tmp_path / "init.npz"), mixture, data, tokenizer, schedule)
+    log, best = tr.finetune(Seq2SeqModel.load(tmp_path / "init.npz"), mixture, data, schedule, validation)
     tr.write_metrics_log(log, tmp_path / "expected.jsonl")
     assert (tmp_path / "ft" / "metrics.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+    assert set(best) == {"a"}
+    assert f"finetune: best a at step {best['a'].step} (val loss {best['a'].metric:.4f})" in capsys.readouterr().out
+    written = Seq2SeqModel.load(tmp_path / "ft" / "checkpoint.a.npz").params
+    assert set(written) == set(best["a"].params)
+    for k, v in best["a"].params.items():
+        assert written[k].tobytes() == v.tobytes(), k
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -274,6 +275,24 @@ def test_checkpoint_roundtrip(model, msp_instance, tmp_path):
     for k in model.params:
         assert np.array_equal(back.params[k], model.params[k])
     assert _loss(back, msp_instance) == _loss(model, msp_instance)
+
+
+@pytest.mark.parametrize("bad, cause", [
+    ("nan", "parameter dec0.ffn.w1: 1 non-finite values in model"),
+    ("float32", "parameter dec0.ffn.w1: dtype float32 in model, expected float64"),
+])
+def test_save_refuses_what_load_refuses(model, tmp_path, bad, cause):
+    """A model ``load`` would refuse once saved is refused by ``save``, naming
+    the parameter, and no file is left behind."""
+    broken = model.clone()
+    if bad == "nan":
+        broken.params["dec0.ffn.w1"][0, 0] = np.nan
+    else:
+        broken.params["dec0.ffn.w1"] = broken.params["dec0.ffn.w1"].astype(np.float32)
+    path = tmp_path / "ckpt.npz"
+    with pytest.raises(ValueError, match=f"^{re.escape(cause)}$"):
+        broken.save(path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_seq2seq_step_never_holds_padded_logits():

@@ -140,3 +140,21 @@ def test_every_package_exception_type_is_caught_by_the_package():
     defined = set().union(*map(_defined_exceptions, PACKAGE_FILES))
     caught = set().union(*map(_caught_names, PACKAGE_FILES))
     assert sorted(defined - caught) == []
+
+
+def _train_state_starts(path: Path) -> int:
+    """How many calls ``path`` makes to ``TrainState.start``, bare or read from
+    a module (``tr.TrainState.start``)."""
+    calls = 0
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "start":
+            owner = node.func.value
+            calls += (owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", None)) == "TrainState"
+    return calls
+
+
+def test_one_training_loop_starts_a_train_state():
+    """``finetune`` is the package's one training loop, so ``TrainState.start``
+    is called in exactly one place."""
+    sites = {p.name: n for p in PACKAGE_FILES if (n := _train_state_starts(p))}
+    assert sites == {"training.py": 1}

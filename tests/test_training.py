@@ -26,6 +26,13 @@ def _one_task(name, instances, control_code=""):
     return mx.TaskMixture((mx.TaskSpec(name, len(instances), control_code),)), {name: list(instances)}
 
 
+def _with_control_codes(mixture, sets, tokenizer):
+    """``sets`` (datasets or validation sets, by task) with each task's control
+    code prepended, as the ``finetune`` command reads them."""
+    specs = {spec.name: spec for spec in mixture.tasks}
+    return {name: [mx.apply_control_code(i, specs[name], tokenizer) for i in insts] for name, insts in sets.items()}
+
+
 def test_zero_steps_leaves_parameters_unchanged(tiny_config, denoise_pool):
     model = Seq2SeqModel(tiny_config, seed=4)
     before = {k: v.copy() for k, v in model.params.items()}
@@ -62,7 +69,7 @@ def test_pretrain_filters_overlong_instances(tiny_config, denoise_pool, tokenize
     # nothing left to train on -> clear error instead of a crash mid-run
     caplog.clear()
     with caplog.at_level(logging.WARNING), pytest.raises(ValueError, match="no instances of task 'giant' fit"):
-        tr.finetune(model, *_one_task("giant", [giant]), tokenizer, tr.TrainSchedule(steps=1, seed=0))
+        tr.finetune(model, *_one_task("giant", [giant]), tr.TrainSchedule(steps=1, seed=0))
     assert [r.message for r in caplog.records] == [f"giant: dropping 1 of 1 instances {caps}"]
 
 
@@ -211,10 +218,21 @@ def test_non_finite_loss_stops_training_before_update(tiny_config, denoise_pool,
     before = {k: v.copy() for k, v in model.params.items()}
     msp = [i for i in denoise_pool if i.objective == obj.MSP]
     with pytest.raises(tr.NonFiniteError, match=r"^step 1 \(task spans, objective MSP\): loss is nan$"):
-        tr.finetune(model, *_one_task("spans", msp), tokenizer, tr.TrainSchedule(steps=3, batch_size=4, seed=0))
+        tr.finetune(model, *_one_task("spans", msp), tr.TrainSchedule(steps=3, batch_size=4, seed=0))
     for k, v in model.params.items():
         assert np.array_equal(v, before[k])
     assert issubclass(tr.NonFiniteError, ValueError)
+
+
+@pytest.mark.parametrize("eval_every", [0, -3])
+def test_finetune_rejects_an_eval_every_below_one_before_step_1(tiny_config, oracle_pools, eval_every):
+    model = Seq2SeqModel(tiny_config, seed=4)
+    before = {k: v.copy() for k, v in model.params.items()}
+    with pytest.raises(ValueError, match=f"^eval_every must be >= 1, got {eval_every}$"):
+        tr.finetune(model, *_one_task("alpha", oracle_pools["finetune"]), tr.TrainSchedule(steps=3, batch_size=4),
+                    eval_every=eval_every)
+    for k, v in model.params.items():
+        assert v.tobytes() == before[k].tobytes(), k
 
 
 def test_generate_max_len_zero(tiny_config):
@@ -385,8 +403,9 @@ def test_finetune_multitask_tracks_best_checkpoints(tokenizer, tiny_config):
     )
     model = Seq2SeqModel(tiny_config, seed=5)
     log, best = tr.finetune(
-        model, mixture, datasets, tokenizer, tr.TrainSchedule(steps=30, batch_size=4, seed=0),
-        validation=validation, eval_every=10,
+        model, mixture, _with_control_codes(mixture, datasets, tokenizer),
+        tr.TrainSchedule(steps=30, batch_size=4, seed=0),
+        validation=_with_control_codes(mixture, validation, tokenizer), eval_every=10,
     )
     assert {r.objective for r in log} <= {"alpha", "beta"}
     assert set(best) == {"alpha", "beta"}
@@ -438,7 +457,7 @@ def _reference_finetune_multitask(model, mixture, datasets, tokenizer, schedule,
             mean = loss / max(count, 1)
             if spec.name not in best or mean < best[spec.name].metric:
                 best[spec.name] = tr.TaskCheckpoint(
-                    spec.name, step, mean, {k: v.astype(np.float64) for k, v in masters.params.items()}
+                    step, mean, {k: v.astype(np.float64) for k, v in masters.params.items()}
                 )
 
     for step in range(1, schedule.steps + 1):
@@ -553,7 +572,8 @@ def test_single_pool_finetune_matches_reference_loop(tiny_config, tokenizer, ora
     want, want_best = _reference_finetune_multitask(
         want_model, mixture, datasets, tokenizer, sched, validation, eval_every=3
     )
-    got, got_best = tr.finetune(got_model, mixture, datasets, tokenizer, sched, validation=validation, eval_every=3)
+    got, got_best = tr.finetune(got_model, mixture, _with_control_codes(mixture, datasets, tokenizer), sched,
+                                validation=_with_control_codes(mixture, validation, tokenizer), eval_every=3)
     _assert_same_run(got, got_model, want, want_model)
     assert set(want_best) == {pool}
     _assert_same_best(got_best, want_best)
@@ -568,8 +588,10 @@ def test_multitask_matches_reference_loop(tokenizer, tiny_config):
     want, want_best = _reference_finetune_multitask(
         want_model, _two_task_mixture(), datasets, tokenizer, sched, validation, eval_every=5
     )
+    mixture = _two_task_mixture()
     got, got_best = tr.finetune(
-        got_model, _two_task_mixture(), datasets, tokenizer, sched, validation=validation, eval_every=5
+        got_model, mixture, _with_control_codes(mixture, datasets, tokenizer), sched,
+        validation=_with_control_codes(mixture, validation, tokenizer), eval_every=5,
     )
     _assert_same_run(got, got_model, want, want_model)
     assert set(want_best) == {"alpha", "beta"}
@@ -584,7 +606,7 @@ def _finetune_run(name, cfg, tokenizer):
     else:
         mixture = _two_task_mixture()
         datasets = {"alpha": _finetune_pairs(tokenizer, "alpha", 12), "beta": _finetune_pairs(tokenizer, "beta", 4)}
-    log, _ = tr.finetune(model, mixture, datasets, tokenizer, sched)
+    log, _ = tr.finetune(model, mixture, _with_control_codes(mixture, datasets, tokenizer), sched)
     return [r.to_dict() for r in log], model.params
 
 
@@ -606,17 +628,17 @@ def test_finetune_rejects_a_task_that_mixes_tagging_with_sequence_instances(tiny
     sched = tr.TrainSchedule(steps=2, batch_size=4, seed=0)
     message = "task 'denoise' mixes the tagging and sequence losses: its instances have objectives IT, MIP, MSP"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        tr.finetune(model, *_one_task("denoise", oracle_pools["denoise"]), tokenizer, sched)
+        tr.finetune(model, *_one_task("denoise", oracle_pools["denoise"]), sched)
     # a validation set counts as the task's instances too
     with pytest.raises(ValueError, match="task 'tagging' mixes .* objectives FINETUNE, IT$"):
-        tr.finetune(model, *_one_task("tagging", oracle_pools["tagging"]), tokenizer, sched,
+        tr.finetune(model, *_one_task("tagging", oracle_pools["tagging"]), sched,
                     validation={"tagging": oracle_pools["finetune"][:2]})
     for k, v in model.params.items():
         assert np.array_equal(v, before[k])
     # every objective but IT takes the sequence loss, so they may share a task
     sequence = oracle_pools["span-only"][:4] + oracle_pools["dual"][:4] + oracle_pools["finetune"][:4]
     sequence += [i for i in oracle_pools["denoise"] if i.objective == obj.MIP][:4]
-    log, _ = tr.finetune(model, *_one_task("sequence", sequence), tokenizer, sched)
+    log, _ = tr.finetune(model, *_one_task("sequence", sequence), sched)
     assert [r.objective for r in log] == ["sequence", "sequence"]
 
 
@@ -628,11 +650,12 @@ def test_multitask_validation_drops_overlong_records(tokenizer, tiny_config, cap
         (tokenizer.cls_id, *[5] * (tiny_config.max_src_len + 40), tokenizer.sep_id), (5, 2), obj.FINETUNE
     )
     validation = {"alpha": datasets["alpha"][:2] + [overlong], "beta": datasets["beta"][:2]}
-    model = Seq2SeqModel(tiny_config, seed=5)
+    model, mixture = Seq2SeqModel(tiny_config, seed=5), _two_task_mixture()
     with caplog.at_level(logging.WARNING):
         log, best = tr.finetune(
-            model, _two_task_mixture(), datasets, tokenizer, tr.TrainSchedule(steps=4, batch_size=2, seed=0),
-            validation=validation, eval_every=2,
+            model, mixture, _with_control_codes(mixture, datasets, tokenizer),
+            tr.TrainSchedule(steps=4, batch_size=2, seed=0),
+            validation=_with_control_codes(mixture, validation, tokenizer), eval_every=2,
         )
     assert len(log) == 4
     assert any(r.message.startswith("alpha validation: dropping 1 of 3 instances exceeding model caps")
@@ -653,16 +676,12 @@ def _uniform_mixture(instances):
 
 
 def _finetune_setup(tokenizer):
-    """The two-task mixture, its prepared pools and validation sets, as ``finetune`` prepares them."""
+    """The two-task mixture, its pools and its validation sets, with control codes prepended."""
     mixture = _two_task_mixture()
     datasets = {"alpha": _finetune_pairs(tokenizer, "alpha", 12), "beta": _finetune_pairs(tokenizer, "beta", 4)}
     validation = {"alpha": datasets["alpha"][:5], "beta": datasets["beta"][:3]}
-    specs = {spec.name: spec for spec in mixture.tasks}
-
-    def prepare(sets):
-        return {name: [mx.apply_control_code(i, specs[name], tokenizer) for i in insts] for name, insts in sets.items()}
-
-    return mixture, datasets, validation, prepare(datasets), prepare(validation)
+    return (mixture, _with_control_codes(mixture, datasets, tokenizer),
+            _with_control_codes(mixture, validation, tokenizer))
 
 
 def _advance(state, mixture, pools, held_out, steps, eval_every):
@@ -676,7 +695,7 @@ def _advance(state, mixture, pools, held_out, steps, eval_every):
             mean = tr._mean_loss(state.model, val, schedule.batch_size)
             if task not in state.best or mean < state.best[task].metric:
                 params = {k: v.astype(np.float64) for k, v in state.model.params.items()}
-                state.best[task] = tr.TaskCheckpoint(task, step, mean, params)
+                state.best[task] = tr.TaskCheckpoint(step, mean, params)
     return state
 
 
@@ -763,7 +782,7 @@ def test_a_state_copied_mid_run_continues_bit_for_bit(tiny_config, tokenizer, or
     if run == "pretrain":
         mixture, pools = _uniform_mixture(oracle_pools["denoise"])
     else:
-        mixture, datasets, validation, pools, held_out = _finetune_setup(tokenizer)
+        mixture, pools, held_out = _finetune_setup(tokenizer)
     def advanced(state, steps):
         return _advance(state, mixture, pools, held_out, steps, eval_every)
 
@@ -779,5 +798,5 @@ def test_a_state_copied_mid_run_continues_bit_for_bit(tiny_config, tokenizer, or
     if run == "pretrain":
         records, best = tr.pretrain(reference, oracle_pools["denoise"], sched), {}
     else:
-        records, best = tr.finetune(reference, mixture, datasets, tokenizer, sched, validation, eval_every)
+        records, best = tr.finetune(reference, mixture, pools, sched, held_out, eval_every)
     _assert_same_result(records, reference.params, best, whole)
