@@ -18,8 +18,7 @@ def main():
     print("\nbundled corpus statistics:")
     records = ingest(bundled_corpus_path())
     docs = list(normalize_corpus(records, lexers))
-    stats = compute_stats(docs)
-    for lang, s in sorted(stats.per_language.items()):
+    for lang, s in sorted(compute_stats(docs).items()):
         print(
             f"  {lang:<8} bimodal={s.with_nl:<3} code-only={s.without_nl:<3} "
             f"identifier rate={s.identifier_rate:.1%}"

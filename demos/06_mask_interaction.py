@@ -20,7 +20,7 @@ from codepretrain import (
     train_tokenizer,
 )
 from codepretrain.lexer import load_lexers
-from codepretrain.objectives import NoIdentifiersError, document_rng
+from codepretrain.objectives import document_rng
 from codepretrain.synth import random_document
 
 
@@ -42,13 +42,7 @@ def main():
         return out
 
     def ident_instances(ds):
-        out = []
-        for d in ds:
-            try:
-                out.append(build_mip(d, tokenizer))
-            except NoIdentifiersError:
-                pass
-        return out
+        return [build_mip(d, tokenizer) for d in ds if any(d.identifier_labels)]
 
     config = ModelConfig(vocab_size=tokenizer.vocab_size, d_model=64, num_heads=4,
                          encoder_layers=2, decoder_layers=2, feedforward_dim=128,

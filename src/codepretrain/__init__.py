@@ -11,7 +11,6 @@ evaluation metrics used by the task suite.
 from .bpe import SubwordTokenizer, compression_ratio, default_specials, train as train_tokenizer
 from .corpus import (
     CodeDocument,
-    CorpusStats,
     RawRecord,
     compute_stats,
     ingest,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CodeDocument",
-    "CorpusStats",
     "EvalReport",
     "LanguageLexer",
     "LexToken",

@@ -129,6 +129,16 @@ def _load(what: str, load: Callable, path: str):
         raise CommandError(f"cannot read {what} {path}: {exc}")
 
 
+def _load_checkpoint(path: str, tok: bpe.SubwordTokenizer, tok_path: str) -> Seq2SeqModel:
+    """The checkpoint at ``path``, refused unless it was made for ``tok``'s
+    vocabulary size: ids from a tokenizer of another size name other tokens."""
+    model = _load("checkpoint", Seq2SeqModel.load, path)
+    if model.config.vocab_size != tok.vocab_size:
+        raise CommandError(f"tokenizer {tok_path} has vocabulary size {tok.vocab_size}, "
+                           f"but checkpoint {path} has {model.config.vocab_size}")
+    return model
+
+
 def _run_stage(args: argparse.Namespace) -> int:
     """Skip the stage when its snapshot matches; otherwise run it and write
     the snapshot after it succeeds."""
@@ -180,8 +190,7 @@ def _cmd_ingest(args, out: Path) -> None:
 def _cmd_stats(args) -> int:
     _require_file(args.input, "input file")
     docs = corpus.normalize_corpus(_read_corpus(args.input, []), lx.load_lexers())
-    stats = corpus.compute_stats(docs)
-    for lang, s in sorted(stats.per_language.items()):
+    for lang, s in sorted(corpus.compute_stats(docs).items()):
         print(
             f"{lang} with_nl={s.with_nl} without_nl={s.without_nl} "
             f"identifier_rate={s.identifier_rate:.4f}"
@@ -268,7 +277,7 @@ def _cmd_pretrain(args, out: Path) -> None:
     tok = _load("tokenizer", bpe.SubwordTokenizer.load, args.tokenizer)
     instances = list(obj.read_instances(Path(args.instances)))
     if args.init:
-        model = _load("checkpoint", Seq2SeqModel.load, args.init)
+        model = _load_checkpoint(args.init, tok, args.tokenizer)
     else:
         model = Seq2SeqModel(_model_config_from_args(args, tok.vocab_size), seed=args.seed)
     log = tr.pretrain(model, instances, _schedule_from_args(args), phase=args.phase)
@@ -351,7 +360,7 @@ def _mixture_files(args) -> list[tuple[str | None, str]]:
 def _cmd_finetune(args, out: Path) -> None:
     tok = _load("tokenizer", bpe.SubwordTokenizer.load, args.tokenizer)
     alpha, tasks = _read_mixture(args)
-    model = _load("checkpoint", Seq2SeqModel.load, args.init)
+    model = _load_checkpoint(args.init, tok, args.tokenizer)
     datasets = {}
     for name, path, _, _ in tasks:
         datasets[name] = _load_task_instances(path, tok)
@@ -376,7 +385,7 @@ def _cmd_finetune(args, out: Path) -> None:
 
 def _cmd_generate(args, out: Path) -> None:
     tok = _load("tokenizer", bpe.SubwordTokenizer.load, args.tokenizer)
-    model = _load("checkpoint", Seq2SeqModel.load, args.checkpoint).astype(tr.COMPUTE_DTYPE)
+    model = _load_checkpoint(args.checkpoint, tok, args.tokenizer).astype(tr.COMPUTE_DTYPE)
     spec = mixture_mod.TaskSpec("generate", 1, args.control_code)
     cap = model.config.max_src_len
     lines, overlong = [], 0

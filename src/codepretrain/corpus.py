@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -94,11 +94,6 @@ class LanguageStats:
         return self.identifier_tokens / self.code_tokens if self.code_tokens else 0.0
 
 
-@dataclass
-class CorpusStats:
-    per_language: dict[str, LanguageStats] = field(default_factory=dict)
-
-
 @dataclass(frozen=True)
 class IngestError:
     line_number: int
@@ -175,11 +170,11 @@ def normalize_corpus(
             log.warning("dropping document with no lexable code (language=%s)", record.language)
 
 
-def compute_stats(docs: Iterable[CodeDocument]) -> CorpusStats:
-    """Per-language document counts and identifier rates; order-independent."""
-    stats = CorpusStats()
+def compute_stats(docs: Iterable[CodeDocument]) -> dict[str, LanguageStats]:
+    """Document counts and identifier rates by language; order-independent."""
+    stats: dict[str, LanguageStats] = {}
     for doc in docs:
-        s = stats.per_language.setdefault(doc.language, LanguageStats())
+        s = stats.setdefault(doc.language, LanguageStats())
         if doc.is_bimodal:
             s.with_nl += 1
         else:

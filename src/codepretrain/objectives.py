@@ -11,13 +11,16 @@ inside a word's subword run:
 - identifier masking: every occurrence of each distinct identifier is
   replaced by that identifier's own sentinel (many occurrences, one
   sentinel), and the target lists ``sentinel, identifier`` pairs once each;
+  a document with no identifier, or more than there are sentinels, gets
+  span masking instead, as does one whose target overflows its cap;
 - dual generation: a bimodal document yields one NL-to-code and one
   code-to-NL instance, each source prefixed with its language-id token.
 
 Span plans mask exactly ``round(rate * num_words)`` words.  The number of
 spans is chosen so the average span length is 3, and the span lengths are a
-uniformly sampled composition of the budget into parts of 1..5.  Targets end
-with [SEP], which doubles as the end-of-sequence marker.
+uniformly sampled composition of the budget into parts of 1..5, at most
+``NUM_MASK_TOKENS - 1`` of them so the span the NL/code boundary may split
+still fits the sentinels.  Targets end with [SEP], the end-of-sequence mark.
 """
 
 from __future__ import annotations
@@ -49,11 +52,6 @@ TARGET_MEAN_SPAN = 3
 NL_LANGUAGE_TAG = "en"
 
 MAX_SRC_LEN, MAX_TGT_LEN = 512, 256  # the model's length caps, which ModelConfig enforces
-
-
-class NoIdentifiersError(ValueError):
-    """Identifier masking is undefined for a document with no identifiers;
-    callers fall back to span masking."""
 
 
 @dataclass(frozen=True)
@@ -159,6 +157,8 @@ def sample_spans(
 
     Spans are kept non-adjacent whenever enough unmasked words remain to
     separate them, so distinct sentinels stand for genuinely distinct spans.
+    At most NUM_MASK_TOKENS - 1 spans, and that many MAX_SPAN-word spans of
+    budget, leave a sentinel for the span the NL/code boundary may split.
     ``min_budget`` lets the instance pipeline force at least one masked word
     on very short documents where the budget would round to zero.  Every draw
     comes from ``rng``.
@@ -168,13 +168,13 @@ def sample_spans(
     if num_words < 0:
         raise ValueError(f"num_words must be nonnegative, got {num_words}")
     budget = round_half_up(rate * num_words)
-    budget = min(max(budget, min_budget), num_words)
+    budget = min(max(budget, min_budget), num_words, (NUM_MASK_TOKENS - 1) * MAX_SPAN)
     if budget == 0:
         return SpanPlan(spans=())
 
     num_spans = round_half_up(budget / TARGET_MEAN_SPAN)
     num_spans = max(num_spans, math.ceil(budget / MAX_SPAN), 1)
-    num_spans = min(num_spans, budget)
+    num_spans = min(num_spans, budget, NUM_MASK_TOKENS - 1)
     lengths = _sample_lengths(budget, num_spans, rng)
 
     free = num_words - budget
@@ -272,16 +272,14 @@ def _it(doc: CodeDocument, nl: WordIds, code: WordIds, tokenizer: SubwordTokeniz
     return TrainingInstance(tuple(source), (), IT, tag_labels=tuple(tag_labels))
 
 
-def _mip(doc: CodeDocument, nl: WordIds, code: WordIds, tokenizer: SubwordTokenizer) -> TrainingInstance:
+def _mip(doc: CodeDocument, nl: WordIds, code: WordIds, tokenizer: SubwordTokenizer) -> TrainingInstance | None:
     words = list(zip(doc.code_tokens, doc.identifier_labels, code))
     distinct: dict[str, tuple[int, tuple[int, ...]]] = {}  # identifier -> (sentinel index, ids)
     for token, label, ids in words:
         if label == 1 and token not in distinct:
             distinct[token] = (len(distinct), ids)
-    if not distinct:
-        raise NoIdentifiersError("document has no identifier tokens")
-    if len(distinct) > NUM_MASK_TOKENS:
-        raise ValueError(f"{len(distinct)} distinct identifiers exceed {NUM_MASK_TOKENS} sentinels")
+    if not 1 <= len(distinct) <= NUM_MASK_TOKENS:
+        return None
 
     source = [tokenizer.cls_id, *_flat(nl), tokenizer.sep_id]
     for token, label, ids in words:
@@ -326,9 +324,14 @@ def build_it(doc: CodeDocument, tokenizer: SubwordTokenizer) -> TrainingInstance
 
 
 def build_mip(doc: CodeDocument, tokenizer: SubwordTokenizer) -> TrainingInstance:
-    """Identifier-obfuscation instance: each distinct identifier gets one
-    sentinel shared by all of its occurrences."""
-    return _mip(doc, *_encode_doc(doc, tokenizer), tokenizer)
+    """Identifier-obfuscation instance: each of the document's 1 to
+    NUM_MASK_TOKENS distinct identifiers gets one sentinel shared by all of
+    its occurrences; any other count raises ``ValueError``."""
+    inst = _mip(doc, *_encode_doc(doc, tokenizer), tokenizer)
+    if inst is None:
+        count = len({t for t, label in zip(doc.code_tokens, doc.identifier_labels) if label})
+        raise ValueError(f"{count} distinct identifiers: identifier masking needs 1 to {NUM_MASK_TOKENS}")
+    return inst
 
 
 def build_dual_pair(
@@ -416,9 +419,9 @@ def build_denoising_instances(
     """One denoising instance per document, objective drawn per document.
 
     Documents are clipped at whole-word boundaries so sources fit
-    ``max_src_len`` subword ids.  Documents without identifiers, and the rare
-    identifier-heavy ones whose obfuscation target would overflow
-    ``max_tgt_len``, fall back from identifier masking to span masking.
+    ``max_src_len`` subword ids.  Where identifier masking declines, or its
+    target overflows ``max_tgt_len``, the document gets span masking drawn
+    from the same per-document generator.
     """
     _check_length_caps(max_src_len, max_tgt_len)
     # [CLS] + two [SEP]s frame the source; NL takes at most half the payload
@@ -431,17 +434,13 @@ def build_denoising_instances(
         rng = document_rng(seed, i)
         task = pick_denoising_task(rng)
         if task == MIP:
-            try:
-                inst = _mip(doc, nl, code, tokenizer)
-                if len(inst.target_ids) <= max_tgt_len:
-                    instances.append(inst)
-                    continue
-                task = MSP
-            except NoIdentifiersError:
-                task = MSP
+            inst = _mip(doc, nl, code, tokenizer)
+            if inst is not None and len(inst.target_ids) <= max_tgt_len:
+                instances.append(inst)
+                continue
         if task == IT:
             instances.append(_it(doc, nl, code, tokenizer))
-        else:
+        else:  # span masking, also where identifier masking declined
             plan = sample_spans(len(nl) + len(code), rate, rng, min_budget=1)
             instances.append(_msp(nl, code, tokenizer, plan))
     return instances

@@ -118,13 +118,7 @@ def mask_protocol(tokenizer, lexers, small_config):
         return out
 
     def ident_pool(ds):
-        out = []
-        for d in ds:
-            try:
-                out.append(obj.build_mip(d, tokenizer))
-            except obj.NoIdentifiersError:
-                pass
-        return out
+        return [obj.build_mip(d, tokenizer) for d in ds if any(d.identifier_labels)]
 
     msp_train = span_pool(train_docs, 3)
     mip_train = ident_pool(train_docs)

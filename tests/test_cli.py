@@ -258,6 +258,41 @@ def test_dual_instances_for_a_language_without_an_id_is_clean_error(pipeline, tm
     assert [p.name for p in tmp_path.iterdir()] == ["docs.jsonl"]
 
 
+def test_name_dense_and_long_documents_each_get_an_instance(tmp_path):
+    """A function returning 160 names has more distinct identifiers than
+    there are sentinels, and a 121-line function has more words than 99 spans
+    can mask at a high rate.  Beside the bundled records, each still gets one
+    instance at every seed and rate, and the bundled records' instances stay
+    as they are without them."""
+    names = ", ".join(f"name{i}" for i in range(160))
+    extra = [{"code": f"def names():\n    return ({names})", "language": "python"},
+             {"code": "def add(y, z):\n" + "    x = y + z\n" * 119 + "    return x", "language": "python"}]
+    bundled = corpus.bundled_corpus_path()
+    raw = tmp_path / "corpus.jsonl"
+    raw.write_text(bundled.read_text(encoding="utf-8") + "".join(json.dumps(r) + "\n" for r in extra),
+                   encoding="utf-8")
+    docs, bundled_docs, tok = tmp_path / "docs.jsonl", tmp_path / "bundled.jsonl", tmp_path / "tok"
+    assert dispatch(["ingest", "--input", str(raw), "--out", str(docs)]) == 0
+    assert dispatch(["ingest", "--input", str(bundled), "--out", str(bundled_docs)]) == 0
+    assert dispatch(["train-tokenizer", "--input", str(raw), "--out", str(tok)]) == 0
+    tokenizer = bpe.SubwordTokenizer.load(tok)
+    for seed in range(4):
+        for rate in ("0.15", "0.6", "0.9"):
+            built = []
+            for inp in (docs, bundled_docs):
+                out = tmp_path / f"{inp.stem}-{seed}-{rate}.jsonl"
+                argv = ["build-instances", "--input", str(inp), "--tokenizer", str(tok), "--seed", str(seed),
+                        "--rate", rate, "--out", str(out)]
+                assert dispatch(argv) == 0, (seed, rate)
+                built.append(out.read_text(encoding="utf-8").splitlines())
+            assert len(built[0]) == 202 and built[0][:200] == built[1]
+            for inst in map(obj.TrainingInstance.from_dict, map(json.loads, built[0])):
+                masked = {tokenizer.sentinel_index(i) for i in inst.source_ids} - {None}
+                recovered = [index for index, _ in obj.parse_sentinel_segments(inst.target_ids, tokenizer)]
+                assert recovered == sorted(masked) == list(range(len(masked)))
+                assert len(masked) <= bpe.NUM_MASK_TOKENS
+
+
 def test_build_instances_cap_a_model_cannot_take_is_clean_error(pipeline, tmp_path, capsys):
     """A source cap with no room for a payload writes no instances file."""
     out = tmp_path / "inst.jsonl"
@@ -650,6 +685,36 @@ def _tiny_checkpoint(tok_dir, path, max_len=16):
                       feedforward_dim=32, max_src_len=max_len, max_tgt_len=max_len)
     Seq2SeqModel(cfg).save(path)
     return path
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "generate"])
+@pytest.mark.parametrize("checkpoint_vocab", ["larger", "smaller"])
+def test_tokenizer_and_checkpoint_of_other_vocabulary_sizes_is_clean_error(
+    pipeline, tmp_path, capsys, command, checkpoint_vocab
+):
+    """Ids from a tokenizer of another size name other tokens of the model,
+    so the command stops before it trains or decodes anything."""
+    small = tmp_path / "tok500"
+    assert dispatch(["train-tokenizer", "--input", pipeline["src"], "--vocab-size", "500", "--min-freq", "2",
+                     "--out", str(small)]) == 0
+    ckpt_tok, tok = (pipeline["tok"], small) if checkpoint_vocab == "larger" else (small, pipeline["tok"])
+    sizes = [bpe.SubwordTokenizer.load(t).vocab_size for t in (tok, ckpt_tok)]
+    assert sizes[0] != sizes[1]
+    ckpt = _tiny_checkpoint(ckpt_tok, tmp_path / "init.npz")
+    data = tmp_path / "task.jsonl"
+    data.write_text(json.dumps({"source": "int x ;", "target": "declare"}) + "\n", encoding="utf-8")
+    mixture = tmp_path / "mixture.json"
+    mixture.write_text(json.dumps({"tasks": [{"name": "t", "path": str(data)}]}), encoding="utf-8")
+    argv = {
+        "pretrain": ["pretrain", "--init", str(ckpt), "--instances", str(pipeline["inst"])],
+        "finetune": ["finetune", "--init", str(ckpt), "--mixture", str(mixture)],
+        "generate": ["generate", "--checkpoint", str(ckpt), "--input", str(data)],
+    }[command]
+    out = tmp_path / "out"
+    assert dispatch(argv + ["--tokenizer", str(tok), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: tokenizer {tok} has vocabulary size {sizes[0]}, but checkpoint {ckpt} has {sizes[1]}"]
+    assert not out.exists() and not (tmp_path / "out.config.json").exists()
 
 
 def _finetune_argv(pipeline, tmp_path, mixture):

@@ -141,8 +141,8 @@ def test_document_alignment_enforced():
 def test_stats_single_doc():
     doc = corpus.CodeDocument((), ("int", "a", ";"), "mini", (0, 1, 0))
     stats = corpus.compute_stats([doc])
-    assert stats.per_language["mini"].identifier_rate == pytest.approx(1 / 3)
-    assert stats.per_language["mini"].without_nl == 1
+    assert stats["mini"].identifier_rate == pytest.approx(1 / 3)
+    assert stats["mini"].without_nl == 1
 
 
 def test_stats_two_docs():
@@ -151,18 +151,18 @@ def test_stats_two_docs():
         corpus.CodeDocument((), ("c", "d"), "mini", (0, 0)),
     ]
     stats = corpus.compute_stats(docs)
-    assert stats.per_language["mini"].identifier_rate == pytest.approx(0.5)
+    assert stats["mini"].identifier_rate == pytest.approx(0.5)
 
 
 def test_stats_empty_corpus():
-    assert corpus.compute_stats([]).per_language == {}
+    assert corpus.compute_stats([]) == {}
 
 
 def test_bundled_corpus_golden_rates(bundled_docs):
     stats = corpus.compute_stats(bundled_docs)
-    assert set(stats.per_language) == set(GOLDEN_RATES)
+    assert set(stats) == set(GOLDEN_RATES)
     for lang, (with_nl, without_nl, rate) in GOLDEN_RATES.items():
-        s = stats.per_language[lang]
+        s = stats[lang]
         assert s.with_nl == with_nl
         assert s.without_nl == without_nl
         assert s.identifier_rate == pytest.approx(rate, abs=1e-12)

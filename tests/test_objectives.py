@@ -84,6 +84,23 @@ def test_seeded_plan_reproducible():
     assert a == b
 
 
+@pytest.mark.parametrize("rate", [0.6, 0.9, 1.0])
+def test_span_plans_fit_the_sentinels_after_the_boundary_split(tokenizer, rate):
+    """At most 99 spans, and at most 99 five-word spans of budget, so a span
+    the NL/code boundary splits still leaves every span a sentinel."""
+    doc = _doc(["x"] * 300, [1] * 300, nl=["y"] * 300)
+    for seed in range(5):
+        plan = obj.sample_spans(600, rate, np.random.default_rng(seed))
+        assert len(plan.spans) <= bpe.NUM_MASK_TOKENS - 1
+        assert plan.masked_words == min(obj.round_half_up(rate * 600), 99 * obj.MAX_SPAN)
+        prev_end = -1
+        for start, length in plan.spans:
+            assert 1 <= length <= 5 and start > prev_end and start + length <= 600
+            prev_end = start + length - 1
+        segments = obj.parse_sentinel_segments(obj.build_msp(doc, tokenizer, plan).target_ids, tokenizer)
+        assert len(segments) <= bpe.NUM_MASK_TOKENS
+
+
 # -- span corruption ---------------------------------------------------------
 
 
@@ -249,15 +266,26 @@ def test_mip_single_identifier(tokenizer):
 
 def test_mip_zero_identifiers_skip_signal(tokenizer):
     doc = _doc(["return", ";"], [0, 0])
-    with pytest.raises(obj.NoIdentifiersError):
+    with pytest.raises(ValueError, match="^0 distinct identifiers: identifier masking needs 1 to 100"):
         obj.build_mip(doc, tokenizer)
 
 
 def test_mip_sentinel_exhaustion(tokenizer):
     names = [f"v{i}" for i in range(101)]
     doc = _doc(names, [1] * 101)
-    with pytest.raises(ValueError, match="101 distinct identifiers exceed 100 sentinels"):
+    with pytest.raises(ValueError, match="101 distinct identifiers: identifier masking needs 1 to 100"):
         obj.build_mip(doc, tokenizer)
+
+
+def test_denoising_falls_back_to_span_masking_on_too_many_identifiers(tokenizer):
+    """Where identifier masking is drawn for a document with more distinct
+    identifiers than sentinels, the document gets a span-masking instance."""
+    doc = _doc([f"v{i}" for i in range(101)], [1] * 101)
+    seeds = [s for s in range(12) if obj.pick_denoising_task(obj.document_rng(s, 0)) == obj.MIP]
+    assert seeds
+    for seed in seeds:
+        [inst] = obj.build_denoising_instances([doc], tokenizer, seed=seed)
+        assert inst.objective == obj.MSP
 
 
 def test_mip_consistency_fuzz_small(tokenizer, lexers):
@@ -442,7 +470,7 @@ def _ref_build_mip(doc, tokenizer):
         if label == 1 and token not in distinct:
             distinct[token] = len(distinct)
     if not distinct:
-        raise obj.NoIdentifiersError("document has no identifier tokens")
+        return None
     source = [tokenizer.cls_id]
     for w in doc.nl_tokens:
         source.extend(_ref_encode(tokenizer, w))
@@ -504,14 +532,11 @@ def _ref_build_denoising_instances(docs, tokenizer, rate, seed, max_src_len, max
         rng = obj.document_rng(seed, i)
         task = obj.pick_denoising_task(rng)
         if task == obj.MIP:
-            try:
-                inst = _ref_build_mip(doc, tokenizer)
-                if len(inst.target_ids) <= max_tgt_len:
-                    instances.append(inst)
-                    continue
-                task = obj.MSP
-            except obj.NoIdentifiersError:
-                task = obj.MSP
+            inst = _ref_build_mip(doc, tokenizer)
+            if inst is not None and len(inst.target_ids) <= max_tgt_len:
+                instances.append(inst)
+                continue
+            task = obj.MSP
         if task == obj.IT:
             instances.append(_ref_build_it(doc, tokenizer))
         else:

@@ -130,7 +130,7 @@ def _caught_names(path: Path) -> set[str]:
 
 
 def test_exception_scan_sees_definitions_and_except_clauses():
-    caught = {"CommandError", "CorpusFormatError", "EmptyDocumentError", "NoIdentifiersError", "NonFiniteError"}
+    caught = {"CommandError", "CorpusFormatError", "EmptyDocumentError", "NonFiniteError"}
     assert caught <= set().union(*map(_defined_exceptions, PACKAGE_FILES))
     assert caught | {"ValueError", "OSError", "KeyError"} <= set().union(*map(_caught_names, PACKAGE_FILES))
 
